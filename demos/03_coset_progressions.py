@@ -55,8 +55,8 @@ g42 = bg.make_group([4, 2])
 h4 = bg.make_group([4])
 sub = subgroup_generated(g42, [g42.element([0, 1])])
 dom = CosetProgression(g42, g42.zero, (Arm(g42.element([1, 0]), 0, 3),), sub)
-table = {i: h4.element([g42.element_from_index(i).coords[0]]) for i in range(8)}
-phi = FreimanMap(dom, h4, table, 2)
+# values: the image index at every element of the domain's group, (a, b) -> a
+phi = FreimanMap(dom, h4, g42.coords_matrix[:, 0], 2)
 part = injectivity_partition(phi, Fraction(1, 2))
 print(f"projection map splits into {part.cell_count} cells with |D| = {part.refinement.size}")
 

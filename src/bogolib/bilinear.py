@@ -31,17 +31,16 @@ from .groups import (
     FiniteAbelianGroup,
     GroupElement,
     GroupSubset,
+    _convolution_counts,
     subgroup_generated,
 )
 from .lattices import IntegerLattice, annihilator_points, chain_monitor
 from .progressions import (
     Arm,
     CosetProgression,
-    ExtractionResult,
     FreimanMap,
     extract_subprogression,
     grow_progression_inside,
-    is_freiman_homomorphism,
 )
 from .rng import derive_rng
 
@@ -148,9 +147,8 @@ def is_freiman_linear(fmap: FreimanMap, *, chunk: int = 1 << 20) -> bool:
         return True
     g = fmap.domain.group
     cod = fmap.codomain
-    vals = np.asarray([fmap.table[int(i)].index for i in idx], dtype=np.int64)
-    lookup = np.full(g.order, -1, dtype=np.int64)
-    lookup[idx] = vals
+    lookup = fmap.values
+    vals = lookup[idx]
     neg = g.negation_permutation
     neg_idx = neg[idx]
     rows_per_block = max(1, chunk // max(1, idx.size))
@@ -184,15 +182,15 @@ def linear_map_on_progression(
     if not progression.is_proper():
         raise PreconditionError("progression must be proper to carry a linear table")
     base_value = dual.element_from_index(0) if base_value is None else base_value
-    table: dict[int, GroupElement] = {}
+    values = np.full(progression.group.order, -1, dtype=np.int64)
     for idx, (coeffs, h_idx) in progression.coordinates().items():
         v = base_value
         for k, w in zip(coeffs, arm_values):
             v = v + k * w
         if subgroup_value is not None:
             v = v + subgroup_value(h_idx)
-        table[idx] = v
-    return FreimanMap(progression, dual, table, order=2)
+        values[idx] = v.index
+    return FreimanMap(progression, dual, values, order=2)
 
 
 # -- bilinear Bohr varieties ---------------------------------------------------
@@ -218,14 +216,16 @@ class BilinearVariety:
     def _biset(self) -> BiSet:
         gx = self.group_x
         gy = self.progression.group
-        base = bohr_mask(gx, self.gamma, self.rho)
+        ys = self.progression.enumerate().indices()
         mat = np.zeros((gy.order, gx.order), dtype=bool)
-        for yi in self.progression.enumerate().indices():
-            yi = int(yi)
-            row = base.copy()
-            for fmap in self.maps:
-                row &= bohr_mask(gx, [fmap.table[yi]], self.rho)
-            mat[yi] = row
+        mat[ys] = bohr_mask(gx, self.gamma, self.rho)
+        for fmap in self.maps:
+            vals = fmap.at(ys)
+            uniq, inverse = np.unique(vals, return_inverse=True)
+            masks = np.stack(
+                [bohr_mask(gx, [gx.dual.element_from_index(v)], self.rho) for v in uniq]
+            )
+            mat[ys] &= masks[inverse]
         return BiSet(gx, gy, mat)
 
     def enumerate(self) -> BiSet:
@@ -251,10 +251,6 @@ class BilinearVariety:
         }
 
 
-def variety_enumerate(variety: BilinearVariety) -> BiSet:
-    return variety.enumerate()
-
-
 def variety_contained_in(variety: BilinearVariety, d: BiSet) -> bool:
     return variety.enumerate().is_subset_of(d)
 
@@ -270,7 +266,7 @@ def variety_membership_bruteforce(variety: BilinearVariety) -> BiSet:
     for y in gy.elements():
         if y.index not in cmask:
             continue
-        chars = list(variety.gamma) + [m.table[y.index] for m in variety.maps]
+        chars = list(variety.gamma) + [m(y) for m in variety.maps]
         for x in gx.elements():
             ok = all(
                 torus_dist(char_eval(chi, x)) <= variety.rho for chi in chars
@@ -321,13 +317,11 @@ def qr_property_check(
     for chi in gamma:
         n = group_x.char_numerators(chi)
         base_num = np.maximum(base_num, np.minimum(n, e - n))
-    row_num = np.zeros((ys.size, group_x.order), dtype=np.int64)
-    for j, yi in enumerate(ys):
-        acc = base_num
-        for fmap in maps:
-            n = group_x.char_numerators(fmap.table[int(yi)])
-            acc = np.maximum(acc, np.minimum(n, e - n))
-        row_num[j] = acc
+    row_num = np.broadcast_to(base_num, (ys.size, group_x.order))
+    for fmap in maps:
+        # numerators of chi(x) over e for chi = L(y), every row y at once
+        n = group_x.char_numerators(fmap.at(ys), fmap.codomain)
+        row_num = np.maximum(row_num, np.minimum(n, e - n))
     num, den = rho_i.numerator, rho_i.denominator
     base_mask = base_num * den <= num * e
     b0 = int(base_mask.sum())
@@ -462,9 +456,11 @@ def _extract_relation(
     if r == 0:
         return None
     dual = maps[0].codomain
+    zs = qprog.enumerate().indices()
+    values = np.stack([m.at(zs) for m in maps], axis=1)
     votes: dict[tuple[int, ...], int] = {}
-    for zi in qprog.enumerate().indices():
-        chars = [m.table[int(zi)] for m in maps]
+    for row_vals in values:
+        chars = [dual.element_from_index(v) for v in row_vals]
         pts = annihilator_points(chars, box_radius)
         for row in pts:
             lam = tuple(int(v) for v in row)
@@ -557,15 +553,11 @@ def regularity_partition(
         if lam is None:
             return RegularityResult(tuple(cells), False, steps, lattice)
         # Freiman-subgroup of Q_s where the relation vanishes
-        zero_idx = []
         dual = maps[0].codomain
-        for zi in qprog.enumerate().indices():
-            acc = dual.element_from_index(0)
-            for coef, m in zip(lam, maps):
-                acc = acc + coef * m.table[int(zi)]
-            if acc.is_zero:
-                zero_idx.append(int(zi))
-        fset = GroupSubset.from_indices(c.group, zero_idx)
+        zs = qprog.enumerate().indices()
+        acc = sum(coef * dual.coords_matrix[m.at(zs)] for coef, m in zip(lam, maps))
+        vanish = np.all(acc % np.asarray(dual.moduli) == 0, axis=1)
+        fset = GroupSubset.from_indices(c.group, zs[vanish])
         alpha = Fraction(fset.size, qprog.size)
         ext = extract_subprogression(fset, qprog, alpha)
         q = _QState(
@@ -583,13 +575,17 @@ def regularity_partition(
 def respected_quadruple_count(
     group: FiniteAbelianGroup,
     codomain: FiniteAbelianGroup,
-    table: dict[int, GroupElement],
+    values: np.ndarray,
 ) -> int:
-    """#{(a,b,c,d) in A^4 : a + b = c + d and f(a) + f(b) = f(c) + f(d)}."""
-    idx = np.asarray(sorted(table), dtype=np.int64)
+    """#{(a,b,c,d) in A^4 : a + b = c + d and f(a) + f(b) = f(c) + f(d)}.
+
+    ``values`` is a value array over ``group`` (-1 off A), as in FreimanMap.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    idx = np.flatnonzero(values >= 0)
     if idx.size == 0:
         return 0
-    vals = np.asarray([table[int(i)].index for i in idx], dtype=np.int64)
+    vals = values[idx]
     n = idx.size
     ksum = group.add_indices(np.repeat(idx, n), np.tile(idx, n))
     vsum = codomain.add_indices(np.repeat(vals, n), np.tile(vals, n))
@@ -606,31 +602,9 @@ class CoverResult:
     complete: bool
 
 
-def _value_set_diff(dual: FiniteAbelianGroup, a: frozenset, b: frozenset) -> frozenset:
-    neg = dual.negation_permutation
-    table = dual.add_table
-    if table is not None:
-        return frozenset(int(table[x, neg[y]]) for x in a for y in b)
-    av = np.asarray(sorted(a), dtype=np.int64)
-    bv = neg[np.asarray(sorted(b), dtype=np.int64)]
-    out = dual.add_indices(np.repeat(av, bv.size), np.tile(bv, av.size))
-    return frozenset(int(v) for v in out)
-
-
-def _value_set_sum(dual: FiniteAbelianGroup, a: frozenset, b: frozenset) -> frozenset:
-    table = dual.add_table
-    if table is not None:
-        return frozenset(int(table[x, y]) for x in a for y in b)
-    av = np.asarray(sorted(a), dtype=np.int64)
-    bv = np.asarray(sorted(b), dtype=np.int64)
-    out = dual.add_indices(np.repeat(av, bv.size), np.tile(bv, av.size))
-    return frozenset(int(v) for v in out)
-
-
 def linear_cover(
     y_set: GroupSubset,
     value_sets: dict[int, Sequence[GroupElement]],
-    hom_finder: Optional[Callable] = None,
     rounds_cap: int = 16,
     seed: int = 0,
     *,
@@ -643,114 +617,78 @@ def linear_cover(
     holds on an estimated alpha^4/2 fraction of (y, z, w); each round draws
     a random table f(y) in U_y and asks the homomorphism finder for a map
     agreeing with it on uncovered values.  Maps that cover nothing new are
-    discarded; the zero map is always present.
+    discarded; the zero map is always present.  U and the covered sets U'
+    are boolean (|H|, |dual|) masks.
     """
     h = y_set.group
-    y_idx = [int(i) for i in y_set.indices()]
-    if not y_idx:
+    y_idx = y_set.indices()
+    if y_idx.size == 0:
         return CoverResult((), 0, 0.0, True)
     dual = next(iter(value_sets.values()))[0].group
+    u = np.zeros((h.order, dual.order), dtype=bool)
     for yi in y_idx:
-        vals = value_sets.get(yi)
+        vals = value_sets.get(int(yi))
         if not vals or not any(v.is_zero for v in vals):
             raise PreconditionError("every U_y must exist and contain 0")
-    if hom_finder is None:
-        hom_finder = exhaustive_hom_finder
-    u_sets = {yi: frozenset(v.index for v in value_sets[yi]) for yi in y_idx}
+        u[yi, [v.index for v in vals]] = True
     zero_map = FreimanMap(
-        CosetProgression.whole_group(h),
-        dual,
-        {i: dual.element_from_index(0) for i in range(h.order)},
-        order=2,
+        CosetProgression.whole_group(h), dual, np.zeros(h.order, dtype=np.int64)
     )
     maps: list[FreimanMap] = [zero_map]
+    covered = np.zeros_like(u)
+    covered[y_idx, 0] = True
     alpha = y_set.size / h.order
     threshold = alpha**4 / 2
+    neg = dual.negation_permutation
+    u_neg = u[:, neg]  # u_neg[y] is -U_y
+    rows_per_block = max(1, (1 << 18) // dual.order)
 
-    def covered_sets() -> dict[int, frozenset]:
-        out: dict[int, frozenset] = {}
-        for yi in y_idx:
-            vals = set()
-            for m in maps:
-                if yi in m.table and m.table[yi].index in u_sets[yi]:
-                    vals.add(m.table[yi].index)
-            out[yi] = frozenset(vals)
-        return out
+    def sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        return _convolution_counts(dual, left, right) > 0.5
 
-    u_diff_cache: dict[tuple[int, int], frozenset] = {}
-
-    def condition_fraction(cov: dict[int, frozenset], rng) -> float:
-        hits = 0
-        ys = rng.integers(0, h.order, size=samples)
-        zs = rng.integers(0, h.order, size=samples)
-        ws = rng.integers(0, h.order, size=samples)
-        yz = h.add_indices(ys, zs)
-        yw = h.add_indices(ys, ws)
-        inside = (
-            y_set.mask[zs]
-            & y_set.mask[ws]
-            & y_set.mask[yz]
-            & y_set.mask[yw]
+    def condition_fraction(rng) -> float:
+        ys, zs, ws = (rng.integers(0, h.order, size=samples) for _ in range(3))
+        yz, yw = h.add_indices(ys, zs), h.add_indices(ys, ws)
+        inside = y_set.mask[zs] & y_set.mask[ws] & y_set.mask[yz] & y_set.mask[yw]
+        # each distinct (y+z, z, y+w, w) is tested once, weighted by its count
+        quads, weight = np.unique(
+            np.stack([yz, zs, yw, ws], axis=1)[inside], axis=0, return_counts=True
         )
-        cov_diff_cache: dict[tuple[int, int], frozenset] = {}
-        pair_rhs_cache: dict[tuple[int, int, int, int], frozenset] = {}
-
-        def u_diff(a: int, b: int) -> frozenset:
-            key = (a, b)
-            if key not in u_diff_cache:
-                u_diff_cache[key] = _value_set_diff(dual, u_sets[a], u_sets[b])
-            return u_diff_cache[key]
-
-        def cov_diff(a: int, b: int) -> frozenset:
-            key = (a, b)
-            if key not in cov_diff_cache:
-                cov_diff_cache[key] = _value_set_diff(dual, cov[a], cov[b])
-            return cov_diff_cache[key]
-
-        for i in np.flatnonzero(inside):
-            a, b = int(yz[i]), int(zs[i])
-            cc, dd = int(yw[i]), int(ws[i])
-            lhs = u_diff(a, b) & u_diff(cc, dd)
-            rkey = (a, b, cc, dd)
-            rhs = pair_rhs_cache.get(rkey)
-            if rhs is None:
-                rhs = _value_set_sum(dual, cov_diff(a, b), cov_diff(cc, dd))
-                pair_rhs_cache[rkey] = rhs
-            if not lhs <= rhs:
-                hits += 1
+        hits = 0
+        for start in range(0, len(quads), rows_per_block):
+            blk = slice(start, start + rows_per_block)
+            a, b, c, d = quads[blk].T
+            lhs = sums(u[a], u_neg[b]) & sums(u[c], u_neg[d])
+            rhs = sums(
+                sums(covered[a], covered[b][:, neg]),
+                sums(covered[c], covered[d][:, neg]),
+            )
+            hits += int(weight[blk][np.any(lhs & ~rhs, axis=1)].sum())
         return hits / samples
 
     rounds = 0
     frac = 1.0
     for rounds in range(rounds_cap + 1):
-        cov = covered_sets()
-        rng = derive_rng(seed, 1000 + rounds)
-        frac = condition_fraction(cov, rng)
+        frac = condition_fraction(derive_rng(seed, 1000 + rounds))
         if frac < threshold:
             return CoverResult(tuple(maps), rounds, frac, True)
         if rounds == rounds_cap:
             break
         draw_rng = derive_rng(seed, 2000 + rounds)
-        table = {}
+        points = np.full(h.order, -1, dtype=np.int64)
         for yi in y_idx:
-            options = sorted(u_sets[yi])
-            table[yi] = options[int(draw_rng.integers(0, len(options)))]
-        uncovered = {
-            yi: dual.element_from_index(table[yi])
-            for yi in y_idx
-            if table[yi] not in cov[yi]
-        }
-        cand = hom_finder(h, dual, uncovered)
+            options = np.flatnonzero(u[yi])
+            pick = options[int(draw_rng.integers(0, options.size))]
+            if not covered[yi, pick]:
+                points[yi] = pick
+        cand = exhaustive_hom_finder(h, dual, points)
         if cand is None:
             continue
-        gained = sum(
-            1
-            for yi in y_idx
-            if yi in cand.table
-            and cand.table[yi].index in u_sets[yi]
-            and cand.table[yi].index not in cov[yi]
-        )
-        if gained >= 1:
+        vals = cand.values[y_idx]
+        rows, cols = y_idx[vals >= 0], vals[vals >= 0]
+        gained = u[rows, cols] & ~covered[rows, cols]
+        if np.any(gained):
+            covered[rows[gained], cols[gained]] = True
             maps.append(cand)
     return CoverResult(tuple(maps), rounds, frac, False)
 
@@ -758,96 +696,78 @@ def linear_cover(
 def exhaustive_hom_finder(
     group: FiniteAbelianGroup,
     dual: FiniteAbelianGroup,
-    points: dict[int, GroupElement],
+    points: np.ndarray,
     *,
     min_agree: int = 3,
     direction_cap: int = 64,
 ) -> Optional[FreimanMap]:
     """Desk-scale Freiman-map finder: affine fits along cyclic lines.
 
+    ``points`` is a value array over ``group`` (-1 where there is no sample).
     Scans directions v (bounded set), buckets the sample points into
     cosets of <v>, and for the best-populated line fits t(anchor + k v) =
     t0 + k w by exhausting w over the dual.  Returns a recentred map on a
     proper progression of length ceil(ord(v)/2), or None when nothing
     reaches ``min_agree`` agreements.
     """
-    if not points:
+    pts_idx = np.flatnonzero(points >= 0)
+    if pts_idx.size == 0:
         return None
-    pts_idx = np.asarray(sorted(points), dtype=np.int64)
-    pts_val = np.asarray([points[int(i)].index for i in pts_idx], dtype=np.int64)
-    directions = []
-    for i in range(group.rank):
-        directions.append(group.element(tuple(1 if j == i else 0 for j in range(group.rank))))
-    for idx in range(1, min(group.order, direction_cap + 1)):
-        e = group.element_from_index(idx)
-        if e not in directions:
-            directions.append(e)
-    best = None  # (agreement, v, anchor_idx, k_of_pts, w)
-    for v in directions:
+    pts_val = points[pts_idx]
+    pts_coords = group.coords_matrix[pts_idx]
+    dual_coords = dual.coords_matrix
+    units = [
+        group.element(tuple(1 if j == i else 0 for j in range(group.rank))).index
+        for i in range(group.rank)
+    ]
+    directions = units + [
+        idx for idx in range(1, min(group.order, direction_cap + 1)) if idx not in units
+    ]
+    best = None  # (agreement, v, line_rep, k0, t0, w)
+    for v_idx in directions:
+        v = group.element_from_index(v_idx)
         if v.is_zero:
             continue
-        ord_v = v.order
-        if ord_v < 2:
-            continue
-        steps = np.asarray(
-            [(k * v).index for k in range(ord_v)], dtype=np.int64
-        )
+        ks = np.arange(v.order)
         # representative of the <v>-coset of each point: min over y - k v
-        shifts = np.stack(
-            [
-                group.add_indices(pts_idx, np.full(pts_idx.size, int(group.negation_permutation[s]), dtype=np.int64))
-                for s in steps
-            ]
+        shifts = group.index_of_coords(
+            pts_coords[None, :, :] - ks[:, None, None] * np.asarray(v.coords)
         )
         reps = shifts.min(axis=0)
-        k_of = shifts.argmin(axis=0) * 0
-        for j in range(pts_idx.size):
-            k_of[j] = int(np.flatnonzero(shifts[:, j] == reps[j])[0])
+        k_of = shifts.argmin(axis=0)
         # best-populated line
         uniq, counts = np.unique(reps, return_counts=True)
         line_rep = int(uniq[np.argmax(counts)])
         on_line = np.flatnonzero(reps == line_rep)
         if on_line.size < min_agree:
             continue
-        ks = k_of[on_line]
-        anchor_pos = int(on_line[np.argmin(ks)])
+        anchor_pos = on_line[np.argmin(k_of[on_line])]
         k0 = int(k_of[anchor_pos])
         t0 = int(pts_val[anchor_pos])
         # all w at once: agreement[w] = #{j : t0 + (k_j - k0) w == value_j}
-        moduli = np.asarray(dual.moduli, dtype=np.int64)
-        coords = dual.coords_matrix
-        agree_per_w = np.zeros(dual.order, dtype=np.int64)
-        for j, pos in enumerate(on_line):
-            c = int(ks[j]) - k0
-            scaled = dual.index_of_coords((c * coords) % moduli)
-            pred = dual.add_indices(
-                np.full(dual.order, t0, dtype=np.int64), scaled
-            )
-            agree_per_w += pred == pts_val[pos]
-        w_idx = int(np.argmax(agree_per_w))
-        agree = int(agree_per_w[w_idx])
+        steps = k_of[on_line] - k0
+        pred = dual.index_of_coords(
+            dual_coords[t0] + steps[:, None, None] * dual_coords[None, :, :]
+        )
+        agree_per_w = (pred == pts_val[on_line][:, None]).sum(axis=0)
+        w = int(np.argmax(agree_per_w))
+        agree = int(agree_per_w[w])
         if best is None or agree > best[0]:
-            w = dual.element_from_index(w_idx)
-            best = (agree, v, line_rep, k0, t0, w, sorted(int(k) for k in ks))
+            best = (agree, v, line_rep, k0, t0, w)
     if best is None or best[0] < min_agree:
         return None
-    _, v, line_rep, k0, t0, w, _ = best
+    _, v, line_rep, k0, t0, w = best
     length = -(-v.order // 2)  # no wraparound: differences stay decodable
     anchor = group.element_from_index(line_rep) + k0 * v
     prog = CosetProgression(
-        group,
-        anchor,
-        (Arm(v, 0, length - 1),),
-        GroupSubset.from_indices(group, [0]),
+        group, anchor, (Arm(v, 0, length - 1),), GroupSubset.from_indices(group, [0])
     )
-    if not prog.is_proper():
-        prog = CosetProgression(
-            group, anchor, (Arm(v, 0, 0),), GroupSubset.from_indices(group, [0])
-        )
-    table = {}
-    for idx, (coeffs, _h) in prog.coordinates().items():
-        table[idx] = dual.element_from_index(t0) + coeffs[0] * w
-    return FreimanMap(prog, dual, table, order=2)
+    ks = np.arange(length)[:, None]
+    values = np.full(group.order, -1, dtype=np.int64)
+    values[group.index_of_coords(np.asarray(anchor.coords) + ks * v.coords)] = (
+        dual.index_of_coords(dual_coords[t0] + ks * dual_coords[w])
+    )
+    return FreimanMap(prog, dual, values, order=2)
 
 
 # -- headline containment experiment ---------------------------------------------
@@ -935,7 +855,6 @@ def main_theorem_experiment(
     seed: int,
     search_budget: int = 8,
     word: str = "hvvhvhh",
-    hom_finder: Optional[Callable] = None,
 ) -> ExperimentOutcome:
     """Sample a set of the given density, take the iterated difference set
     and search for a verified bilinear Bohr variety inside it.
@@ -943,7 +862,9 @@ def main_theorem_experiment(
     The search ladder: the full product, progressions over full or dense
     rows with a Bohr witness on the common row-set, covering maps fitted to
     the per-row Bogolyubov spectra, then a column progression through 0 and
-    the pinned single point as floor.  Every candidate is gated by the
+    the pinned single point (0, y0) as floor, y0 the first point of D's
+    zero column; when that column is empty no variety fits, since every
+    Bohr row contains x = 0.  Every candidate is gated by the
     exact containment verifier, and the largest verified variety wins.
     """
     start = time.monotonic()
@@ -1006,38 +927,28 @@ def main_theorem_experiment(
             if value_sets:
                 yset = GroupSubset.from_indices(gy, sorted(value_sets))
                 cover = linear_cover(
-                    yset,
-                    value_sets,
-                    hom_finder,
-                    rounds_cap=search_budget,
-                    seed=seed,
+                    yset, value_sets, rounds_cap=search_budget, seed=seed
                 )
+                dual = gx.dual
                 for fmap in cover.maps[1:]:
                     dom = fmap.domain
-                    base_val = fmap.table[
-                        min(int(i) for i in dom.enumerate().indices())
-                    ]
+                    # recentre at 0, shifting values by the one at the
+                    # smallest domain index
+                    base_val = int(fmap.at(dom.enumerate().indices()[0]))
                     recentred = dom.translate(-dom.base)
-                    table = {}
-                    ok = True
-                    for idx in recentred.enumerate().indices():
-                        src = int(
-                            gy.add_indices(
-                                np.asarray([int(idx)]), np.asarray([dom.base.index])
-                            )[0]
-                        )
-                        if src not in fmap.table:
-                            ok = False
-                            break
-                        table[int(idx)] = fmap.table[src] - base_val
-                    if not ok:
-                        continue
-                    lmap = FreimanMap(recentred, gx.dual, table, order=2)
+                    idx = recentred.enumerate().indices()
+                    src = gy.add_indices(idx, np.full(idx.size, dom.base.index))
+                    values = np.full(gy.order, -1, dtype=np.int64)
+                    values[idx] = dual.add_indices(
+                        fmap.at(src),
+                        np.full(idx.size, dual.negation_permutation[base_val]),
+                    )
+                    lmap = FreimanMap(recentred, dual, values, order=2)
                     for rho_c in (Fraction(1, 4), Fraction(1, 8)):
                         consider(
                             BilinearVariety(
                                 gx,
-                                (base_val,),
+                                (dual.element_from_index(base_val),),
                                 rho_c,
                                 recentred,
                                 (lmap,),
@@ -1067,12 +978,12 @@ def main_theorem_experiment(
             prog = CosetProgression(gy, gy.zero, (Arm(g, 0, m),), trivial_sub)
             if prog.is_proper():
                 consider(BilinearVariety(gx, pin_gamma, pin_rho, prog, ()))
-    # floor: the single pinned point
-    if a.size > 0:
+    # floor: the single pinned point (0, y0)
+    zero_column = d.column(gx.zero).indices()
+    if zero_column.size:
+        y0 = gy.element_from_index(zero_column[0])
         consider(
-            BilinearVariety(
-                gx, pin_gamma, pin_rho, CosetProgression.singleton(gy.zero), ()
-            )
+            BilinearVariety(gx, pin_gamma, pin_rho, CosetProgression.singleton(y0), ())
         )
     best = max(candidates, key=lambda v: v.size) if candidates else None
     elapsed_ms = int((time.monotonic() - start) * 1000)

@@ -7,7 +7,9 @@ Usage patterns:
 
 Exit codes: 0 all checks/verifications passed, 1 an assertion failed,
 2 usage error.  The group-order ceiling defaults to 2^24 and may be set
-through BOGO_CEILING (order) or ``--ceiling`` (bits).  Reports validate
+through BOGO_CEILING (order) or, for one experiment, ``--ceiling`` (bits).
+``--word``, ``--budget`` and ``--ceiling`` apply to experiments only and are
+rejected together with ``--suite``.  Reports validate
 against the JSON schema shipped at ``bogolib/schemas/report.schema.json``;
 identical seeds reproduce identical reports apart from elapsed_ms fields.
 """
@@ -16,17 +18,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
-import os
 import sys
 from importlib import resources
 from typing import Optional
 
 from .bilinear import main_theorem_experiment
-from .errors import BogolibError, GroupSpecSyntaxError
-from .groups import make_group, parse_group_spec
-from .suites import SuiteConfig, run_suite, suite_names
+from .errors import BogolibError, GroupSpecSyntaxError, GroupTooLargeError
+from .groups import group_order_ceiling, make_group, parse_group_spec
+from .suites import run_suite, suite_names
+
+DEFAULT_WORD = "hvvhvhh"
+DEFAULT_BUDGET = 6
 
 EXPERIMENT_CSV_COLUMNS = [
     "schema_version",
@@ -53,10 +58,19 @@ def load_report_schema() -> dict:
         return json.load(fh)
 
 
-def validate_report(report: dict) -> None:
+@functools.lru_cache(maxsize=None)
+def _report_validator():
+    """The schema is loaded and checked once per process."""
     import jsonschema
 
-    jsonschema.validate(report, load_report_schema())
+    schema = load_report_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_report(report: dict) -> None:
+    _report_validator().validate(report)
 
 
 def run_experiment(
@@ -64,18 +78,18 @@ def run_experiment(
     group_h: str,
     delta: float,
     seed: int,
-    word: str = "hvvhvhh",
-    search_budget: int = 6,
+    word: str = DEFAULT_WORD,
+    search_budget: int = DEFAULT_BUDGET,
+    ceiling: Optional[int] = None,
 ) -> dict:
-    from .errors import GroupTooLargeError
-    from .groups import group_order_ceiling
-
-    gx = make_group(parse_group_spec(group_g))
-    gy = make_group(parse_group_spec(group_h))
-    if gx.order * gy.order > group_order_ceiling():
+    """One containment experiment; ``ceiling`` (an order) defaults to the
+    configured group-order ceiling and bounds |G|, |H| and |G| |H|."""
+    limit = group_order_ceiling() if ceiling is None else ceiling
+    gx = make_group(parse_group_spec(group_g), limit)
+    gy = make_group(parse_group_spec(group_h), limit)
+    if gx.order * gy.order > limit:
         raise GroupTooLargeError(
-            f"group too large: |G| |H| = {gx.order * gy.order} exceeds "
-            f"ceiling {group_order_ceiling()}"
+            f"group too large: |G| |H| = {gx.order * gy.order} exceeds ceiling {limit}"
         )
     out = main_theorem_experiment(
         gx, gy, delta, seed, search_budget=search_budget, word=word
@@ -137,14 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--group-g", help="left group spec, e.g. Z16 or Z4xZ2x Z9")
     parser.add_argument("--group-h", help="right group spec")
     parser.add_argument("--delta", type=float, help="sample density in (0, 1]")
-    parser.add_argument("--word", default="hvvhvhh", help="h/v operator word")
+    parser.add_argument("--word", help=f"h/v operator word (default {DEFAULT_WORD})")
     parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     parser.add_argument("--out", help="report file path (default stdout)")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--ceiling", type=int, help="group-order ceiling in bits")
-    parser.add_argument("--step-cap", type=int, default=12, help="regularity step cap")
     parser.add_argument(
-        "--budget", type=int, default=6, help="search/cover rounds budget"
+        "--budget", type=int, help=f"search/cover rounds (default {DEFAULT_BUDGET})"
     )
     return parser
 
@@ -152,34 +165,40 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.ceiling is not None:
-        os.environ["BOGO_CEILING"] = str(1 << args.ceiling)
     try:
         if args.suite:
-            config = SuiteConfig(
-                seed=args.seed,
-                step_cap=args.step_cap,
-                search_budget=args.budget,
-                word=args.word,
-            )
-            report = run_suite(args.suite, config)
+            for flag in ("word", "budget", "ceiling"):
+                if getattr(args, flag) is not None:
+                    parser.error(f"--{flag} applies to experiments, not to --suite")
+            report = run_suite(args.suite, args.seed)
             passed = report["all_passed"]
         else:
             if not (args.group_g and args.group_h and args.delta):
                 parser.error("experiment mode needs --group-g, --group-h and --delta")
             if not (0 < args.delta <= 1):
                 parser.error("--delta must lie in (0, 1]")
-            if any(ch not in "hv" for ch in args.word):
+            if args.ceiling is not None and not 0 <= args.ceiling <= 62:
+                parser.error("--ceiling must lie in [0, 62] bits")
+            word = DEFAULT_WORD if args.word is None else args.word
+            if any(ch not in "hv" for ch in word):
                 parser.error("--word may only contain h and v")
             report = run_experiment(
                 args.group_g,
                 args.group_h,
                 args.delta,
                 args.seed,
-                word=args.word,
-                search_budget=args.budget,
+                word=word,
+                search_budget=DEFAULT_BUDGET if args.budget is None else args.budget,
+                ceiling=None if args.ceiling is None else 1 << args.ceiling,
             )
             passed = report["verified"]
+            if not passed:
+                # the pinned floor (0, y0) fits whenever D meets x = 0
+                print(
+                    "not verified: D has no point with x = 0, and every "
+                    "bilinear Bohr variety contains (0, y) for each of its rows",
+                    file=sys.stderr,
+                )
         validate_report(report)
     except GroupSpecSyntaxError as exc:
         parser.error(str(exc))  # exits 2

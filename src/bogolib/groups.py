@@ -44,15 +44,12 @@ def group_order_ceiling() -> int:
 class FiniteAbelianGroup:
     """Product of cyclic groups with a fixed index encoding and a dual."""
 
-    def __init__(self, moduli: Sequence[int], _check_ceiling: bool = True):
+    def __init__(self, moduli: Sequence[int]):
+        """Unchecked against the order ceiling; build groups with make_group."""
         moduli = tuple(int(q) for q in moduli)
         if not moduli or any(q < 1 for q in moduli):
             raise ValueError("moduli must be a nonempty list of integers >= 1")
         order = math.prod(moduli)
-        if _check_ceiling and order > group_order_ceiling():
-            raise GroupTooLargeError(
-                f"group too large: order {order} exceeds ceiling {group_order_ceiling()}"
-            )
         self.moduli = moduli
         self.order = order
         self.exponent = math.lcm(*moduli)
@@ -77,7 +74,7 @@ class FiniteAbelianGroup:
     @property
     def dual(self) -> "FiniteAbelianGroup":
         if self._dual is None:
-            d = FiniteAbelianGroup(self.moduli, _check_ceiling=False)
+            d = FiniteAbelianGroup(self.moduli)
             d._dual = self
             d._is_dual = not self._is_dual
             self._dual = d
@@ -154,28 +151,33 @@ class FiniteAbelianGroup:
     def _roll_shifts(self, coords: Sequence[int]) -> tuple[int, ...]:
         return tuple(reversed([int(c) for c in coords]))
 
-    def char_numerators(self, chi: "GroupElement") -> np.ndarray:
-        """For each x (by index): numerator of chi(x) over denominator exponent."""
-        if chi.group is not self.dual:
+    def char_numerators(
+        self, chi: "GroupElement | np.ndarray", group: "Optional[FiniteAbelianGroup]" = None
+    ) -> np.ndarray:
+        """For each x (by index): numerator of chi(x) over denominator exponent.
+
+        ``chi`` is one character, giving shape (|G|,), or an int64 array of
+        character indices into ``group``, giving shape (len(chi), |G|).
+        """
+        if isinstance(chi, GroupElement):
+            group, chi = chi.group, chi.index
+        if group is not self.dual:
             raise GroupMismatchError("character does not belong to this group's dual")
         e = self.exponent
-        w = np.asarray(
-            [c * (e // q) for c, q in zip(chi.coords, self.moduli)], dtype=np.int64
-        )
-        return (self.coords_matrix @ w) % e
+        scale = np.asarray([e // q for q in self.moduli], dtype=np.int64)
+        w = self.dual.coords_matrix[chi] * scale
+        return (w @ self.coords_matrix.T) % e
 
 
 def make_group(moduli: Sequence[int], ceiling: Optional[int] = None) -> FiniteAbelianGroup:
     """Build the group ``Z/q_1 x ... x Z/q_d``; rejects orders over the ceiling."""
-    moduli = tuple(int(q) for q in moduli)
-    if not moduli or any(q < 1 for q in moduli):
-        raise ValueError("moduli must be a nonempty list of integers >= 1")
+    group = FiniteAbelianGroup(moduli)
     limit = group_order_ceiling() if ceiling is None else ceiling
-    if math.prod(moduli) > limit:
+    if group.order > limit:
         raise GroupTooLargeError(
-            f"group too large: order {math.prod(moduli)} exceeds ceiling {limit}"
+            f"group too large: order {group.order} exceeds ceiling {limit}"
         )
-    return FiniteAbelianGroup(moduli, _check_ceiling=False)
+    return group
 
 
 @dataclass(frozen=True)
@@ -392,13 +394,18 @@ class GroupSubset:
 
 
 def _convolution_counts(group: FiniteAbelianGroup, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Unnormalized convolution counts(x) = #{(a, b): a + b = x} over masks."""
+    """Unnormalized convolution counts(x) = #{(a, b): a + b = x} over masks.
+
+    The masks' last axis runs over the group; leading axes are a batch, and
+    row i of the result convolves row i of ``m1`` with row i of ``m2``.
+    """
     shape = group.tensor_shape
-    axes = tuple(range(len(shape)))
-    f1 = np.fft.rfftn(m1.reshape(shape).astype(np.float64), s=shape, axes=axes)
-    f2 = np.fft.rfftn(m2.reshape(shape).astype(np.float64), s=shape, axes=axes)
+    batch = m1.shape[:-1]
+    axes = tuple(range(len(batch), len(batch) + len(shape)))
+    f1 = np.fft.rfftn(m1.reshape(batch + shape).astype(np.float64), s=shape, axes=axes)
+    f2 = np.fft.rfftn(m2.reshape(batch + shape).astype(np.float64), s=shape, axes=axes)
     out = np.fft.irfftn(f1 * f2, s=shape, axes=axes)
-    return out.reshape(-1)
+    return out.reshape(m1.shape)
 
 
 def sumset_counts(a: GroupSubset, b: GroupSubset) -> np.ndarray:

@@ -43,17 +43,6 @@ class IntegerLattice:
         return IntegerLattice(self.dimension, self.rows + (tuple(int(v) for v in vec),))
 
 
-def _coefficient_value_indices(
-    group: FiniteAbelianGroup, element: GroupElement, radius: int
-) -> np.ndarray:
-    """Indices of ``a * element`` for a = -radius..radius (in that order)."""
-    coeffs = np.arange(-radius, radius + 1, dtype=np.int64)
-    coords = np.asarray(element.coords, dtype=np.int64)
-    moduli = np.asarray(group.moduli, dtype=np.int64)
-    all_coords = (coeffs[:, None] * coords[None, :]) % moduli
-    return group.index_of_coords(all_coords)
-
-
 def annihilator_points(
     elements: Sequence[GroupElement],
     radius: int,

@@ -160,10 +160,6 @@ class CosetProgression:
         return out
 
 
-def is_proper(progression: CosetProgression) -> bool:
-    return progression.is_proper()
-
-
 def is_freiman_subgroup(a: GroupSubset, b: GroupSubset, *, chunk: int = 1 << 22) -> bool:
     """Whenever x, y in A and x - y in B, also x - y in A (exhaustive)."""
     a._check(b)
@@ -361,25 +357,36 @@ def subgroup_basis(
 
 @dataclass(frozen=True, eq=False)
 class FreimanMap:
-    """Tabulated map on a coset progression, tagged with a Freiman order."""
+    """Tabulated map on a coset progression, tagged with a Freiman order.
+
+    ``values`` is an int64 array over the domain's group: the codomain index
+    of the image at every domain element, -1 everywhere else.
+    """
 
     domain: CosetProgression
     codomain: FiniteAbelianGroup
-    table: dict[int, GroupElement]  # domain element index -> codomain element
+    values: np.ndarray
     order: int = 2
 
     def __post_init__(self):
-        need = self.domain.enumerate().indices()
-        missing = [int(i) for i in need if int(i) not in self.table]
-        if missing:
-            raise PreconditionError("table does not cover the progression")
+        vals = np.array(self.values, dtype=np.int64)
+        if not np.array_equal(vals >= 0, self.domain.enumerate().mask):
+            raise PreconditionError("values must be defined exactly on the progression")
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
 
     def __call__(self, x) -> GroupElement:
-        idx = x.index if isinstance(x, GroupElement) else int(x)
-        return self.table[idx]
+        return self.codomain.element_from_index(self.at(x))
+
+    def at(self, x):
+        """Codomain indices at element index/indices ``x``; raises outside the domain."""
+        out = self.values[x.index if isinstance(x, GroupElement) else x]
+        if np.any(out < 0):
+            raise PreconditionError("point outside the map's domain")
+        return out
 
     def image_size(self) -> int:
-        return len({v.index for v in self.table.values()})
+        return int(np.unique(self.values[self.values >= 0]).size)
 
 
 def is_freiman_homomorphism(
@@ -404,7 +411,7 @@ def is_freiman_homomorphism(
         return True
     g = fmap.domain.group
     h = fmap.codomain
-    vals = np.asarray([fmap.table[int(i)].index for i in dom], dtype=np.int64)
+    vals = fmap.values[dom]
     if s == 2 and n <= exhaustive_cutoff:
         keys = g.add_indices(np.repeat(dom, n), np.tile(dom, n))
         sums = h.add_indices(np.repeat(vals, n), np.tile(vals, n))
@@ -416,8 +423,7 @@ def is_freiman_homomorphism(
                 return False
         return True
     rng = derive_rng(seed, 17)
-    lookup = np.full(g.order, -1, dtype=np.int64)
-    lookup[dom] = vals
+    lookup = fmap.values
     for _ in range(samples):
         a = dom[rng.integers(0, n, size=s)]
         b = dom[rng.integers(0, n, size=s - 1)]
@@ -522,20 +528,19 @@ def partial_projectivity(
         tuple(Arm(ys[i], 0, arm_lengths[i] - 1) for i in heavy),
         sub,
     )
-    table: dict[int, GroupElement] = {}
+    table = np.full(group.order, -1, dtype=np.int64)
     ranges = [range(arm_lengths[i]) for i in heavy] + [range(orders[i]) for i in light]
     members = [ys[i] for i in heavy] + [ys[i] for i in light]
-    values = [ks[i] for i in heavy] + [ks[i] for i in light]
+    images = [ks[i] for i in heavy] + [ks[i] for i in light]
     for coeffs in itertools.product(*ranges):
         x = group.zero
         v = codomain.zero
-        for lam, yy, kk in zip(coeffs, members, values):
+        for lam, yy, kk in zip(coeffs, members, images):
             x = x + lam * yy
             v = v + lam * kk
-        prev = table.get(x.index)
-        if prev is not None and prev != v:
+        if table[x.index] not in (-1, v.index):
             raise TheoremViolationError("lift table is inconsistent")
-        table[x.index] = v
+        table[x.index] = v.index
     lift = FreimanMap(prog, codomain, table, order=s)
     if validate:
         if 2 ** len(heavy) > max(1, kernel.size):
@@ -549,9 +554,9 @@ def partial_projectivity(
             ok = float(prog.size) * float(s) ** math.log2(max(1, kernel.size)) >= dom_size - 1e-9
         if not ok:
             raise TheoremViolationError("progression below the guaranteed size")
-        for idx, v in table.items():
+        for idx in np.flatnonzero(table >= 0):
             rep = phi_rep(group.element_from_index(idx))
-            if (rep - v) not in kernel:
+            if (rep - lift(idx)) not in kernel:
                 raise TheoremViolationError("lift disagrees with phi modulo the kernel")
     return ProjectivityResult(
         prog,
@@ -617,32 +622,24 @@ def injectivity_partition(
     corner = c.base
     for arm in c.arms:
         corner = corner + arm.lo * arm.generator
-    base_val = phi(corner)
-    psi_table: dict[int, GroupElement] = {}
-    corner_idx = corner.index
-    for kidx in kernel_sub.indices():
-        kidx = int(kidx)
-        shifted = int(
-            g.add_indices(np.asarray([corner_idx]), np.asarray([kidx]))[0]
-        )
-        psi_table[kidx] = phi(shifted) - base_val
+    # psi(k) = phi(corner + k) - phi(corner) on the subgroup part K
+    k_idx = kernel_sub.indices()
+    shifted = g.add_indices(np.full(k_idx.size, corner.index), k_idx)
+    neg_base = h.negation_permutation[phi.at(corner)]
+    psi = h.add_indices(phi.at(shifted), np.full(k_idx.size, neg_base))
     # psi is a genuine homomorphism K -> H
-    for k1 in psi_table:
-        for k2 in psi_table:
-            ksum = int(g.add_indices(np.asarray([k1]), np.asarray([k2]))[0])
-            if psi_table[ksum] != psi_table[k1] + psi_table[k2]:
-                raise TheoremViolationError("difference map failed to be a homomorphism")
-    ker_idx = [k for k, v in psi_table.items() if v.is_zero]
-    s_mask = GroupSubset.from_indices(g, ker_idx)
+    psi_of = np.full(g.order, -1, dtype=np.int64)
+    psi_of[k_idx] = psi
+    n = k_idx.size
+    ksum = g.add_indices(np.repeat(k_idx, n), np.tile(k_idx, n))
+    if np.any(psi_of[ksum] != h.add_indices(np.repeat(psi, n), np.tile(psi, n))):
+        raise TheoremViolationError("difference map failed to be a homomorphism")
+    s_mask = GroupSubset.from_indices(g, k_idx[psi == 0])
     if s_mask.size > 1 / alpha:
         raise TheoremViolationError("kernel larger than 1/alpha")
-    image_idx = sorted({v.index for v in psi_table.values()})
+    image_idx, first = np.unique(psi, return_index=True)
     psi_image = GroupSubset.from_indices(h, image_idx)
-    nu_rep: dict[int, GroupElement] = {}
-    for kidx in sorted(psi_table):
-        vidx = psi_table[kidx].index
-        if vidx not in nu_rep:
-            nu_rep[vidx] = g.element_from_index(kidx)
+    nu_rep = {int(v): g.element_from_index(k_idx[i]) for v, i in zip(image_idx, first)}
     proj = partial_projectivity(
         h,
         g,
@@ -651,10 +648,9 @@ def injectivity_partition(
         s=2,
         domain=psi_image,
     )
-    theta = proj.lift
     # theta is injective; its image is the desired progression D
-    values = sorted(theta.table.items())
-    if len({v.index for _, v in values}) != len(values):
+    theta_vals = proj.lift.values[proj.lift.values >= 0]
+    if np.unique(theta_vals).size != theta_vals.size:
         raise TheoremViolationError("projectivity lift failed to be injective")
     d_sub = subgroup_generated(g, list(proj.subgroup_values))
     d_prog = CosetProgression(
@@ -708,8 +704,8 @@ def injectivity_partition(
             full = g.add_indices(
                 np.full(pd.size, int(kidx), dtype=np.int64), pd
             )
-            vals = [phi(int(e)).index for e in full]
-            if len(set(vals)) != len(vals):
+            vals = phi.at(full)
+            if np.unique(vals).size != vals.size:
                 raise TheoremViolationError(
                     "phi failed to be injective on a refined cell"
                 )

@@ -9,7 +9,6 @@ import time
 from fractions import Fraction
 
 from bogolib import suites
-from bogolib.suites import SuiteConfig
 
 SEED = 1
 
@@ -128,8 +127,8 @@ def _strip_timing(obj):
 
 
 def test_criterion_13_determinism():
-    first = suites.run_suite("all", SuiteConfig(seed=SEED))
-    second = suites.run_suite("all", SuiteConfig(seed=SEED))
+    first = suites.run_suite("all", SEED)
+    second = suites.run_suite("all", SEED)
     a = json.dumps(_strip_timing(first), sort_keys=True)
     b = json.dumps(_strip_timing(second), sort_keys=True)
     ok = a == b and first["all_passed"]

@@ -1,5 +1,6 @@
 """Bilinear sets, varieties, regularity, covering loop, experiment."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -90,8 +91,8 @@ def test_is_freiman_linear():
     assert is_freiman_linear(zero)
     genuine = linear_map_on_progression(c, dual, [dual.element([3])])
     assert is_freiman_linear(genuine)
-    const_table = {int(i): dual.element([5]) for i in c.enumerate().indices()}
-    const = FreimanMap(c, dual, const_table, 2)
+    const_values = np.where(c.enumerate().mask, dual.element([5]).index, -1)
+    const = FreimanMap(c, dual, const_values, 2)
     assert not is_freiman_linear(const)  # L(0) must vanish
 
 
@@ -154,7 +155,7 @@ def test_qr_check_against_direct_sizes():
     res = qr_property_check(c, [], [lmap], rho, Fraction(1, 4), gx)
     sizes = []
     for yi in c.enumerate().indices():
-        sizes.append(bohr_enumerate(gx, [lmap.table[int(yi)]], rho).size)
+        sizes.append(bohr_enumerate(gx, [lmap(yi)], rho).size)
     base = gx.order
     assert res.delta == float(np.median(sizes)) / base
 
@@ -187,11 +188,11 @@ def test_regularity_linear_instance_recheck():
 def test_respected_quadruples_examples():
     g = bg.make_group([5])
     h = bg.make_group([5])
-    all_zero = {i: h.zero for i in range(5)}
+    all_zero = np.zeros(5, dtype=np.int64)
     assert respected_quadruple_count(g, h, all_zero) == 125
-    identity = {i: h.element([i]) for i in range(5)}
+    identity = np.arange(5)
     assert respected_quadruple_count(g, h, identity) == 125
-    assert respected_quadruple_count(g, h, {0: h.zero, 1: h.zero}) == 6
+    assert respected_quadruple_count(g, h, [0, 0, -1, -1, -1]) == 6
 
 
 def test_linear_cover_trivial_and_linear():
@@ -205,9 +206,7 @@ def test_linear_cover_trivial_and_linear():
     assert res.complete
     found_linear = False
     for m in res.maps[1:]:
-        matches = sum(
-            1 for yi in range(16) if yi in m.table and m.table[yi].index == yi
-        )
+        matches = int(np.sum(m.values == np.arange(16)))
         if matches >= 4:
             found_linear = True
     assert found_linear
@@ -225,24 +224,164 @@ def test_linear_cover_maps_are_freiman_linear_after_recentring():
         dom = m.domain
         base = dom.base
         recent = dom.translate(-base)
-        base_val = m.table[min(int(i) for i in dom.enumerate().indices())]
-        table = {}
+        base_val = m(min(int(i) for i in dom.enumerate().indices()))
+        values = np.full(h.order, -1, dtype=np.int64)
         for idx in recent.enumerate().indices():
             src = base + h.element_from_index(int(idx))
-            table[int(idx)] = m.table[src.index] - base_val
-        assert is_freiman_linear(FreimanMap(recent, dual, table, 2))
+            values[idx] = (m(src) - base_val).index
+        assert is_freiman_linear(FreimanMap(recent, dual, values, 2))
 
 
 def test_hom_finder_linear_data():
     h = bg.make_group([16])
     dual = bg.make_group([16]).dual
-    pts = {i: dual.element([5 * i]) for i in range(0, 16, 2)}
+    pts = np.full(16, -1, dtype=np.int64)
+    pts[::2] = [dual.element([5 * i]).index for i in range(0, 16, 2)]
     m = exhaustive_hom_finder(h, dual, pts)
     assert m is not None
-    agree = sum(
-        1 for yi, val in pts.items() if yi in m.table and m.table[yi] == val
-    )
+    agree = int(np.sum((pts >= 0) & (m.values == pts)))
     assert agree >= 3
+
+
+def _brute_best_agreement(group, dual, points, min_agree=3):
+    """Best affine fit t(anchor + k v) = t0 + k w over every direction v and
+    every w, on the best-populated <v>-line anchored at its smallest k, in
+    GroupElement arithmetic; 0 when no line holds min_agree points."""
+    best = 0
+    for v in group.elements():
+        if v.is_zero:
+            continue
+        line_of = {}
+        for p in points:
+            y = group.element_from_index(p)
+            line_of[p] = min(((y - k * v).index, k) for k in range(v.order))
+        counts = Counter(rep for rep, _ in line_of.values())
+        top = max(counts.values())
+        line = min(rep for rep, c in counts.items() if c == top)
+        on_line = sorted((k, p) for p, (rep, k) in line_of.items() if rep == line)
+        if len(on_line) < min_agree:
+            continue
+        k0, p0 = on_line[0]
+        t0 = points[p0]
+        for w in dual.elements():
+            agree = sum(1 for k, p in on_line if t0 + (k - k0) * w == points[p])
+            best = max(best, agree)
+    return best
+
+
+def test_hom_finder_agreement_matches_bruteforce():
+    rng = derive_rng(79)
+    shapes = [[8], [9], [12], [16], [4, 2], [2, 6], [2, 2, 2], [4, 4], [3, 3]]
+    found = 0
+    for case in range(120):
+        group = bg.make_group(shapes[case % len(shapes)])
+        dual = bg.make_group(shapes[int(rng.integers(0, len(shapes)))]).dual
+        size = int(rng.integers(3, group.order + 1))
+        idx = sorted(int(i) for i in rng.choice(group.order, size=size, replace=False))
+        if case % 2:
+            # planted affine data along a random direction, plus noise
+            v = group.element_from_index(int(rng.integers(1, group.order)))
+            w = dual.element_from_index(int(rng.integers(0, dual.order)))
+            points = {(k * v).index: k * w for k in range(v.order)}
+            for i in idx[: size // 3]:
+                points[i] = dual.element_from_index(int(rng.integers(0, dual.order)))
+        else:
+            points = {
+                i: dual.element_from_index(int(rng.integers(0, dual.order))) for i in idx
+            }
+        values = np.full(group.order, -1, dtype=np.int64)
+        for i, val in points.items():
+            values[i] = val.index
+        m = exhaustive_hom_finder(group, dual, values)
+        want = _brute_best_agreement(group, dual, points)
+        if want < 3:
+            assert m is None
+            continue
+        found += 1
+        # read the fitted line back from the map and recount its agreement
+        anchor, (arm,) = m.domain.base, m.domain.arms
+        v, t0 = arm.generator, m(anchor)
+
+        def agreement(w):
+            return sum(
+                1
+                for k in range(v.order)
+                if (anchor + k * v).index in points
+                and points[(anchor + k * v).index] == t0 + k * w
+            )
+
+        assert max(agreement(w) for w in dual.elements()) == want
+        if arm.hi >= 1:
+            assert agreement(m(anchor + v) - t0) == want
+    assert found >= 60
+
+
+def test_linear_cover_condition_fraction_recount():
+    rng = derive_rng(83)
+    samples = 2000
+    shapes = [([12], [12]), ([16], [8]), ([4, 4], [16]), ([2, 8], [4, 3]), ([10], [10])]
+    for seed, (h_moduli, g_moduli) in enumerate(shapes):
+        h, dual = bg.make_group(h_moduli), bg.make_group(g_moduli).dual
+        size = int(rng.integers(h.order // 2, h.order + 1))
+        y_idx = sorted(int(i) for i in rng.choice(h.order, size=size, replace=False))
+        slope = dual.element_from_index(int(rng.integers(1, dual.order)))
+        value_sets = {}
+        for yi in y_idx:
+            vals = {dual.zero, h.element_from_index(yi).coords[0] * slope}
+            for _ in range(2):
+                vals.add(dual.element_from_index(int(rng.integers(0, dual.order))))
+            value_sets[yi] = sorted(vals, key=lambda e: e.index)
+        y_set = GroupSubset.from_indices(h, y_idx)
+        res = linear_cover(y_set, value_sets, rounds_cap=4, seed=seed, samples=samples)
+        # recount the triple condition on the same samples with Python sets
+        u = {yi: {v.index for v in vals} for yi, vals in value_sets.items()}
+        cov = {
+            yi: {
+                m(yi).index
+                for m in res.maps
+                if yi in m.domain.enumerate() and m(yi).index in u[yi]
+            }
+            for yi in u
+        }
+
+        def diff(a, b):
+            return {
+                (dual.element_from_index(s) - dual.element_from_index(t)).index
+                for s in a
+                for t in b
+            }
+
+        draws = derive_rng(seed, 1000 + res.rounds)
+        ys, zs, ws = (draws.integers(0, h.order, size=samples) for _ in range(3))
+        hits = 0
+        for y, z, w in zip(ys, zs, ws):
+            y, z, w = (h.element_from_index(i) for i in (y, z, w))
+            a, b, c, d = (y + z).index, z.index, (y + w).index, w.index
+            if not all(i in u for i in (a, b, c, d)):
+                continue
+            lhs = diff(u[a], u[b]) & diff(u[c], u[d])
+            rhs = {
+                (dual.element_from_index(s) + dual.element_from_index(t)).index
+                for s in diff(cov[a], cov[b])
+                for t in diff(cov[c], cov[d])
+            }
+            hits += not lhs <= rhs
+        assert res.condition_fraction == hits / samples
+
+
+def test_pinned_floor_single_letter_words():
+    # the floor pins (0, y0) with y0 the first point of D's zero column, so a
+    # run fails exactly when that column is empty (no Bohr row avoids x = 0)
+    gx, gy = bg.make_group([16]), bg.make_group([16])
+    off_origin = empty = 0
+    for word in ("h", "hh", "v", "vv"):
+        for seed in range(12):
+            out = main_theorem_experiment(gx, gy, 0.05, seed, word=word)
+            zero_column = out.difference_set.column(gx.zero)
+            assert out.report["verified"] == (zero_column.size > 0)
+            off_origin += zero_column.size > 0 and 0 not in zero_column
+            empty += zero_column.size == 0
+    assert off_origin and empty
 
 
 def test_sample_biset_deterministic():

@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 
+import jsonschema
+import pytest
+
 from bogolib import cli
-from bogolib.suites import SuiteConfig, run_suite
+from bogolib.suites import run_suite
 
 
 def run_cli(args):
@@ -70,6 +73,52 @@ def test_usage_errors_exit_2():
     ).returncode == 2
 
 
+def test_suite_rejects_experiment_flags():
+    rejected = [["--word", "hv"], ["--budget", "3"], ["--ceiling", "20"], ["--step-cap", "3"]]
+    for extra in rejected:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--suite", "lattice", *extra])
+        assert exc.value.code == 2
+
+
+def test_ceiling_applies_to_one_run(tmp_path, monkeypatch):
+    monkeypatch.delenv("BOGO_CEILING", raising=False)
+    out = str(tmp_path / "run.json")
+    small = ["--group-g", "Z16", "--group-h", "Z16", "--delta", "0.3", "--out", out]
+    assert cli.main([*small, "--ceiling", "16"]) == 0
+    large = ["--group-g", "Z512", "--group-h", "Z512", "--delta", "0.3", "--out", out]
+    assert cli.main(large) == 0
+    assert cli.main([*large, "--ceiling", "16"]) == 1
+
+
+def test_single_letter_words(tmp_path, capsys):
+    out = tmp_path / "run.json"
+    args = ["--group-g", "Z16", "--group-h", "Z16", "--delta", "0.05", "--out", str(out)]
+    assert cli.main([*args, "--seed", "0", "--word", "h"]) == 0
+    assert json.loads(out.read_text())["verified"] is True
+    # a v-only word fails exactly when column 0 of A is empty, with the reason
+    for seed in range(10):
+        rc = cli.main([*args, "--seed", str(seed), "--word", "v"])
+        report = json.loads(out.read_text())
+        assert rc == (0 if report["verified"] else 1)
+        if not report["verified"]:
+            assert report["variety"] is None
+            assert "no point with x = 0" in capsys.readouterr().err
+            break
+    else:
+        pytest.fail("no seed gave an empty zero column")
+
+
+def test_validate_report_rejects_missing_key():
+    report = cli.run_experiment("Z8", "Z8", 0.5, 1)
+    cli.validate_report(report)
+    for key in ("verified", "d_size", "word"):
+        broken = {k: v for k, v in report.items() if k != key}
+        with pytest.raises(jsonschema.ValidationError):
+            cli.validate_report(broken)
+    cli.validate_report(report)
+
+
 def test_suite_report_schema(tmp_path):
     out = tmp_path / "suite.json"
     proc = run_cli(["--suite", "lattice", "--seed", "2", "--out", str(out)])
@@ -81,8 +130,8 @@ def test_suite_report_schema(tmp_path):
 
 
 def test_suite_determinism_in_process():
-    a = run_suite("quasirandom", SuiteConfig(seed=9))
-    b = run_suite("quasirandom", SuiteConfig(seed=9))
+    a = run_suite("quasirandom", 9)
+    b = run_suite("quasirandom", 9)
 
     def strip(r):
         return json.dumps(

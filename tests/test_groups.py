@@ -54,6 +54,21 @@ def test_char_eval_group_mismatch():
         bg.char_eval(other.dual.element([1]), g4.element([1]))
 
 
+def test_char_numerators_rows_match_single_characters():
+    g = bg.make_group([4, 6])
+    e = g.exponent
+    rows = g.char_numerators(np.arange(g.dual.order), g.dual)
+    assert rows.shape == (g.dual.order, g.order)
+    for chi_idx in range(g.dual.order):
+        chi = g.dual.element_from_index(chi_idx)
+        assert np.array_equal(rows[chi_idx], g.char_numerators(chi))
+        for x_idx in range(g.order):
+            value = bg.char_eval(chi, g.element_from_index(x_idx))
+            assert Fraction(int(rows[chi_idx, x_idx]), e) == value
+    with pytest.raises(bg.GroupMismatchError):
+        g.char_numerators(np.arange(3), bg.make_group([4, 6]).dual)
+
+
 def test_torus_dist():
     assert bg.torus_dist(Fraction(0)) == 0
     assert bg.torus_dist(Fraction(3, 4)) == Fraction(1, 4)
