@@ -35,7 +35,7 @@ from .groups import (
     bounded_span,
     subgroup_generators,
 )
-from .lattices import annihilator_points, span_cover
+from .lattices import _box_value_indices, _decode_box_positions, span_cover
 from .progressions import CosetProgression
 
 _INT64_GUARD = 1 << 62
@@ -193,6 +193,14 @@ def weak_regular_radius_search(
     The grid is rho_lo + j (rho_hi - rho_lo)/ceil(2/epsilon); when eta is at
     most the grid step the annuli are disjoint, so pigeonhole guarantees a
     hit.  Raises when no grid point qualifies.
+
+    All sizes come from one histogram.  With e the exponent and
+    d(x) = max_gamma min(n(x), e - n(x)), where gamma(x) = n(x)/e, the point
+    x lies in B(r) iff d(x) <= r e iff d(x) <= floor(r e), so |B(r)| is the
+    cumulative count of d up to floor(r e) and the annulus is
+    |B(rho + eta)| - |B(rho)|.  The grid is walked in integers over a common
+    denominator, so floor(r e) and the closed boundary stay exact.
+    ``is_weakly_regular`` decides the same condition by enumeration.
     """
     rho_lo, rho_hi = Fraction(rho_lo), Fraction(rho_hi)
     eta, epsilon = Fraction(eta), Fraction(epsilon)
@@ -200,11 +208,27 @@ def weak_regular_radius_search(
         raise PreconditionError("need rho_lo < rho_hi")
     steps = math.ceil(2 / epsilon)
     step = (rho_hi - rho_lo) / steps
-    freqs = _dedupe(frequencies)
+    if min(rho_lo, rho_lo + eta) < 0:
+        raise ValueError("radius must be nonnegative")
+    e = group.exponent
+    dist = np.zeros(group.order, dtype=np.int64)
+    for chi in frequencies:
+        n = group.char_numerators(chi)
+        dist = np.maximum(dist, np.minimum(n, e - n))
+    cum = np.cumsum(np.bincount(dist, minlength=e // 2 + 1))
+    den = math.lcm(rho_lo.denominator, step.denominator, eta.denominator)
+    lo, dj, width = (int(v * den) for v in (rho_lo, step, eta))
+
+    def size(scaled: int) -> int:
+        # |B(scaled / den)|
+        return int(cum[min(scaled * e // den, e // 2)])
+
+    limit = epsilon * group.order
     for j in range(steps + 1):
-        rho = rho_lo + j * step
-        if is_weakly_regular(group, freqs, rho, eta, epsilon):
-            return rho
+        inner = lo + j * dj
+        # the annulus is empty when eta < 0
+        if max(0, size(inner + width) - size(inner)) <= limit:
+            return rho_lo + j * step
     raise NoWeaklyRegularRadiusError(
         "no weakly regular radius on grid; retry with a finer grid"
     )
@@ -294,7 +318,14 @@ def bohr_size_estimate(
     eta: Fraction,
     epsilon: Fraction,
 ) -> float:
-    """Annihilator-box estimate of |B(Gamma; rho)|.
+    """Size formula |G| sum_{lambda in [-K, K]^k, sum lambda_i gamma_i = 0}
+    prod_i c_{lambda_i}, an estimate of |B(Gamma; rho)|.
+
+    The box sum is taken on the dual group.  Pushing the coefficients
+    forward along a -> a gamma_i gives F_i(xi) = sum_{a gamma_i = xi} c_a
+    (colliding multiples are summed, as the box counts them), and the sum
+    is (F_1 * ... * F_k)(0), the mean over the dual of prod_i fftn(F_i).
+    ``lattices.annihilator_points`` lists the box itself.
 
     Under weak regularity of (Gamma, rho, eta, epsilon) the error is at
     most 2 epsilon |G|; that bound is asserted by the callers/tests, never
@@ -307,11 +338,16 @@ def bohr_size_estimate(
     if Fraction(rho) + Fraction(eta) > Fraction(1, 2):
         raise PreconditionError("size estimate needs rho + eta <= 1/2")
     params = SizeFormulaParams.for_size_formula(k, rho, eta, epsilon)
-    pts = annihilator_points(list(freqs), params.cutoff)
-    if pts.shape[0] == 0:
-        return 0.0
-    prods = np.prod(params.coefficients[pts + params.cutoff], axis=1)
-    return float(prods.sum() * group.order)
+    dual = group.dual
+    a = np.arange(-params.cutoff, params.cutoff + 1, dtype=np.int64)
+    spectrum = np.ones(dual.tensor_shape, dtype=np.complex128)
+    for gamma in freqs:
+        if gamma.group is not dual:
+            raise GroupMismatchError("frequency outside the group's dual")
+        image = dual.index_of_coords(a[:, None] * np.asarray(gamma.coords, dtype=np.int64))
+        pushed = np.bincount(image, weights=params.coefficients, minlength=dual.order)
+        spectrum *= np.fft.fftn(pushed.reshape(dual.tensor_shape))
+    return float(spectrum.mean().real * group.order)
 
 
 def large_spectrum_certify(
@@ -339,8 +375,6 @@ def large_spectrum_certify(
         return () if chi.is_zero else None
     cutoff = spectrum_cutoff(k, eta, epsilon)
     width = 2 * cutoff + 1
-    from .lattices import _box_value_indices, _decode_box_positions
-
     half = k // 2 if width**k > box_cap else k
     if half == 0:
         half = k

@@ -348,14 +348,12 @@ def _pair_multiplicity_count(g, subset: GroupSubset) -> np.ndarray:
     idx = subset.indices()
     sums = g.add_indices(np.repeat(idx, idx.size), np.tile(idx, idx.size))
     r = np.bincount(sums, minlength=g.order).astype(np.int64)
-    out = np.zeros(g.order, dtype=np.int64)
-    neg = g.negation_permutation
-    for x in range(g.order):
-        shifted = g.add_indices(
-            np.arange(g.order, dtype=np.int64), np.full(g.order, int(neg[x]))
-        )
-        out[x] = int((r * r[shifted]).sum())
-    return out
+    every = np.arange(g.order, dtype=np.int64)
+    # shifted[x, y] = y - x
+    shifted = g.add_indices(
+        np.tile(every, g.order), np.repeat(g.negation_permutation, g.order)
+    ).reshape(g.order, g.order)
+    return (r[None, :] * r[shifted]).sum(axis=1)
 
 
 def check_quadruple_counting(

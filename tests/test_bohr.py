@@ -1,5 +1,6 @@
 """Bohr sets: enumeration, bounds, size formula, spectrum, sums, coverage."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import bogolib as bg
 from bogolib.bohr import (
     BohrSet,
+    SizeFormulaParams,
     annulus_size,
     bohr_enumerate,
     bohr_in_progression,
@@ -15,6 +17,7 @@ from bogolib.bohr import (
     dense_difference_cover,
     find_min_r,
     formula_coefficients,
+    is_weakly_regular,
     large_spectrum_certify,
     size_bounds,
     size_formula_cutoff,
@@ -24,6 +27,7 @@ from bogolib.bohr import (
 from bogolib.errors import DensityShortfallError, NoWeaklyRegularRadiusError
 from bogolib.fourier import GroupFunction, dft
 from bogolib.groups import GroupSubset, subgroup_generated
+from bogolib.lattices import annihilator_points
 from bogolib.progressions import CosetProgression
 from bogolib.rng import derive_rng
 
@@ -156,6 +160,103 @@ def test_bohr_size_estimate_examples():
         g5, [zero], Fraction(21, 100), Fraction(1, 20), Fraction(1, 5)
     )
     assert abs(est - 5) <= 2 * (1 / 5) * 5
+
+
+def _grid_search_oracle(g, freqs, rho_lo, rho_hi, eta, eps):
+    """The radius search as a loop over ``is_weakly_regular`` on the grid."""
+    steps = math.ceil(2 / eps)
+    for j in range(steps + 1):
+        rho = rho_lo + j * (rho_hi - rho_lo) / steps
+        if is_weakly_regular(g, freqs, rho, eta, eps):
+            return rho
+    return None
+
+
+def test_weak_regular_search_matches_grid_oracle():
+    rng = derive_rng(41)
+    moduli_pool = [[4, 6, 5], [2, 2, 8], [3, 9], [12, 2], [7, 7], [24], [60]]
+    found = raised = boundary = 0
+    for case in range(240):
+        g = bg.make_group(moduli_pool[case % len(moduli_pool)])
+        e = g.exponent
+        k = int(rng.integers(0, 4))
+        freqs = [
+            g.dual.element_from_index(int(rng.integers(0, g.order)))
+            for _ in range(k)
+        ]
+        kind = case % 3
+        if kind == 0:
+            # the criterion 2/3 grid
+            rho_lo, rho_hi = Fraction(1, 8), Fraction(3, 8)
+            eta, eps = Fraction(1, 10), Fraction(1, 20)
+        elif kind == 1:
+            # every grid radius and rho + eta on the lattice (1/e) Z, where
+            # the closed boundary ||chi(x)|| <= rho decides membership
+            eps = Fraction(1, int(rng.integers(2, 9)))
+            steps = math.ceil(2 / eps)
+            rho_lo = Fraction(int(rng.integers(0, e // 4 + 1)), e)
+            rho_hi = rho_lo + Fraction(steps * int(rng.integers(1, 3)), e)
+            eta = Fraction(int(rng.integers(1, 4)), e)
+        else:
+            # wide eta, small epsilon: often no grid radius qualifies
+            rho_lo = Fraction(int(rng.integers(0, 20)), 97)
+            rho_hi = rho_lo + Fraction(int(rng.integers(1, 20)), 97)
+            eta = Fraction(int(rng.integers(1, 30)), 97)
+            eps = Fraction(1, int(rng.integers(4, 40)))
+        expected = _grid_search_oracle(g, freqs, rho_lo, rho_hi, eta, eps)
+        if expected is None:
+            with pytest.raises(NoWeaklyRegularRadiusError):
+                weak_regular_radius_search(g, freqs, rho_lo, rho_hi, eta, eps)
+            raised += 1
+            continue
+        got = weak_regular_radius_search(g, freqs, rho_lo, rho_hi, eta, eps)
+        assert got == expected, (g, freqs, rho_lo, rho_hi, eta, eps)
+        found += 1
+        boundary += (got * e).denominator == 1
+    assert raised >= 20 and found >= 100 and boundary >= 50, (raised, found, boundary)
+
+
+def _box_oracle(g, freqs, rho, eta, eps):
+    """The size formula summed over the listed annihilator box points."""
+    freqs = list(dict.fromkeys(freqs))
+    params = SizeFormulaParams.for_size_formula(len(freqs), rho, eta, eps)
+    pts = annihilator_points(freqs, params.cutoff)
+    prods = np.prod(params.coefficients[pts + params.cutoff], axis=1)
+    return float(prods.sum() * g.order)
+
+
+def test_size_estimate_matches_box_oracle():
+    rng = derive_rng(43)
+    eta = Fraction(1, 10)
+    # epsilon only sets the cutoff K; it is raised with k to keep the box small
+    eps_for_k = {1: Fraction(1, 10), 2: Fraction(1, 2), 3: Fraction(4)}
+    moduli_pool = [[97], [60], [4, 6, 5], [2, 2, 8], [3, 9], [16]]
+    checked = 0
+    for case in range(36):
+        g = bg.make_group(moduli_pool[case % len(moduli_pool)])
+        k = 1 + case % 3
+        freqs = [
+            g.dual.element_from_index(int(rng.integers(0, g.order)))
+            for _ in range(k)
+        ]
+        if case % 4 == 1:
+            freqs[0] = g.dual.zero
+        if case % 4 == 2 and k > 1:
+            # a repeat (deduplicated) or a multiple of the first frequency
+            freqs[1] = freqs[0] * int(rng.integers(1, 4))
+        rho = Fraction(int(rng.integers(0, 41)), 100)
+        eps = eps_for_k[k]
+        est = bohr_size_estimate(g, freqs, rho, eta, eps)
+        box = _box_oracle(g, freqs, rho, eta, eps)
+        assert math.isclose(est, box, rel_tol=1e-9), (g, freqs, rho, est, box)
+        checked += 1
+    # small-order characters: the multiples a * gamma collide in the box
+    g = bg.make_group([2, 2, 8])
+    freqs = [g.dual.element([1, 0, 4]), g.dual.element([0, 1, 2]), g.dual.element([1, 1, 0])]
+    for rho in (Fraction(0), Fraction(1, 8), Fraction(2, 5)):
+        est = bohr_size_estimate(g, freqs, rho, eta, eps_for_k[3])
+        box = _box_oracle(g, freqs, rho, eta, eps_for_k[3])
+        assert math.isclose(est, box, rel_tol=1e-9)
 
 
 def test_large_spectrum_examples():
