@@ -393,14 +393,14 @@ class _QState:
 
     strides: list[int]
     halves: list[int]
-    subgroup: GroupSubset
+    subgroup: GroupSubset  # the subgroup part of a verified progression
 
     def progression(self, c: CosetProgression) -> CosetProgression:
         arms = tuple(
             Arm(s * arm.generator, -m, m)
             for arm, s, m in zip(c.arms, self.strides, self.halves)
         )
-        return CosetProgression(c.group, c.group.zero, arms, self.subgroup)
+        return CosetProgression._derived(c.group, c.group.zero, arms, self.subgroup)
 
 
 def _grid_cells(c: CosetProgression, q: _QState) -> list[CosetProgression]:
@@ -440,7 +440,7 @@ def _grid_cells(c: CosetProgression, q: _QState) -> list[CosetProgression]:
             for (start, stride, count), arm in zip(combo, c.arms):
                 base = base + start * arm.generator
                 arms.append(Arm(stride * arm.generator, 0, count - 1))
-            cells.append(CosetProgression(group, base, tuple(arms), hs))
+            cells.append(CosetProgression._derived(group, base, tuple(arms), hs))
     return cells
 
 

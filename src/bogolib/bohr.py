@@ -515,7 +515,7 @@ def bohr_in_progression(
             for arm in progression.arms
             if arm.hi // d >= 1
         ]
-        shrunk = CosetProgression(
+        shrunk = CosetProgression._derived(
             group,
             group.zero,
             tuple(

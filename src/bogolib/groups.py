@@ -417,6 +417,29 @@ def sumset_counts(a: GroupSubset, b: GroupSubset) -> np.ndarray:
 # -- spanning, bases, subgroups -------------------------------------------
 
 
+def fold_multiples(acc: GroupSubset, g: GroupElement, lo: int, hi: int) -> GroupSubset:
+    """The union of the translates ``acc + c g`` over ``lo <= c <= hi``.
+
+    Built by doubling: with ``T_s`` the union over the first ``s`` multiples,
+    ``T_{s+t} = T_s | (T_s + t g)`` for ``t <= s``, so it takes
+    ``O(log(hi - lo + 1))`` translates and one mask at a time.  A range
+    longer than the order of ``g`` covers every residue, so it is cut to
+    one period.
+    """
+    if g.group is not acc.group:
+        raise GroupMismatchError("fold element from a different group")
+    if lo > hi:
+        raise ValueError("multiple range is empty")
+    n = min(hi - lo + 1, g.order)
+    cur = acc.translate(lo * g)
+    s = 1
+    while s < n:
+        t = min(s, n - s)
+        cur = cur | cur.translate(t * g)
+        s += t
+    return cur
+
+
 def bounded_span(
     group: FiniteAbelianGroup,
     elements: Sequence[GroupElement],
@@ -436,16 +459,9 @@ def bounded_span(
             raise GroupMismatchError("span generator from a different group")
     if len(elements) * (2 * radius + 1) > max_steps:
         raise FeasibilityError("bounded_span enumeration exceeds feasibility ceiling")
-    mask = np.zeros(group.order, dtype=bool)
-    mask[0] = True
-    acc = GroupSubset(group, mask)
+    acc = GroupSubset.from_indices(group, [0])
     for g in elements:
-        cur = acc.translate(-radius * g)
-        out = cur.mask.copy()
-        for _ in range(2 * radius):
-            cur = cur.translate(g)
-            out |= cur.mask
-        acc = GroupSubset(group, out)
+        acc = fold_multiples(acc, g, -radius, radius)
     return acc
 
 
@@ -469,16 +485,9 @@ def is_basis(
         return False
     if sum(orders) * group.order > max_steps:
         raise FeasibilityError("basis check exceeds the enumeration ceiling")
-    mask = np.zeros(group.order, dtype=bool)
-    mask[0] = True
-    acc = GroupSubset(group, mask)
+    acc = GroupSubset.from_indices(group, [0])
     for g, n in zip(elements, orders):
-        cur = acc
-        out = cur.mask.copy()
-        for _ in range(n - 1):
-            cur = cur.translate(g)
-            out |= cur.mask
-        acc = GroupSubset(group, out)
+        acc = fold_multiples(acc, g, 0, n - 1)
     return acc.size == group.order
 
 
@@ -528,18 +537,11 @@ def invariant_factors(
 def subgroup_generated(
     group: FiniteAbelianGroup, generators: Sequence[GroupElement]
 ) -> GroupSubset:
-    mask = np.zeros(group.order, dtype=bool)
-    mask[0] = True
-    acc = GroupSubset(group, mask)
+    acc = GroupSubset.from_indices(group, [0])
     for g in generators:
         if g.group is not group:
             raise GroupMismatchError("generator from a different group")
-        cur = acc
-        out = cur.mask.copy()
-        for _ in range(g.order - 1):
-            cur = cur.translate(g)
-            out |= cur.mask
-        acc = GroupSubset(group, out)
+        acc = fold_multiples(acc, g, 0, g.order - 1)
     return acc
 
 
@@ -597,7 +599,8 @@ def parse_group_spec(text: str) -> list[int]:
             raise GroupSpecSyntaxError("expected 'Z'", pos)
         pos += 1
         start = pos
-        while pos < len(compact) and compact[pos].isdigit():
+        # ASCII digits only: str.isdigit() also accepts '²', which int() rejects
+        while pos < len(compact) and compact[pos] in "0123456789":
             pos += 1
         if start == pos:
             raise GroupSpecSyntaxError("expected an integer after 'Z'", start)

@@ -80,11 +80,37 @@ def solve_row_lattice(
     if not rows:
         return [] if not any(vec) else None
     H, T = row_hermite(rows)
-    n = len(rows[0])
+    return solve_over_hermite(vec, H, T, len(rows))
+
+
+def solve_over_hermite(
+    vec: Sequence[int], hermite: Matrix, trans: Matrix, m: int
+) -> Optional[list[int]]:
+    """:func:`solve_row_lattice` given ``(H, T) = row_hermite(rows)`` of
+    ``m`` rows, so one Hermite form serves many right-hand sides."""
+    coeffs_h = hermite_coefficients(vec, hermite)
+    if coeffs_h is None:
+        return None
+    out = [0] * m
+    for i, c in enumerate(coeffs_h):
+        if c:
+            for j in range(m):
+                out[j] += c * trans[i][j]
+    return out
+
+
+def hermite_coefficients(
+    vec: Sequence[int], hermite: Sequence[Sequence[int]]
+) -> Optional[list[int]]:
+    """Coefficients of ``vec`` over the rows of a Hermite form, or None.
+
+    ``hermite`` is the ``H`` of :func:`row_hermite`; reducing ``vec``
+    pivot by pivot decides membership in its row lattice exactly.
+    """
     residue = [int(x) for x in vec]
-    coeffs_h = [0] * len(H)
-    for i, hrow in enumerate(H):
-        col = next((j for j in range(n) if hrow[j] != 0), None)
+    coeffs_h = [0] * len(hermite)
+    for i, hrow in enumerate(hermite):
+        col = next((j for j, x in enumerate(hrow) if x != 0), None)
         if col is None:
             continue
         if residue[col] % hrow[col] != 0:
@@ -98,13 +124,7 @@ def solve_row_lattice(
             residue = [a - q * b for a, b in zip(residue, hrow)]
     if any(residue):
         return None
-    m = len(rows)
-    out = [0] * m
-    for i, c in enumerate(coeffs_h):
-        if c:
-            for j in range(m):
-                out[j] += c * T[i][j]
-    return out
+    return coeffs_h
 
 
 def in_row_lattice(vec: Sequence[int], rows: Sequence[Sequence[int]]) -> bool:

@@ -32,12 +32,9 @@ class IntegerLattice:
     rows: tuple[tuple[int, ...], ...] = ()
 
     def member(self, vec: Sequence[int]) -> bool:
-        vec = [int(v) for v in vec]
         if len(vec) != self.dimension:
             raise ValueError("vector dimension mismatch")
-        if not any(vec):
-            return True
-        return intmat.in_row_lattice(vec, [list(r) for r in self.rows])
+        return in_z_span(vec, self.rows)
 
     def with_row(self, vec: Sequence[int]) -> "IntegerLattice":
         return IntegerLattice(self.dimension, self.rows + (tuple(int(v) for v in vec),))
@@ -154,25 +151,38 @@ def bounded_representation(
     """
     w = [int(x) for x in w]
     rows = [[int(x) for x in z] for z in zs]
-    r = len(rows)
     k = len(w)
     if any(len(z) != k for z in rows):
         raise ValueError("all vectors must share the ambient dimension")
     if any(abs(x) > k1 for z in rows for x in z):
         raise PreconditionError("generator norm exceeds K1")
-    if any(abs(x) > k2 for x in w):
-        raise PreconditionError("target norm exceeds K2")
-    lam = intmat.solve_row_lattice(w, rows)
-    if lam is None:
-        raise PreconditionError("w is not in the integer span of the generators")
+    return _represent(_hermite_frame(rows), w, k1, k2)
+
+
+@dataclass(frozen=True)
+class _HermiteFrame:
+    """What the adjugate construction needs from the generator rows alone."""
+
+    rows: list[list[int]]
+    hermite: intmat.Matrix  # (H, T) = row_hermite(rows)
+    trans: intmat.Matrix
+    independent: list[int]  # rows of a maximal Q-independent subset
+    det: int  # det Z of their minor on the first independent columns
+    mu: dict[int, list[int]]  # dependent row j: det z_j = sum mu_a z_{independent_a}
+
+
+def _hermite_frame(rows: list[list[int]]) -> _HermiteFrame:
+    hermite, trans = intmat.row_hermite(rows)
     independent: list[int] = []
-    for i in range(r):
+    for i in range(len(rows)):
         if _rank([rows[j] for j in independent] + [rows[i]]) > len(independent):
             independent.append(i)
     m = len(independent)
+    det = 1
+    mu: dict[int, list[int]] = {}
     if m:
         cols: list[int] = []
-        for c in range(k):
+        for c in range(len(rows[0])):
             trial = cols + [c]
             sub = [[rows[i][j] for j in trial] for i in independent]
             if _rank(sub) > len(cols):
@@ -182,19 +192,33 @@ def bounded_representation(
         z_mat = [[rows[i][j] for j in cols] for i in independent]
         det = intmat.det_int(z_mat)
         adj = intmat.adjugate_int(z_mat)
-        for j in range(r):
+        for j in range(len(rows)):
             if j in independent:
-                continue
-            if lam[j] == 0:
                 continue
             t = [rows[j][c] for c in cols]
             # row convention: t = rho Z, so det * rho = t adj
-            mu = [sum(t[b] * adj[b][a] for b in range(m)) for a in range(m)]
-            # det * z_j == sum mu_a z_{independent_a} holds on all coordinates
-            q, rem = divmod(lam[j], det)
-            lam[j] = rem
-            for a, idx in enumerate(independent):
-                lam[idx] += q * mu[a]
+            mu[j] = [sum(t[b] * adj[b][a] for b in range(m)) for a in range(m)]
+    return _HermiteFrame(rows, hermite, trans, independent, det, mu)
+
+
+def _represent(frame: _HermiteFrame, w: list[int], k1: int, k2: int) -> list[int]:
+    """:func:`bounded_representation` of one target over a prepared frame."""
+    rows = frame.rows
+    r = len(rows)
+    k = len(w)
+    if any(abs(x) > k2 for x in w):
+        raise PreconditionError("target norm exceeds K2")
+    lam = intmat.solve_over_hermite(w, frame.hermite, frame.trans, r)
+    if lam is None:
+        raise PreconditionError("w is not in the integer span of the generators")
+    for j, mu in frame.mu.items():
+        if lam[j] == 0:
+            continue
+        # det * z_j == sum mu_a z_{independent_a} holds on all coordinates
+        q, rem = divmod(lam[j], frame.det)
+        lam[j] = rem
+        for a, idx in enumerate(frame.independent):
+            lam[idx] += q * mu[a]
     check = [sum(lam[i] * rows[i][c] for i in range(r)) for c in range(k)]
     if check != w:
         raise TheoremViolationError("bounded representation lost exactness")
@@ -260,20 +284,25 @@ def span_cover(
         )[0].tolist()
     chosen: list[GroupElement] = []
     chosen_vecs: list[list[int]] = []
+    hermite: intmat.Matrix = []  # Hermite form of chosen_vecs
     for b in ordered:
         vec = preimages[b.index]
-        if not in_z_span(vec, chosen_vecs):
+        if intmat.hermite_coefficients(vec, hermite) is None:
             chosen.append(b)
             chosen_vecs.append(vec)
+            hermite, _ = intmat.row_hermite(hermite + [vec])
     budget = chain_monitor(k, radius)
     if len(chosen) > budget:
         raise TheoremViolationError(
             f"span cover used {len(chosen)} generators, over budget {budget}"
         )
+    # preimages lie in [-R, R]^k, so bounded_representation's norm
+    # preconditions hold; one frame serves every member
+    frame = _hermite_frame(chosen_vecs)
     coeffs: dict[int, list[int]] = {}
     s_max = 1
     for b in ordered:
-        lam = bounded_representation(preimages[b.index], chosen_vecs, radius, radius)
+        lam = _represent(frame, preimages[b.index], radius, radius)
         combo = group.zero
         for c, g in zip(lam, chosen):
             combo = combo + c * g

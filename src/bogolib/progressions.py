@@ -28,9 +28,13 @@ from .groups import (
     FiniteAbelianGroup,
     GroupElement,
     GroupSubset,
+    fold_multiples,
     invariant_factors,
+    is_basis,
     is_subgroup,
     subgroup_generated,
+    subgroup_generators,
+    sumset_counts,
 )
 from .rng import derive_rng
 
@@ -55,6 +59,11 @@ class CosetProgression:
     Arm = Arm
 
     def __post_init__(self):
+        self._check_parts()
+        if not is_subgroup(self.subgroup):
+            raise PreconditionError("subgroup part is not a verified subgroup")
+
+    def _check_parts(self) -> None:
         if self.base.group is not self.group:
             raise GroupMismatchError("base element from a different group")
         for arm in self.arms:
@@ -64,10 +73,30 @@ class CosetProgression:
                 raise ValueError("arm interval is empty")
         if self.subgroup.group is not self.group:
             raise GroupMismatchError("subgroup from a different group")
-        if not is_subgroup(self.subgroup):
-            raise PreconditionError("subgroup part is not a verified subgroup")
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def _derived(
+        cls,
+        group: FiniteAbelianGroup,
+        base: GroupElement,
+        arms: tuple[Arm, ...],
+        subgroup: GroupSubset,
+    ) -> "CosetProgression":
+        """Construction from a subgroup object that is already verified.
+
+        Derivations (translates, grown or halved arms, grid cells) reuse
+        the subgroup of an existing progression, so the ``is_subgroup``
+        convolution of the public constructor is skipped; the groups of
+        the base, the arms and the subgroup and the arm intervals are
+        still checked.
+        """
+        prog = object.__new__(cls)
+        # bypasses the frozen __setattr__ and __post_init__, not the checks
+        vars(prog).update(group=group, base=base, arms=arms, subgroup=subgroup)
+        prog._check_parts()
+        return prog
 
     @classmethod
     def whole_group(cls, group: FiniteAbelianGroup) -> "CosetProgression":
@@ -115,12 +144,7 @@ class CosetProgression:
     def _mask(self) -> np.ndarray:
         acc = self.subgroup.translate(self.base)
         for arm in self.arms:
-            cur = acc.translate(arm.lo * arm.generator)
-            out = cur.mask.copy()
-            for _ in range(arm.length - 1):
-                cur = cur.translate(arm.generator)
-                out |= cur.mask
-            acc = GroupSubset(self.group, out)
+            acc = fold_multiples(acc, arm.generator, arm.lo, arm.hi)
         return acc.mask
 
     def enumerate(self) -> GroupSubset:
@@ -134,7 +158,9 @@ class CosetProgression:
         return self.size == self.formal_size
 
     def translate(self, t: GroupElement) -> "CosetProgression":
-        return CosetProgression(self.group, self.base + t, self.arms, self.subgroup)
+        return CosetProgression._derived(
+            self.group, self.base + t, self.arms, self.subgroup
+        )
 
     def coordinates(self) -> dict[int, tuple[tuple[int, ...], int]]:
         """element index -> (arm coefficients, subgroup element index).
@@ -242,7 +268,7 @@ def extract_subprogression(
         raise TheoremViolationError("A intersect H failed to be a subgroup")
     if h_prime.size < alpha * c.subgroup.size:
         raise TheoremViolationError("subgroup part below the guaranteed density")
-    result = CosetProgression(group, group.zero, tuple(new_arms), h_prime)
+    result = CosetProgression._derived(group, group.zero, tuple(new_arms), h_prime)
     if any(ell > 20 / alpha for ell in ells):
         raise TheoremViolationError("stride exceeded 20/alpha")
     if not result.enumerate().is_subset_of(a):
@@ -266,8 +292,6 @@ def change_basis(
     ("lower", i, j, lam): i > j, x_i <- x_i - lam x_j
     ("unit", i, lam):     gcd(lam, n_i) = 1, x_i <- lam x_i
     """
-    from .groups import is_basis
-
     basis = list(basis)
     orders = [x.order for x in basis]
     for a, b in zip(orders, orders[1:]):
@@ -310,8 +334,6 @@ def subgroup_basis(
     relation lattice in a lattice basis and reads the decomposition off
     the Smith form.
     """
-    from .groups import subgroup_generators
-
     if not is_subgroup(subgroup):
         raise PreconditionError("input is not a verified subgroup")
     g = group
@@ -737,7 +759,10 @@ def grow_progression_inside(
 
     Arms extend while the enumeration stays in the allowed set and the
     progression stays proper; candidates are scanned in the given order
-    (element index by default).
+    (element index by default).  Arm ``v`` grows one step at a time by
+    OR-ing ``inner + half v`` and ``inner - half v`` into the mask, where
+    ``inner`` is the progression before the arm; since ``inner`` is proper,
+    the extension is proper exactly when its size is ``(2 half + 1) |inner|``.
     """
     group = allowed.group
     if 0 not in allowed:
@@ -747,32 +772,32 @@ def grow_progression_inside(
         sub = sub if is_subgroup(sub) else GroupSubset.from_indices(group, [0])
     else:
         sub = GroupSubset.from_indices(group, [0])
-    prog = CosetProgression(group, group.zero, (), sub)
     order = (
         [int(i) for i in candidate_order]
         if candidate_order is not None
         else [int(i) for i in allowed.indices()]
     )
+    arms: list[Arm] = []
+    inner, inner_size = sub, sub.size
     for raw in order[:candidate_cap]:
-        if prog.rank >= rank_cap:
+        if len(arms) >= rank_cap:
             break
         v = group.element_from_index(raw)
         if v.is_zero:
             continue
-        best = None
+        grown = inner
         half = 1
         while half <= v.order // 2 + 1:
-            trial = CosetProgression(
-                group, group.zero, prog.arms + (Arm(v, -half, half),), prog.subgroup
-            )
-            if trial.is_proper() and trial.enumerate().is_subset_of(allowed):
-                best = trial
+            trial = grown | inner.translate(half * v) | inner.translate(-half * v)
+            if trial.size == (2 * half + 1) * inner_size and trial.is_subset_of(allowed):
+                grown = trial
                 half += 1
             else:
                 break
-        if best is not None:
-            prog = best
-    return prog
+        if half > 1:
+            arms.append(Arm(v, -(half - 1), half - 1))
+            inner, inner_size = grown, grown.size
+    return CosetProgression._derived(group, group.zero, tuple(arms), sub)
 
 
 def popular_difference_set(
@@ -911,7 +936,7 @@ def intersect_refine(
         while any(arm.hi >= 1 for arm in ladder[-1].arms):
             prev = ladder[-1]
             ladder.append(
-                CosetProgression(
+                CosetProgression._derived(
                     group,
                     prev.base,
                     tuple(Arm(a.generator, -(a.hi // 2), a.hi // 2) for a in prev.arms),
@@ -958,8 +983,6 @@ def intersect_refine(
 
 def _overlap_by_translate(a: GroupSubset, b: GroupSubset) -> np.ndarray:
     """For each t: |(A + t) cap B| = counts of t as b + (-a)."""
-    from .groups import sumset_counts
-
     return sumset_counts(b, a.negate()).astype(np.int64)
 
 
@@ -973,4 +996,4 @@ def _cell_progression(
         hi = min(lo + w - 1, arm.hi)
         base = base + lo * arm.generator
         arms.append(Arm(arm.generator, 0, hi - lo))
-    return CosetProgression(c.group, base, tuple(arms), c.subgroup)
+    return CosetProgression._derived(c.group, base, tuple(arms), c.subgroup)

@@ -119,6 +119,11 @@ def check_bohr_size_bounds(
 def _weakly_regular_instances(
     seed: int, count: int, max_order: int, max_k: int, eta: Fraction, eps: Fraction
 ):
+    # Criteria 2 and 3 pass eta = 1/10, larger than the search grid's step
+    # (3/8 - 1/8) / ceil(4 / eps) = 1/160, so the pigeonhole guarantee of
+    # weak_regular_radius_search does not apply: most draws raise and the
+    # batch keeps the draws that happen to be regular (about 50 of 475 at
+    # seed 0), not a sample of all draws.
     found = []
     attempt = 0
     while len(found) < count and attempt < 50 * count:

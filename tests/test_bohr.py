@@ -115,6 +115,32 @@ def test_weak_regular_search_failure():
         )
 
 
+def test_weak_regular_search_never_raises_with_eta_at_most_step():
+    # the docstring's pigeonhole guarantee: with eta <= the grid step the
+    # steps + 1 annuli are disjoint, so one holds under epsilon |G| points
+    rng = derive_rng(47)
+    moduli_pool = [[4, 6, 5], [2, 2, 8], [3, 9], [12, 2], [97], [512], [60]]
+    at_step = 0
+    for case in range(200):
+        g = bg.make_group(moduli_pool[case % len(moduli_pool)])
+        freqs = [
+            g.dual.element_from_index(int(rng.integers(0, g.order)))
+            for _ in range(int(rng.integers(0, 4)))
+        ]
+        rho_lo = Fraction(int(rng.integers(0, 40)), 160)
+        rho_hi = rho_lo + Fraction(int(rng.integers(1, 60)), 160)
+        eps = Fraction(1, int(rng.integers(1, 41)))
+        step = (rho_hi - rho_lo) / math.ceil(2 / eps)
+        if case % 4 == 0:
+            eta = step
+            at_step += 1
+        else:
+            eta = step * Fraction(int(rng.integers(1, 100)), 100)
+        rho = weak_regular_radius_search(g, freqs, rho_lo, rho_hi, eta, eps)
+        assert annulus_size(g, freqs, rho, eta) <= eps * g.order
+    assert at_step == 50
+
+
 def _trapezoid(rho, eta, xs):
     out = np.zeros_like(xs)
     dist = np.minimum(xs % 1.0, 1.0 - (xs % 1.0))

@@ -1,11 +1,17 @@
 """CLI harness: flags, reports, schema, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bogolib import cli
 from bogolib.suites import run_suite
@@ -166,3 +172,81 @@ def test_run_experiment_function():
     report = cli.run_experiment("Z16", "Z16", 0.3, 7)
     assert report["verified"]
     cli.validate_report(report)
+
+
+# -- grammar properties: every input ends in exit 0, 1 or 2, never a traceback
+
+SMALL_SPECS = st.lists(st.integers(1, 12), min_size=1, max_size=2).map(
+    lambda ms: "x".join(f"Z{m}" for m in ms)
+)
+# near-misses of the Z<n>(xZ<n>)* grammar, including non-ASCII digits
+SPEC_TEXT = st.text(alphabet="Zzx0123456789 -+.\u00b2\u0661", max_size=8)
+SPECS = st.one_of(SMALL_SPECS, SPEC_TEXT)
+WORDS = st.one_of(
+    st.none(),
+    st.text(alphabet="hv", max_size=6),
+    st.text(alphabet="hvHx 1", min_size=1, max_size=4),
+)
+DELTAS = st.one_of(
+    st.floats(min_value=0.01, max_value=1.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["0", "1", "1.0000001", "-0.0", "1e-300", "0x1p-2", "half", ""]),
+)
+
+
+def _run_in_process(argv):
+    """(exit code, stderr) of cli.main; any exception but SystemExit escapes."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+def _check_outcome(argv, out):
+    rc, err = _run_in_process([*argv, "--out", out])
+    assert rc in (0, 1, 2), (argv, rc)
+    if rc == 0:
+        with open(out) as fh:
+            report = json.load(fh)
+        cli.validate_report(report)
+        assert report["verified"] is True
+    elif rc == 1:
+        assert err.startswith(("error: ", "not verified: ")), (argv, err)
+    else:
+        assert "error:" in err, (argv, err)  # argparse's usage message
+    return rc
+
+
+@given(g=SPECS, h=SPECS, delta=DELTAS, word=WORDS, seed=st.integers(0, 3))
+@example(g="Z\u00b2", h="Z4", delta=0.5, word=None, seed=0)
+@example(g="Z8", h="Z8", delta=0.3, word="", seed=0)
+@example(g="Z8", h="Z8", delta=float("nan"), word="hv", seed=0)
+@settings(max_examples=60)
+def test_cli_grammar_ends_in_a_stated_exit(g, h, delta, word, seed):
+    delta = delta if isinstance(delta, str) else repr(delta)
+    argv = ["--group-g", g, "--group-h", h, "--delta", delta, "--seed", str(seed)]
+    if word is not None:
+        argv += ["--word", word]
+    # at most 256 elements in G x H keeps every accepted experiment small
+    argv += ["--ceiling", "8"]
+    with tempfile.TemporaryDirectory() as tmp:
+        _check_outcome(argv, os.path.join(tmp, "run.json"))
+
+
+@given(
+    g=SMALL_SPECS,
+    h=SMALL_SPECS,
+    delta=st.floats(min_value=0.05, max_value=1.0),
+    word=st.text(alphabet="hv", min_size=1, max_size=5),
+)
+@settings(max_examples=20)
+def test_cli_valid_experiments_verify_or_state_why(g, h, delta, word):
+    argv = ["--group-g", g, "--group-h", h, "--delta", repr(delta), "--word", word]
+    with tempfile.TemporaryDirectory() as tmp:
+        rc = _check_outcome(argv, os.path.join(tmp, "run.json"))
+    # well-formed inputs within the ceiling are never usage errors
+    assert rc in (0, 1)
+

@@ -11,10 +11,12 @@ import bogolib as bg
 from bogolib.groups import (
     GroupSubset,
     annihilator_subgroup,
+    fold_multiples,
     is_subgroup,
     subgroup_generated,
     subgroup_generators,
 )
+from bogolib.rng import derive_rng
 
 
 def test_make_group_basics():
@@ -118,6 +120,43 @@ def test_bounded_span_monotone_and_symmetric():
     assert flipped == bg.bounded_span(g, gens, 2)
 
 
+def _fold_by_translates(acc, g, lo, hi):
+    """The per-multiple translate loop that fold_multiples replaced."""
+    cur = acc.translate(lo * g)
+    out = cur.mask.copy()
+    for _ in range(hi - lo):
+        cur = cur.translate(g)
+        out |= cur.mask
+    return GroupSubset(acc.group, out)
+
+
+def test_fold_multiples_matches_translate_loop():
+    rng = derive_rng(43)
+    moduli_pool = [[12], [4, 6], [2, 3, 5], [2, 2, 8], [9, 3], [7, 1, 4]]
+    long_ranges = 0
+    for case in range(300):
+        g = bg.make_group(moduli_pool[case % len(moduli_pool)])
+        kind = case % 4
+        if kind == 0:
+            acc = GroupSubset.from_indices(g, [int(rng.integers(0, g.order))])
+        elif kind == 1:
+            acc = GroupSubset.full(g)
+        else:
+            acc = GroupSubset(g, rng.random(g.order) < rng.uniform(0.05, 0.5))
+        x = g.element_from_index(int(rng.integers(0, g.order)))
+        lo = int(rng.integers(-2 * g.order, g.order))
+        hi = lo + int(rng.integers(0, 2 * x.order + 2))
+        long_ranges += hi - lo + 1 > x.order
+        got = fold_multiples(acc, x, lo, hi)
+        assert got == _fold_by_translates(acc, x, lo, hi), (g, x, lo, hi)
+    assert long_ranges >= 50, long_ranges
+    g = bg.make_group([4, 6])
+    with pytest.raises(ValueError):
+        fold_multiples(GroupSubset.full(g), g.element([1, 1]), 3, 2)
+    with pytest.raises(bg.GroupMismatchError):
+        fold_multiples(GroupSubset.full(g), bg.make_group([4, 6]).element([1, 1]), 0, 2)
+
+
 def test_invariant_factors_examples():
     g = bg.make_group([2, 3])
     factors, basis = bg.invariant_factors(g)
@@ -215,3 +254,10 @@ def test_parse_group_spec():
         bg.parse_group_spec("Z4yZ2")
     with pytest.raises(bg.GroupSpecSyntaxError):
         bg.parse_group_spec("")
+
+
+def test_parse_group_spec_ascii_digits_only():
+    # str.isdigit() holds for these, but int() rejects the first
+    for spec in ("Z\u00b2", "Z4xZ\u00b3", "Z\u0661\u0662"):
+        with pytest.raises(bg.GroupSpecSyntaxError):
+            bg.parse_group_spec(spec)

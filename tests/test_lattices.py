@@ -6,6 +6,7 @@ import math
 import pytest
 
 import bogolib as bg
+from bogolib import intmat
 from bogolib.errors import PreconditionError
 from bogolib.lattices import (
     IntegerLattice,
@@ -167,6 +168,49 @@ def test_span_cover_full_span():
             combo = combo + c * gen
         assert combo == b
         assert max((abs(c) for c in lam), default=0) <= cover.coefficient_bound
+
+
+def _lex_preimages(g, ambient, radius):
+    """Element index -> lexicographically smallest box vector onto it."""
+    first = {}
+    for lam in itertools.product(range(-radius, radius + 1), repeat=len(ambient)):
+        x = g.zero
+        for c, a in zip(lam, ambient):
+            x = x + c * a
+        first.setdefault(x.index, list(lam))
+    return first
+
+
+def test_span_cover_matches_per_member_representation():
+    rng = derive_rng(67)
+    moduli_pool = [[101], [60], [4, 6], [2, 3, 5], [9, 3], [2, 2, 8]]
+    q_dependent = 0
+    for case in range(60):
+        g = bg.make_group(moduli_pool[case % len(moduli_pool)])
+        k = int(rng.integers(1, 4))
+        radius = int(rng.integers(1, 4))
+        ambient = [g.element_from_index(int(rng.integers(0, g.order))) for _ in range(k)]
+        pre = _lex_preimages(g, ambient, radius)
+        idx = sorted(pre)
+        size = int(rng.integers(1, min(25, len(idx)) + 1))
+        members = [
+            g.element_from_index(int(v)) for v in rng.choice(idx, size=size, replace=False)
+        ]
+        cover = span_cover(g, members, ambient, radius)
+        ordered = sorted(members, key=lambda e: e.index)
+        # the from-scratch greedy loop: one in_z_span call per member
+        chosen = []
+        for b in ordered:
+            if not in_z_span(pre[b.index], [pre[c.index] for c in chosen]):
+                chosen.append(b)
+        assert cover.generators == chosen
+        chosen_vecs = [pre[c.index] for c in chosen]
+        for b in ordered:
+            want = bounded_representation(pre[b.index], chosen_vecs, radius, radius)
+            assert cover.coefficients[b.index] == want
+        hermite, _ = intmat.row_hermite(chosen_vecs)
+        q_dependent += len(chosen) > len(hermite)
+    assert q_dependent >= 10, q_dependent
 
 
 def test_span_cover_outside_member():

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 import bogolib as bg
-from bogolib.errors import PreconditionError
-from bogolib.groups import GroupSubset, subgroup_generated
+from bogolib.bilinear import _grid_cells, _QState
+from bogolib.errors import GroupMismatchError, PreconditionError
+from bogolib.groups import GroupSubset, is_subgroup, subgroup_generated
 from bogolib.progressions import (
     Arm,
     CosetProgression,
     FreimanMap,
+    _cell_progression,
     change_basis,
     extract_subprogression,
+    grow_progression_inside,
     injectivity_partition,
     intersect_refine,
     is_freiman_homomorphism,
@@ -21,6 +24,7 @@ from bogolib.progressions import (
     partial_projectivity,
     popular_difference_progression,
     popular_difference_set,
+    stabilizer,
     subgroup_basis,
 )
 from bogolib.rng import derive_rng
@@ -269,6 +273,143 @@ def test_popular_difference_doubling_gate():
     a = GroupSubset.from_indices(g, [0, 1, 5, 30])
     with pytest.raises(PreconditionError):
         popular_difference_progression(a, Fraction(1))
+
+
+def _grow_by_trials(
+    allowed,
+    *,
+    candidate_order=None,
+    rank_cap=3,
+    candidate_cap=512,
+    use_stabilizer=True,
+):
+    """The trial-by-trial loop that grow_progression_inside replaced: every
+    candidate half builds a whole progression and enumerates it."""
+    group = allowed.group
+    if use_stabilizer:
+        sub = stabilizer(allowed)
+        sub = sub if is_subgroup(sub) else GroupSubset.from_indices(group, [0])
+    else:
+        sub = GroupSubset.from_indices(group, [0])
+    prog = CosetProgression(group, group.zero, (), sub)
+    order = (
+        [int(i) for i in candidate_order]
+        if candidate_order is not None
+        else [int(i) for i in allowed.indices()]
+    )
+    for raw in order[:candidate_cap]:
+        if prog.rank >= rank_cap:
+            break
+        v = group.element_from_index(raw)
+        if v.is_zero:
+            continue
+        best = None
+        half = 1
+        while half <= v.order // 2 + 1:
+            trial = CosetProgression(
+                group, group.zero, prog.arms + (Arm(v, -half, half),), prog.subgroup
+            )
+            if trial.is_proper() and trial.enumerate().is_subset_of(allowed):
+                best = trial
+                half += 1
+            else:
+                break
+        if best is not None:
+            prog = best
+    return prog
+
+
+def _random_allowed(rng, g):
+    """A set containing 0: noise, a symmetric interval, or a union of cosets."""
+    kind = int(rng.integers(0, 3))
+    mask = rng.random(g.order) < rng.uniform(0.1, 0.8)
+    if kind >= 1:
+        v = g.element_from_index(int(rng.integers(0, g.order)))
+        n = int(rng.integers(1, 8))
+        mask |= bg.bounded_span(g, [v], n).mask
+    if kind == 2:
+        h = subgroup_generated(g, [g.element_from_index(int(rng.integers(0, g.order)))])
+        mask = GroupSubset(g, mask).sumset(h).mask.copy()
+    mask[0] = True
+    return GroupSubset(g, mask)
+
+
+def test_grow_progression_matches_trial_loop():
+    rng = derive_rng(61)
+    moduli_pool = [[24], [4, 6], [2, 3, 5], [2, 2, 8], [9, 3], [64]]
+    grown_arms = long_arms = nontrivial_sub = 0
+    for case in range(180):
+        g = bg.make_group(moduli_pool[case % len(moduli_pool)])
+        allowed = _random_allowed(rng, g)
+        kwargs = {
+            "rank_cap": int(rng.integers(1, 4)),
+            "use_stabilizer": bool(case % 2),
+        }
+        order_kind = case % 3
+        if order_kind == 1:
+            kwargs["candidate_order"] = rng.permutation(allowed.indices()).tolist()
+        elif order_kind == 2:
+            # any element, repeats allowed, 0 and points outside the set included
+            kwargs["candidate_order"] = rng.integers(0, g.order, size=20).tolist()
+            kwargs["candidate_cap"] = int(rng.integers(1, 21))
+        got = grow_progression_inside(allowed, **kwargs)
+        want = _grow_by_trials(allowed, **kwargs)
+        assert got.arms == want.arms, (g, kwargs)
+        assert got.subgroup == want.subgroup
+        assert got.enumerate() == want.enumerate()
+        assert got.is_proper() and got.enumerate().is_subset_of(allowed)
+        grown_arms += len(got.arms)
+        long_arms += sum(arm.hi >= 2 for arm in got.arms)
+        nontrivial_sub += got.subgroup.size > 1
+    assert grown_arms >= 150 and long_arms >= 50 and nontrivial_sub >= 15, (
+        grown_arms,
+        long_arms,
+        nontrivial_sub,
+    )
+
+
+def test_public_constructor_verifies_subgroup():
+    g = bg.make_group([4, 6])
+    with pytest.raises(PreconditionError):
+        CosetProgression(g, g.zero, (), GroupSubset.from_indices(g, [0, 1]))
+    with pytest.raises(PreconditionError):
+        CosetProgression.symmetric(
+            g, [(g.element([1, 0]), 1)], GroupSubset.from_indices(g, [1])
+        )
+
+
+def test_derived_progressions_share_the_verified_subgroup():
+    g = bg.make_group([4, 6])
+    sub = subgroup_generated(g, [g.element([2, 0])])
+    c = CosetProgression.symmetric(g, [(g.element([0, 1]), 2)], sub)
+    t = g.element([1, 1])
+    shifted = c.translate(t)
+    assert shifted.subgroup is sub
+    assert shifted.enumerate() == CosetProgression(g, t, c.arms, sub).enumerate()
+    assert _cell_progression(c, (1,), (2,)).subgroup is sub
+    q = _QState([2], [1], sub)
+    assert q.progression(c).subgroup is sub
+    cells = _grid_cells(c, q)
+    assert cells and all(cell.subgroup is sub for cell in cells)
+
+
+def test_derived_progressions_reject_foreign_parts():
+    g = bg.make_group([4, 6])
+    other = bg.make_group([4, 6])
+    sub = subgroup_generated(g, [g.element([2, 0])])
+    c = CosetProgression.symmetric(g, [(g.element([0, 1]), 2)], sub)
+    with pytest.raises(GroupMismatchError):
+        c.translate(other.element([1, 0]))
+    with pytest.raises(GroupMismatchError):
+        CosetProgression._derived(g, other.zero, c.arms, sub)
+    with pytest.raises(GroupMismatchError):
+        CosetProgression._derived(g, g.zero, (Arm(other.element([1, 0]), -1, 1),), sub)
+    with pytest.raises(GroupMismatchError):
+        CosetProgression._derived(g, g.zero, (), GroupSubset.from_indices(other, [0]))
+    with pytest.raises(GroupMismatchError):
+        _QState([1], [1], GroupSubset.from_indices(other, [0])).progression(c)
+    with pytest.raises(ValueError):
+        CosetProgression._derived(g, g.zero, (Arm(g.element([1, 0]), 1, 0),), sub)
 
 
 def test_intersect_refine_examples():
