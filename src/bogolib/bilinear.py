@@ -6,6 +6,12 @@ Operator-word convention: the string "hvvhvhh" denotes the composition
 d_hor . d_ver . d_ver . d_hor . d_ver . d_hor . d_hor applied to A with the
 rightmost operator acting first.  Worked example: word "hv" applied to A
 computes d_hor(d_ver(A)) -- the 'v' (rightmost letter) acts first.
+
+Each letter is one batched real-FFT convolution (``groups._convolution_counts``)
+of every row (or column) with its negation.  The counts are rounded to
+integers, and a count 1/4 or more from an integer raises ArithmeticError, so
+the float transform never decides membership unchecked.  Both operators map G x H to
+itself, so ``iterated_difference`` stops as soon as the set is all of G x H.
 """
 
 from __future__ import annotations
@@ -71,9 +77,7 @@ class BiSet:
     @classmethod
     def from_flat_indices(cls, gx, gy, flat) -> "BiSet":
         mat = np.zeros(gx.order * gy.order, dtype=bool)
-        flat = np.asarray(list(flat), dtype=np.int64)
-        if flat.size:
-            mat[flat] = True
+        mat[np.asarray(flat, dtype=np.int64).reshape(-1)] = True
         return cls(gx, gy, mat.reshape(gy.order, gx.order))
 
     @property
@@ -108,31 +112,47 @@ class BiSet:
         return bool(self.matrix[y.index, x.index])
 
 
+def _row_differences(group: FiniteAbelianGroup, m: np.ndarray) -> np.ndarray:
+    """Row i of the result is the difference set m[i] - m[i] in ``group``.
+
+    One batched real-FFT sumset of each row with its negation.  The counts
+    are integers up to rounding; a count at least 1/4 from the nearest
+    integer raises ArithmeticError rather than being guessed.
+    """
+    counts = _convolution_counts(group, m, m[:, group.negation_permutation])
+    rounded = np.rint(counts)
+    if np.abs(counts - rounded).max() >= 0.25:
+        raise ArithmeticError("FFT difference counts are not within 1/4 of an integer")
+    return rounded > 0
+
+
 def d_hor(a: BiSet) -> BiSet:
-    """Per-row difference set: {(x1 - x2, y) : (x1, y), (x2, y) in A}."""
-    gx = a.group_x
-    shape = (a.group_y.order,) + gx.tensor_shape
-    axes = tuple(range(1, len(shape)))
-    t = a.matrix.reshape(shape).astype(np.float64)
-    spec = np.fft.fftn(t, axes=axes)
-    counts = np.fft.ifftn(spec * np.conj(spec), axes=axes).real
-    return BiSet(gx, a.group_y, (counts > 0.5).reshape(a.matrix.shape))
+    """Per-row difference set: {(x1 - x2, y) : (x1, y), (x2, y) in A}.
+
+    Computed by ``_row_differences`` (real FFT, 1/4 rounding margin checked).
+    """
+    return BiSet(a.group_x, a.group_y, _row_differences(a.group_x, a.matrix))
 
 
 def d_ver(a: BiSet) -> BiSet:
-    """Per-column difference set; the transpose dual of d_hor."""
-    return d_hor(a.transpose()).transpose()
+    """Per-column difference set: {(x, y1 - y2) : (x, y1), (x, y2) in A}."""
+    return BiSet(a.group_x, a.group_y, _row_differences(a.group_y, a.matrix.T).T)
 
 
 def iterated_difference(a: BiSet, word: str) -> BiSet:
-    """Apply the operator word, rightmost letter first (see module docstring)."""
+    """Apply the operator word, rightmost letter first (see module docstring).
+
+    The whole word is checked before any letter runs.  Each letter is one
+    real-FFT pass with a checked 1/4 rounding margin; once the set is all of
+    G x H, the remaining letters are skipped, since both operators fix it.
+    """
+    bad = [ch for ch in word if ch not in "hv"]
+    if bad:
+        raise ValueError(f"operator word may only contain h/v, got {bad[0]!r}")
     for ch in reversed(word):
-        if ch == "h":
-            a = d_hor(a)
-        elif ch == "v":
-            a = d_ver(a)
-        else:
-            raise ValueError(f"operator word may only contain h/v, got {ch!r}")
+        if a.matrix.all():
+            break
+        a = d_hor(a) if ch == "h" else d_ver(a)
     return a
 
 

@@ -92,10 +92,6 @@ class BohrSet:
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "radius", Fraction(self.radius))
 
-    @property
-    def codimension(self) -> int:
-        return len(self.frequencies)
-
     def contains(self, x: GroupElement) -> bool:
         from .groups import char_eval, torus_dist
 
@@ -107,9 +103,6 @@ class BohrSet:
 
     def enumerate(self) -> GroupSubset:
         return GroupSubset(self.group, self._mask)
-
-    def with_radius(self, radius: Fraction) -> "BohrSet":
-        return BohrSet(self.group, self.frequencies, Fraction(radius))
 
 
 def bohr_enumerate(
@@ -295,16 +288,6 @@ class SizeFormulaParams:
         cls, k: int, rho: Fraction, eta: Fraction, epsilon: Fraction
     ) -> "SizeFormulaParams":
         cutoff = size_formula_cutoff(k, eta, epsilon)
-        return cls(
-            Fraction(rho), Fraction(eta), Fraction(epsilon), cutoff,
-            formula_coefficients(rho, eta, cutoff),
-        )
-
-    @classmethod
-    def for_spectrum(
-        cls, k: int, rho: Fraction, eta: Fraction, epsilon: Fraction
-    ) -> "SizeFormulaParams":
-        cutoff = spectrum_cutoff(k, eta, epsilon)
         return cls(
             Fraction(rho), Fraction(eta), Fraction(epsilon), cutoff,
             formula_coefficients(rho, eta, cutoff),

@@ -133,16 +133,6 @@ class FiniteAbelianGroup:
         q = np.asarray(self.moduli, dtype=np.int64)
         return self.index_of_coords((q - self.coords_matrix) % q)
 
-    @cached_property
-    def add_table(self) -> Optional[np.ndarray]:
-        """Full |G| x |G| index addition table; None above 2048 elements."""
-        if self.order > 2048:
-            return None
-        idx = np.arange(self.order, dtype=np.int64)
-        return self.add_indices(
-            np.repeat(idx, self.order), np.tile(idx, self.order)
-        ).reshape(self.order, self.order)
-
     @property
     def tensor_shape(self) -> tuple[int, ...]:
         # C-order flattening of this shape reproduces the index encoding
@@ -292,10 +282,6 @@ class GroupSubset:
         if idx.size:
             mask[idx] = True
         return cls(group, mask)
-
-    @classmethod
-    def from_elements(cls, group: FiniteAbelianGroup, elements) -> "GroupSubset":
-        return cls.from_indices(group, [e.index for e in elements])
 
     @classmethod
     def singleton(cls, x: GroupElement) -> "GroupSubset":

@@ -28,19 +28,8 @@ class BipartiteGraph:
         object.__setattr__(self, "adjacency", adj)
 
     @property
-    def x_size(self) -> int:
-        return self.adjacency.shape[0]
-
-    @property
-    def y_size(self) -> int:
-        return self.adjacency.shape[1]
-
-    @property
     def density(self) -> float:
         return float(self.adjacency.mean())
-
-    def neighborhoods(self) -> np.ndarray:
-        return self.adjacency
 
     def balanced(self) -> np.ndarray:
         """G - delta as a float matrix."""

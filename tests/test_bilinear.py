@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bogolib as bg
+from bogolib import bilinear
 from bogolib.bilinear import (
     BilinearVariety,
     BiSet,
@@ -79,8 +80,92 @@ def test_iterated_difference_word():
     row_mat[0, :] = True
     row = BiSet(gx, gy, row_mat)
     assert iterated_difference(row, "hvvhvhh") == row
-    with pytest.raises(ValueError):
-        iterated_difference(a, "hxv")
+    for word in ("hxv", "hxh", "x", "hv "):
+        # the word is checked whole, even where the set is full before a bad letter
+        for operand in (a, full):
+            with pytest.raises(ValueError):
+                iterated_difference(operand, word)
+
+
+def _oracle_differences(gx, gy, mat, word):
+    """Row and column differences as Python sets, read off a subtraction
+    table built from coordinates; no FFT."""
+    tables = {}
+    for ch, g in (("h", gx), ("v", gy)):
+        c = g.coords_matrix
+        tables[ch] = g.index_of_coords(c[:, None, :] - c[None, :, :])
+    for ch in reversed(word):
+        lines = mat if ch == "h" else mat.T
+        out = np.zeros_like(lines)
+        for i, line in enumerate(lines):
+            members = np.flatnonzero(line)
+            diffs = set(tables[ch][np.ix_(members, members)].ravel().tolist())
+            out[i, sorted(diffs)] = True
+        mat = out if ch == "h" else out.T
+    return mat
+
+
+def test_difference_operators_match_set_oracle():
+    rng = derive_rng(73)
+    pairs = [([4, 6, 5], [16]), ([2, 2, 8], [3, 5]), ([24], [28])]
+    words = ["h", "v", "hv", "vh", "vvh", "hvh", "hvvhvhh"]
+    saturated = unsaturated = 0
+    for moduli_x, moduli_y in pairs:
+        gx, gy = bg.make_group(moduli_x), bg.make_group(moduli_y)
+        for density in (0.02, 0.08, 0.3):
+            for word in words:
+                mat = rng.random((gy.order, gx.order)) < density
+                mat[int(rng.integers(gy.order)), :] = False
+                mat[:, int(rng.integers(gx.order))] = False
+                a = BiSet(gx, gy, mat)
+                expected = _oracle_differences(gx, gy, mat, word)
+                if len(word) == 1:
+                    op = d_hor if word == "h" else d_ver
+                    assert np.array_equal(op(a).matrix, expected)
+                d = iterated_difference(a, word)
+                assert np.array_equal(d.matrix, expected)
+                saturated += bool(d.matrix.all())
+                unsaturated += not d.matrix.all()
+    assert saturated and unsaturated
+
+
+def test_difference_rounding_margin_is_checked(monkeypatch):
+    gx, gy = bg.make_group([4, 6]), bg.make_group([5])
+    a = BiSet(gx, gy, derive_rng(79).random((5, 24)) < 0.3)
+    expected = d_hor(a), d_ver(a)
+    helper = bilinear._convolution_counts
+    monkeypatch.setattr(bilinear, "_convolution_counts", lambda *args: helper(*args) + 0.2)
+    assert (d_hor(a), d_ver(a)) == expected  # inside the margin: same sets
+    monkeypatch.setattr(bilinear, "_convolution_counts", lambda *args: helper(*args) + 0.3)
+    for op in (d_hor, d_ver):
+        with pytest.raises(ArithmeticError):
+            op(a)
+    with pytest.raises(ArithmeticError):
+        iterated_difference(a, "hv")
+
+
+def test_iterated_difference_stops_at_saturation(monkeypatch):
+    helper = bilinear._convolution_counts
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return helper(*args)
+
+    monkeypatch.setattr(bilinear, "_convolution_counts", counting)
+    gx, gy = bg.make_group([4, 2]), bg.make_group([6])
+    full = BiSet.full(gx, gy)
+    assert iterated_difference(full, "hvvhvhh") == full
+    assert len(calls) == 0
+    mat = np.ones((6, 8), dtype=bool)
+    mat[0, 0] = False  # row 0 is G minus a point; its differences are all of G
+    assert iterated_difference(BiSet(gx, gy, mat), "hvvhvhh") == full
+    assert len(calls) == 1
+    row_mat = np.zeros((6, 8), dtype=bool)
+    row_mat[0, :] = True  # G x {0} is fixed by both operators but never full
+    row = BiSet(gx, gy, row_mat)
+    assert iterated_difference(row, "hvvhvhh") == row
+    assert len(calls) == 1 + 7
 
 
 def test_is_freiman_linear():
