@@ -8,8 +8,9 @@ rightmost operator acting first.  Worked example: word "hv" applied to A
 computes d_hor(d_ver(A)) -- the 'v' (rightmost letter) acts first.
 
 Each letter is one batched real-FFT convolution (``groups._convolution_counts``)
-of every row (or column) with its negation.  The counts are rounded to
-integers, and a count 1/4 or more from an integer raises ArithmeticError, so
+of every row (or column) with its negation, taken from one forward transform
+times its conjugate.  The counts are rounded to integers, and a count 1/4 or
+more from an integer raises ArithmeticError (``groups._exact_counts``), so
 the float transform never decides membership unchecked.  Both operators map G x H to
 itself, so ``iterated_difference`` stops as soon as the set is all of G x H.
 """
@@ -26,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bohr import BohrSet, bohr_mask
+from .bohr import BohrSet, bohr_mask, level_masks
 from .errors import (
     GroupMismatchError,
     PreconditionError,
@@ -38,6 +39,7 @@ from .groups import (
     GroupElement,
     GroupSubset,
     _convolution_counts,
+    _exact_counts,
     subgroup_generated,
 )
 from .lattices import IntegerLattice, annihilator_points, chain_monitor
@@ -115,15 +117,12 @@ class BiSet:
 def _row_differences(group: FiniteAbelianGroup, m: np.ndarray) -> np.ndarray:
     """Row i of the result is the difference set m[i] - m[i] in ``group``.
 
-    One batched real-FFT sumset of each row with its negation.  The counts
-    are integers up to rounding; a count at least 1/4 from the nearest
-    integer raises ArithmeticError rather than being guessed.
+    One batched real-FFT sumset of each row with its negation, from one
+    forward transform.  The counts are integers up to rounding; a count at
+    least 1/4 from the nearest integer raises ArithmeticError rather than
+    being guessed (``groups._exact_counts``).
     """
-    counts = _convolution_counts(group, m, m[:, group.negation_permutation])
-    rounded = np.rint(counts)
-    if np.abs(counts - rounded).max() >= 0.25:
-        raise ArithmeticError("FFT difference counts are not within 1/4 of an integer")
-    return rounded > 0
+    return _exact_counts(_convolution_counts(group, m)) > 0
 
 
 def d_hor(a: BiSet) -> BiSet:
@@ -240,12 +239,8 @@ class BilinearVariety:
         mat = np.zeros((gy.order, gx.order), dtype=bool)
         mat[ys] = bohr_mask(gx, self.gamma, self.rho)
         for fmap in self.maps:
-            vals = fmap.at(ys)
-            uniq, inverse = np.unique(vals, return_inverse=True)
-            masks = np.stack(
-                [bohr_mask(gx, [gx.dual.element_from_index(v)], self.rho) for v in uniq]
-            )
-            mat[ys] &= masks[inverse]
+            uniq, inverse = np.unique(fmap.at(ys), return_inverse=True)
+            mat[ys] &= level_masks(gx, uniq, self.rho)[inverse]
         return BiSet(gx, gy, mat)
 
     def enumerate(self) -> BiSet:
@@ -639,6 +634,14 @@ def linear_cover(
     agreeing with it on uncovered values.  Maps that cover nothing new are
     discarded; the zero map is always present.  U and the covered sets U'
     are boolean (|H|, |dual|) masks.
+
+    The estimate keeps the samples whose z and w lie in Y, then those whose
+    y + z and y + w do, and dedupes the quads (y+z, z, y+w, w) with one 1-D
+    ``np.unique`` on an int64 key.  In blocks of quads, it computes
+    U_a - U_b and U'_a - U'_b once for each pair (a, b) that occurs (batched
+    real-FFT sumsets, rounding checked by ``groups._exact_counts``), gathers
+    the left side from that table, and sums the two covered differences only
+    for quads whose left side is not inside either of them (both hold 0).
     """
     h = y_set.group
     y_idx = y_set.indices()
@@ -664,26 +667,45 @@ def linear_cover(
     rows_per_block = max(1, (1 << 18) // dual.order)
 
     def sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        return _convolution_counts(dual, left, right) > 0.5
+        return _exact_counts(_convolution_counts(dual, left, right)) > 0
 
     def condition_fraction(rng) -> float:
         ys, zs, ws = (rng.integers(0, h.order, size=samples) for _ in range(3))
+        keep = y_set.mask[zs] & y_set.mask[ws]
+        ys, zs, ws = ys[keep], zs[keep], ws[keep]
         yz, yw = h.add_indices(ys, zs), h.add_indices(ys, ws)
-        inside = y_set.mask[zs] & y_set.mask[ws] & y_set.mask[yz] & y_set.mask[yw]
-        # each distinct (y+z, z, y+w, w) is tested once, weighted by its count
+        keep = y_set.mask[yz] & y_set.mask[yw]
+        # a sample's pairs (y+z, z) and (y+w, w) are keyed a |H| + b and
+        # ranked; its quad is keyed by the two ranks, so one 1-D unique tests
+        # each distinct (y+z, z, y+w, w) once, weighted by its count
+        n_quads = int(keep.sum())
+        pairs, pair_of = np.unique(
+            np.concatenate([yz[keep], yw[keep]]) * h.order
+            + np.concatenate([zs[keep], ws[keep]]),
+            return_inverse=True,
+        )
         quads, weight = np.unique(
-            np.stack([yz, zs, yw, ws], axis=1)[inside], axis=0, return_counts=True
+            pair_of[:n_quads] * pairs.size + pair_of[n_quads:], return_counts=True
         )
         hits = 0
-        for start in range(0, len(quads), rows_per_block):
-            blk = slice(start, start + rows_per_block)
-            a, b, c, d = quads[blk].T
-            lhs = sums(u[a], u_neg[b]) & sums(u[c], u_neg[d])
-            rhs = sums(
-                sums(covered[a], covered[b][:, neg]),
-                sums(covered[c], covered[d][:, neg]),
+        step = max(1, rows_per_block // 2)  # a block's pairs fit one table
+        for start in range(0, quads.size, step):
+            blk = quads[start : start + step]
+            ids, slot = np.unique(
+                np.concatenate([blk // pairs.size, blk % pairs.size]), return_inverse=True
             )
-            hits += int(weight[blk][np.any(lhs & ~rhs, axis=1)].sum())
+            a, b = np.divmod(pairs[ids], h.order)
+            left, right = slot[: blk.size], slot[blk.size :]
+            lhs = sums(u[a], u_neg[b])  # row p: U_a - U_b
+            cov = sums(covered[a], covered[b][:, neg])  # row p: U'_a - U'_b
+            # both covered differences hold 0, so their sum holds each of them
+            # and only the rest of the left side needs the sumset
+            need = lhs[left] & lhs[right] & ~cov[left] & ~cov[right]
+            open_rows = np.flatnonzero(need.any(axis=1))
+            if open_rows.size:
+                rhs = sums(cov[left[open_rows]], cov[right[open_rows]])
+                missed = np.any(need[open_rows] & ~rhs, axis=1)
+                hits += int(weight[start : start + step][open_rows[missed]].sum())
         return hits / samples
 
     rounds = 0
@@ -729,6 +751,16 @@ def exhaustive_hom_finder(
     t0 + k w by exhausting w over the dual.  Returns a recentred map on a
     proper progression of length ceil(ord(v)/2), or None when nothing
     reaches ``min_agree`` agreements.
+
+    Every direction of a block is scored at once.  A point's line
+    representative is the smallest index of y - k v over k below the
+    exponent: past ord(v) the shifts repeat, and argmin keeps the first
+    minimum, so k < ord(v).  Each direction's line is the most populated
+    (``bincount``; the smallest representative on ties), anchored at its
+    point of smallest k, and every (direction, w) agreement is counted
+    together.  Ties keep the first w, then the first direction reaching the
+    maximum.  A block's temporaries stay near 2^18 entries, or one
+    direction's worth when that is larger.
     """
     pts_idx = np.flatnonzero(points >= 0)
     if pts_idx.size == 0:
@@ -743,37 +775,39 @@ def exhaustive_hom_finder(
     directions = units + [
         idx for idx in range(1, min(group.order, direction_cap + 1)) if idx not in units
     ]
+    directions = np.asarray([idx for idx in directions if idx != 0], dtype=np.int64)
+    ks = np.arange(group.exponent)
+    n = pts_idx.size
+    per_direction = ks.size * n * group.rank + group.order + n * dual.order * dual.rank
+    block = max(1, (1 << 18) // per_direction)
     best = None  # (agreement, v, line_rep, k0, t0, w)
-    for v_idx in directions:
-        v = group.element_from_index(v_idx)
-        if v.is_zero:
-            continue
-        ks = np.arange(v.order)
-        # representative of the <v>-coset of each point: min over y - k v
-        shifts = group.index_of_coords(
-            pts_coords[None, :, :] - ks[:, None, None] * np.asarray(v.coords)
-        )
-        reps = shifts.min(axis=0)
-        k_of = shifts.argmin(axis=0)
-        # best-populated line
-        uniq, counts = np.unique(reps, return_counts=True)
-        line_rep = int(uniq[np.argmax(counts)])
-        on_line = np.flatnonzero(reps == line_rep)
-        if on_line.size < min_agree:
-            continue
-        anchor_pos = on_line[np.argmin(k_of[on_line])]
-        k0 = int(k_of[anchor_pos])
-        t0 = int(pts_val[anchor_pos])
-        # all w at once: agreement[w] = #{j : t0 + (k_j - k0) w == value_j}
-        steps = k_of[on_line] - k0
+    for start in range(0, directions.size, block):
+        vs = directions[start : start + block]
+        rows = np.arange(vs.size)
+        v_coords = group.coords_matrix[vs][:, None, None]
+        # shifts[d, k, j] = y_j - k v_d; its minimum over k is y_j's line
+        shifts = group.index_of_coords(pts_coords[None, None] - ks[:, None, None] * v_coords)
+        reps = shifts.min(axis=1)
+        k_of = shifts.argmin(axis=1)
+        line_size = np.bincount(
+            (rows[:, None] * group.order + reps).reshape(-1), minlength=vs.size * group.order
+        ).reshape(vs.size, group.order)
+        line_rep = line_size.argmax(axis=1)
+        on_line = reps == line_rep[:, None]
+        anchor = np.where(on_line, k_of, ks.size).argmin(axis=1)
+        k0, t0 = k_of[rows, anchor], pts_val[anchor]
+        steps = k_of - k0[:, None]
+        # agree[d, w] = #{j on line d : t0 + (k_j - k0) w == value_j}
         pred = dual.index_of_coords(
-            dual_coords[t0] + steps[:, None, None] * dual_coords[None, :, :]
+            dual_coords[t0][:, None, None] + steps[:, :, None, None] * dual_coords[None, None]
         )
-        agree_per_w = (pred == pts_val[on_line][:, None]).sum(axis=0)
-        w = int(np.argmax(agree_per_w))
-        agree = int(agree_per_w[w])
-        if best is None or agree > best[0]:
-            best = (agree, v, line_rep, k0, t0, w)
+        agree = ((pred == pts_val[None, :, None]) & on_line[:, :, None]).sum(axis=1)
+        w = agree.argmax(axis=1)
+        top = agree[rows, w]  # at most the line's size, so short lines never pass
+        d = int(top.argmax())
+        if best is None or top[d] > best[0]:
+            v = group.element_from_index(int(vs[d]))
+            best = (int(top[d]), v, int(line_rep[d]), int(k0[d]), int(t0[d]), int(w[d]))
     if best is None or best[0] < min_agree:
         return None
     _, v, line_rep, k0, t0, w = best
@@ -856,15 +890,19 @@ def _bohr_inside(
             gens = subgroup_generators(annihilator_subgroup(cyc))
             consider(BohrSet(gx, tuple(gens), Fraction(1, 4 * e)))
     dual = gx.dual
-    nonzero = [int(i) for i in allowed.indices() if i != 0][:4]
-    for chi_idx in range(1, min(dual.order, char_cap)):
-        chi = dual.element_from_index(chi_idx)
-        n = gx.char_numerators(chi)
+    nonzero = np.asarray([i for i in allowed.indices() if i != 0][:4], dtype=np.int64)
+    chars = np.arange(1, min(dual.order, char_cap), dtype=np.int64)
+    block = max(1, (1 << 16) // (gx.order * max(1, nonzero.size)))
+    for start in range(0, chars.size, block):
+        # level sets {dist <= dist[xi]} of a block of characters at once
+        n = gx.char_numerators(chars[start : start + block], dual)
         dist = np.minimum(n, e - n)
-        for xi in nonzero:
-            level = GroupSubset(gx, dist <= dist[xi])
-            if level.size >= 2 and level.is_subset_of(allowed):
-                consider(BohrSet(gx, (chi,), Fraction(int(dist[xi]), e)))
+        radii = dist[:, nonzero]
+        levels = dist[:, None, :] <= radii[:, :, None]
+        fits = (levels.sum(axis=2) >= 2) & ~np.any(levels & ~allowed.mask, axis=2)
+        for row, col in np.argwhere(fits):
+            chi = dual.element_from_index(int(chars[start + row]))
+            consider(BohrSet(gx, (chi,), Fraction(int(radii[row, col]), e)))
     return best
 
 

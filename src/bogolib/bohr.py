@@ -39,6 +39,7 @@ from .lattices import _box_value_indices, _decode_box_positions, span_cover
 from .progressions import CosetProgression
 
 _INT64_GUARD = 1 << 62
+_MASK_BLOCK = 1 << 18  # entries per block of level masks
 
 
 def _dedupe(frequencies: Sequence[Character]) -> tuple[Character, ...]:
@@ -51,28 +52,51 @@ def _dedupe(frequencies: Sequence[Character]) -> tuple[Character, ...]:
     return tuple(out)
 
 
-def bohr_mask(
-    group: FiniteAbelianGroup,
-    frequencies: Sequence[Character],
-    radius: Fraction,
+def level_masks(
+    group: FiniteAbelianGroup, chars: np.ndarray, radius: Fraction
 ) -> np.ndarray:
-    """Boolean membership mask of B(Gamma; rho) via exact comparisons."""
+    """Row i: the mask of {x : ||chi_i(x)|| <= radius}, chi_i = dual index chars[i].
+
+    One ``char_numerators`` call for all rows; the comparison
+    ``dist * den <= num * e`` is exact, in int64 while both sides stay below
+    2^62 and in Python integers beyond.
+    """
     radius = Fraction(radius)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     e = group.exponent
     num, den = radius.numerator, radius.denominator
+    n = group.char_numerators(np.asarray(chars, dtype=np.int64), group.dual)
+    dist_num = np.minimum(n, e - n)  # distance = dist_num / e
+    if den * e < _INT64_GUARD and num * e < _INT64_GUARD:
+        return dist_num * den <= num * e
+    return (dist_num.astype(object) * den <= num * e).astype(bool)
+
+
+def bohr_mask(
+    group: FiniteAbelianGroup,
+    frequencies: "Sequence[Character] | np.ndarray",
+    radius: Fraction,
+) -> np.ndarray:
+    """Boolean membership mask of B(Gamma; rho) via exact comparisons.
+
+    ``frequencies`` are characters of the dual, or an int64 array of their
+    indices.  The level masks of ``level_masks`` are computed a block of
+    characters at a time, one ``char_numerators`` call per block of about
+    2^18 entries, and AND-ed together.
+    """
+    if Fraction(radius) < 0:
+        raise ValueError("radius must be nonnegative")
+    if isinstance(frequencies, np.ndarray):
+        chars = frequencies.astype(np.int64).reshape(-1)
+    else:
+        if any(chi.group is not group.dual for chi in frequencies):
+            raise GroupMismatchError("character does not belong to this group's dual")
+        chars = np.asarray([chi.index for chi in frequencies], dtype=np.int64)
     mask = np.ones(group.order, dtype=bool)
-    use_int64 = den * e < _INT64_GUARD and num * e < _INT64_GUARD
-    for chi in frequencies:
-        n = group.char_numerators(chi)
-        dist_num = np.minimum(n, e - n)  # distance = dist_num / e
-        if use_int64:
-            mask &= dist_num * den <= num * e
-        else:
-            mask &= np.asarray(
-                [int(v) * den <= num * e for v in dist_num], dtype=bool
-            )
+    block = max(1, _MASK_BLOCK // group.order)
+    for start in range(0, chars.size, block):
+        mask &= level_masks(group, chars[start : start + block], radius).all(axis=0)
     return mask
 
 

@@ -119,7 +119,7 @@ def bogolyubov_bohr_in_2A2A(subset: GroupSubset):
     threshold drops below every nonzero coefficient, Gamma covers the full
     support of the transform and the positivity argument is exact.
     """
-    from .bohr import BohrSet  # local import to avoid a cycle
+    from .bohr import BohrSet, bohr_mask  # local import to avoid a cycle
 
     if subset.size == 0:
         raise PreconditionError("Bogolyubov argument needs a nonempty set")
@@ -134,10 +134,9 @@ def bogolyubov_bohr_in_2A2A(subset: GroupSubset):
     dual = g.dual
     while True:
         hits = np.flatnonzero(coeffs >= threshold - TOLERANCE)
-        frequencies = [dual.element_from_index(int(i)) for i in hits]
-        bohr = BohrSet(g, tuple(frequencies), Fraction(1, 4))
-        if bohr.enumerate().is_subset_of(target):
-            return bohr
+        if GroupSubset(g, bohr_mask(g, hits, Fraction(1, 4))).is_subset_of(target):
+            frequencies = tuple(dual.element_from_index(int(i)) for i in hits)
+            return BohrSet(g, frequencies, Fraction(1, 4))
         if threshold < floor:  # full support reached; cannot happen past here
             raise AssertionError("Bogolyubov verification failed at full spectrum")
         threshold /= 2

@@ -362,8 +362,8 @@ class GroupSubset:
 
     def sumset(self, other: "GroupSubset") -> "GroupSubset":
         self._check(other)
-        counts = _convolution_counts(self.group, self.mask, other.mask)
-        return GroupSubset(self.group, counts > 0.5)
+        counts = _exact_counts(_convolution_counts(self.group, self.mask, other.mask))
+        return GroupSubset(self.group, counts > 0)
 
     def diffset(self, other: "GroupSubset") -> "GroupSubset":
         return self.sumset(other.negate())
@@ -379,25 +379,47 @@ class GroupSubset:
         return self.diffset(other)
 
 
-def _convolution_counts(group: FiniteAbelianGroup, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+def _convolution_counts(
+    group: FiniteAbelianGroup, m1: np.ndarray, m2: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Unnormalized convolution counts(x) = #{(a, b): a + b = x} over masks.
 
     The masks' last axis runs over the group; leading axes are a batch, and
     row i of the result convolves row i of ``m1`` with row i of ``m2``.
+    Without ``m2``, row i of ``m1`` is convolved with its own negation, so
+    counts(x) = #{(a, b): a - b = x}; the transform of the negation is the
+    conjugate of the row's own, so that takes one forward transform.
+    The counts are floats; ``_exact_counts`` rounds them.
     """
     shape = group.tensor_shape
     batch = m1.shape[:-1]
     axes = tuple(range(len(batch), len(batch) + len(shape)))
     f1 = np.fft.rfftn(m1.reshape(batch + shape).astype(np.float64), s=shape, axes=axes)
-    f2 = np.fft.rfftn(m2.reshape(batch + shape).astype(np.float64), s=shape, axes=axes)
+    if m2 is None:
+        f2 = np.conj(f1)
+    else:
+        f2 = np.fft.rfftn(m2.reshape(batch + shape).astype(np.float64), s=shape, axes=axes)
     out = np.fft.irfftn(f1 * f2, s=shape, axes=axes)
     return out.reshape(m1.shape)
+
+
+def _exact_counts(counts: np.ndarray) -> np.ndarray:
+    """Round float convolution counts to the integers they stand for.
+
+    Every count of ``_convolution_counts`` is an integer up to rounding; one
+    1/4 or more from the nearest integer raises ArithmeticError rather than
+    being guessed, so no set is ever decided by an unchecked float.
+    """
+    rounded = np.rint(counts)
+    if np.abs(counts - rounded).max() >= 0.25:
+        raise ArithmeticError("FFT counts are not within 1/4 of an integer")
+    return rounded
 
 
 def sumset_counts(a: GroupSubset, b: GroupSubset) -> np.ndarray:
     """Exact representation counts of x = s + t with s in a, t in b."""
     a._check(b)
-    return np.rint(_convolution_counts(a.group, a.mask, b.mask)).astype(np.int64)
+    return _exact_counts(_convolution_counts(a.group, a.mask, b.mask)).astype(np.int64)
 
 
 # -- spanning, bases, subgroups -------------------------------------------

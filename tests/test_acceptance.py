@@ -4,6 +4,7 @@ tolerances, printing one pass/fail line each.
 Runtime-budgeted criteria assert their wall-clock limits too.
 """
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -126,6 +127,11 @@ def _strip_timing(obj):
     return obj
 
 
+# SHA-256 of the stripped run_suite("all", SEED) report: pins its bytes, not
+# only their repeatability
+BATTERY_DIGEST = "abdb479c65e00a453a60cf1a783e14761bc2cd641bca372ab299fcce1f6cb7f6"
+
+
 def test_criterion_13_determinism():
     first = suites.run_suite("all", SEED)
     second = suites.run_suite("all", SEED)
@@ -136,3 +142,4 @@ def test_criterion_13_determinism():
     print(f"criterion 13 {status}: determinism of run_suite('all')")
     assert a == b
     assert first["all_passed"]
+    assert hashlib.sha256(a.encode()).hexdigest() == BATTERY_DIGEST

@@ -1,5 +1,7 @@
 """Bilinear sets, varieties, regularity, covering loop, experiment."""
 
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 import bogolib as bg
-from bogolib import bilinear
+from bogolib import bilinear, groups
 from bogolib.bilinear import (
     BilinearVariety,
     BiSet,
@@ -26,8 +28,9 @@ from bogolib.bilinear import (
     variety_contained_in,
     variety_membership_bruteforce,
 )
-from bogolib.groups import GroupSubset
-from bogolib.progressions import CosetProgression, FreimanMap
+from bogolib.cli import run_experiment
+from bogolib.groups import GroupSubset, sumset_counts
+from bogolib.progressions import Arm, CosetProgression, FreimanMap
 from bogolib.rng import derive_rng
 
 
@@ -401,6 +404,238 @@ def test_hom_finder_agreement_matches_bruteforce():
     assert found >= 60
 
 
+def _hom_finder_oracle(group, dual, points, *, min_agree=3, direction_cap=64):
+    """The finder one direction at a time: for each direction v, its shifts
+    y - k v for k < ord(v), the best-populated line by np.unique, and the
+    agreement of every w on that line."""
+    pts_idx = np.flatnonzero(points >= 0)
+    if pts_idx.size == 0:
+        return None
+    pts_val = points[pts_idx]
+    pts_coords = group.coords_matrix[pts_idx]
+    dual_coords = dual.coords_matrix
+    units = [
+        group.element(tuple(1 if j == i else 0 for j in range(group.rank))).index
+        for i in range(group.rank)
+    ]
+    directions = units + [
+        idx for idx in range(1, min(group.order, direction_cap + 1)) if idx not in units
+    ]
+    best = None
+    for v_idx in directions:
+        v = group.element_from_index(v_idx)
+        if v.is_zero:
+            continue
+        ks = np.arange(v.order)
+        shifts = group.index_of_coords(
+            pts_coords[None, :, :] - ks[:, None, None] * np.asarray(v.coords)
+        )
+        reps = shifts.min(axis=0)
+        k_of = shifts.argmin(axis=0)
+        uniq, counts = np.unique(reps, return_counts=True)
+        line_rep = int(uniq[np.argmax(counts)])
+        on_line = np.flatnonzero(reps == line_rep)
+        if on_line.size < min_agree:
+            continue
+        anchor_pos = on_line[np.argmin(k_of[on_line])]
+        k0 = int(k_of[anchor_pos])
+        t0 = int(pts_val[anchor_pos])
+        steps = k_of[on_line] - k0
+        pred = dual.index_of_coords(
+            dual_coords[t0] + steps[:, None, None] * dual_coords[None, :, :]
+        )
+        agree_per_w = (pred == pts_val[on_line][:, None]).sum(axis=0)
+        w = int(np.argmax(agree_per_w))
+        agree = int(agree_per_w[w])
+        if best is None or agree > best[0]:
+            best = (agree, v, line_rep, k0, t0, w)
+    if best is None or best[0] < min_agree:
+        return None
+    _, v, line_rep, k0, t0, w = best
+    length = -(-v.order // 2)
+    anchor = group.element_from_index(line_rep) + k0 * v
+    prog = CosetProgression(
+        group, anchor, (Arm(v, 0, length - 1),), GroupSubset.from_indices(group, [0])
+    )
+    ks = np.arange(length)[:, None]
+    values = np.full(group.order, -1, dtype=np.int64)
+    values[group.index_of_coords(np.asarray(anchor.coords) + ks * v.coords)] = (
+        dual.index_of_coords(dual_coords[t0] + ks * dual_coords[w])
+    )
+    return FreimanMap(prog, dual, values, order=2)
+
+
+def _finder_cases(rng):
+    """Seeded point sets: random values, planted lines with noise, two planted
+    lines of equal length (tied lines), lines sampled at even steps into a
+    dual of even exponent (tied w), and sets too small or too spread out to
+    reach min_agree."""
+    shapes = [[8], [12], [16], [4, 2], [2, 6], [2, 2, 2], [4, 4], [3, 3], [2, 3, 4], [6, 10]]
+    duals = [[8], [9], [12], [4, 2], [2, 6], [6, 4], [3, 3], [16]]
+    for case in range(200):
+        group = bg.make_group(shapes[case % len(shapes)])
+        dual = bg.make_group(duals[int(rng.integers(0, len(duals)))]).dual
+        kind = case % 5
+        values = np.full(group.order, -1, dtype=np.int64)
+        if kind == 0:
+            size = int(rng.integers(1, group.order + 1))
+            idx = rng.choice(group.order, size=size, replace=False)
+            values[idx] = rng.integers(0, dual.order, size=size)
+        elif kind in (1, 2, 3):
+            lines = 2 if kind == 2 else 1
+            for _ in range(lines):
+                v = group.element_from_index(int(rng.integers(1, group.order)))
+                base = group.element_from_index(int(rng.integers(0, group.order)))
+                t0 = dual.element_from_index(int(rng.integers(0, dual.order)))
+                w = dual.element_from_index(int(rng.integers(0, dual.order)))
+                stride = 2 if kind == 3 else 1
+                for k in range(0, v.order, stride):
+                    values[(base + k * v).index] = (t0 + k * w).index
+            noise = rng.choice(group.order, size=group.order // 4, replace=False)
+            if kind == 1:
+                values[noise] = rng.integers(0, dual.order, size=noise.size)
+        else:
+            # at most two points on any line through a few random directions
+            size = int(rng.integers(1, 3))
+            idx = rng.choice(group.order, size=size, replace=False)
+            values[idx] = rng.integers(0, dual.order, size=size)
+        yield group, dual, values
+    # many blocks of directions: 64 directions of Z256 against a Z256 dual
+    group = bg.make_group([256])
+    for _ in range(3):
+        values = np.full(256, -1, dtype=np.int64)
+        idx = rng.choice(256, size=100, replace=False)
+        values[idx] = rng.integers(0, 256, size=100)
+        values[np.arange(0, 256, 8)] = (np.arange(32) * 5) % 256
+        yield group, group.dual, values
+
+
+def _same_map(got, want):
+    if want is None:
+        return got is None
+    return (
+        got is not None
+        and got.domain.base == want.domain.base
+        and got.domain.arms == want.domain.arms
+        and np.array_equal(got.values, want.values)
+    )
+
+
+def test_hom_finder_matches_per_direction_oracle():
+    rng = derive_rng(101)
+    found = missing = 0
+    for case, (group, dual, values) in enumerate(_finder_cases(rng)):
+        min_agree = (3, 2, 4)[case % 3]
+        cap = (64, 5)[case % 2]
+        got = exhaustive_hom_finder(group, dual, values, min_agree=min_agree, direction_cap=cap)
+        want = _hom_finder_oracle(group, dual, values, min_agree=min_agree, direction_cap=cap)
+        assert _same_map(got, want), case
+        found += want is not None
+        missing += want is None
+    assert found >= 80 and missing >= 40
+
+
+def _condition_oracle(y_set, value_sets, maps, seed, rounds, samples):
+    """The triple-condition estimate quad block by quad block: every distinct
+    (y+z, z, y+w, w) row of one np.unique(axis=0), with both sides summed from
+    scratch (six sumsets) per block.  Returns the fraction and the number of
+    distinct quads."""
+    h = y_set.group
+    dual = next(iter(value_sets.values()))[0].group
+    u = np.zeros((h.order, dual.order), dtype=bool)
+    for yi, vals in value_sets.items():
+        u[yi, [v.index for v in vals]] = True
+    covered = np.zeros_like(u)
+    y_idx = y_set.indices()
+    for m in maps:
+        vals = m.values[y_idx]
+        rows, cols = y_idx[vals >= 0], vals[vals >= 0]
+        covered[rows, cols] |= u[rows, cols]
+    neg = dual.negation_permutation
+    u_neg = u[:, neg]
+    rows_per_block = max(1, (1 << 18) // dual.order)
+
+    def sums(left, right):
+        return groups._convolution_counts(dual, left, right) > 0.5
+
+    rng = derive_rng(seed, 1000 + rounds)
+    ys, zs, ws = (rng.integers(0, h.order, size=samples) for _ in range(3))
+    yz, yw = h.add_indices(ys, zs), h.add_indices(ys, ws)
+    inside = y_set.mask[zs] & y_set.mask[ws] & y_set.mask[yz] & y_set.mask[yw]
+    quads, weight = np.unique(
+        np.stack([yz, zs, yw, ws], axis=1)[inside], axis=0, return_counts=True
+    )
+    hits = 0
+    for start in range(0, len(quads), rows_per_block):
+        blk = slice(start, start + rows_per_block)
+        a, b, c, d = quads[blk].T
+        lhs = sums(u[a], u_neg[b]) & sums(u[c], u_neg[d])
+        rhs = sums(
+            sums(covered[a], covered[b][:, neg]),
+            sums(covered[c], covered[d][:, neg]),
+        )
+        hits += int(weight[blk][np.any(lhs & ~rhs, axis=1)].sum())
+    return hits / samples, len(quads)
+
+
+def test_linear_cover_condition_matches_block_oracle():
+    rng = derive_rng(103)
+    shapes = [([12], [12]), ([16], [8]), ([4, 4], [16]), ([2, 8], [4, 3]), ([10], [10])]
+    # a Z64 x Z64 dual takes 64 rows per block, so its quads span several blocks
+    cases = [shapes[case % len(shapes)] for case in range(20)] + [([16], [64, 64])] * 2
+    nonzero = blocks_crossed = 0
+    for case, (h_moduli, g_moduli) in enumerate(cases):
+        h, dual = bg.make_group(h_moduli), bg.make_group(g_moduli).dual
+        size = int(rng.integers(h.order // 2, h.order + 1))
+        y_idx = sorted(int(i) for i in rng.choice(h.order, size=size, replace=False))
+        slope = dual.element_from_index(int(rng.integers(1, dual.order)))
+        value_sets = {}
+        for yi in y_idx:
+            vals = {dual.zero, h.element_from_index(yi).coords[0] * slope}
+            for _ in range(int(rng.integers(0, 4))):
+                vals.add(dual.element_from_index(int(rng.integers(0, dual.order))))
+            value_sets[yi] = sorted(vals, key=lambda e: e.index)
+        y_set = GroupSubset.from_indices(h, y_idx)
+        samples = (500, 2000, 4000)[case % 3] if dual.order < 4096 else 500
+        rounds_cap = (0, 2, 6)[case % 3] if dual.order < 4096 else 1
+        res = linear_cover(y_set, value_sets, rounds_cap=rounds_cap, seed=case, samples=samples)
+        want, quads = _condition_oracle(y_set, value_sets, res.maps, case, res.rounds, samples)
+        assert res.condition_fraction == want, case
+        nonzero += want > 0
+        blocks_crossed += quads > (1 << 18) // dual.order
+    assert nonzero >= 12 and blocks_crossed
+
+
+def test_convolution_rounding_margin_is_checked(monkeypatch):
+    g = bg.make_group([4, 6])
+    rng = derive_rng(107)
+    a, b = (GroupSubset(g, rng.random(24) < 0.3) for _ in range(2))
+    h, dual = bg.make_group([8]), bg.make_group([8]).dual
+    value_sets = {
+        yi: [dual.zero, dual.element_from_index(3 * yi % 8), dual.element_from_index(yi)]
+        for yi in range(8)
+    }
+    y_set = GroupSubset.full(h)
+
+    def cover():
+        res = linear_cover(y_set, value_sets, rounds_cap=3, seed=4)
+        return res.rounds, res.condition_fraction, [m.values.tolist() for m in res.maps]
+
+    expected = a.sumset(b), sumset_counts(a, b), cover()
+    helper = groups._convolution_counts
+    for offset, fails in ((0.2, False), (0.3, True)):
+        for module in (groups, bilinear):
+            monkeypatch.setattr(module, "_convolution_counts", lambda *args: helper(*args) + offset)
+        if not fails:  # inside the margin: the same sets and counts
+            assert a.sumset(b) == expected[0]
+            assert np.array_equal(sumset_counts(a, b), expected[1])
+            assert cover() == expected[2]
+            continue
+        for run in (lambda: a.sumset(b), lambda: sumset_counts(a, b), cover):
+            with pytest.raises(ArithmeticError):
+                run()
+
+
 def test_linear_cover_condition_fraction_recount():
     rng = derive_rng(83)
     samples = 2000
@@ -452,6 +687,30 @@ def test_linear_cover_condition_fraction_recount():
             }
             hits += not lhs <= rhs
         assert res.condition_fraction == hits / samples
+
+
+# SHA-256 of the stripped report (no elapsed_ms, keys sorted) of one
+# containment experiment per size and word, delta = 0.02, seed 5: a change to
+# any byte of these reports fails here.
+_REPORT_DIGESTS = {
+    ("Z24", "hv"): "646ee64fa36b0a24af81bb3b5d39472c7057d6488500a6db0524b54e7d50a45b",
+    ("Z24", "vh"): "7570e1e3765d55c848fef1e4fd1e1dfcbab4e65e147bb5a21c4fa3f6d5081d41",
+    ("Z24", "hvh"): "1acc4f49e53c7a0369b8d6afc1675cc96ee6478f3fa1f253c20b0e85b5e1cbf7",
+    ("Z28", "hv"): "48a3f136910640cfbca27fe5a824af276e28075843bab33b0a5c6a80d7884385",
+    ("Z28", "vh"): "9637871f682ca3000079cf5708c000ea2ba7ec22cc60be9d71c7d7aae9c30363",
+    ("Z28", "hvh"): "fba29096cec49689c2361b24e59fcaf02e70f7786742ab344e4ef4199e41186c",
+    ("Z32", "hv"): "8a05fd8d09bb12e1e63140b47ea53f410c250fc428e17cc4b02706b7039df81c",
+    ("Z32", "vh"): "06247dc02bdf88a6849eba212a09b22dd5f0f0239754fd9e69c8846114da97b9",
+    ("Z32", "hvh"): "300a02c92d161060b356485912e1bcd0c9d5b247f3a49d18adeea85b6863b790",
+}
+
+
+def test_containment_reports_match_recorded_digests():
+    for (group, word), digest in _REPORT_DIGESTS.items():
+        report = run_experiment(group, group, 0.02, 5, word=word)
+        report.pop("elapsed_ms")
+        text = json.dumps(report, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (group, word)
 
 
 def test_pinned_floor_single_letter_words():

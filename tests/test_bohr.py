@@ -9,6 +9,7 @@ import pytest
 import bogolib as bg
 from bogolib.bohr import (
     BohrSet,
+    bohr_mask,
     SizeFormulaParams,
     annulus_size,
     bohr_enumerate,
@@ -53,6 +54,58 @@ def test_bohr_enumerate_examples():
     chi = g5.dual.element([1])
     assert bohr_enumerate(g5, [chi], Fraction(1, 2)).size == 5
     assert sorted(bohr_enumerate(g5, [chi], Fraction(1, 5)).indices()) == [0, 1, 4]
+
+
+def _bohr_mask_oracle(group, frequencies, radius):
+    """The per-character AND: one level mask per frequency, compared in
+    Python integers."""
+    e = group.exponent
+    num, den = radius.numerator, radius.denominator
+    mask = np.ones(group.order, dtype=bool)
+    for chi in frequencies:
+        n = group.char_numerators(chi)
+        mask &= np.minimum(n, e - n).astype(object) * den <= num * e
+    return mask
+
+
+def test_bohr_mask_matches_per_character_and():
+    rng = derive_rng(89)
+    shapes = [[97], [60], [4, 6, 5], [2, 2, 8], [3, 9], [64, 64]]
+    blocks_crossed = fallbacks = 0
+    for case in range(72):
+        g = bg.make_group(shapes[case % len(shapes)])
+        e = g.exponent
+        k = [0, 1, 2, 5, 40][case % 5]
+        freqs = [g.dual.element_from_index(int(i)) for i in rng.integers(0, g.order, size=k)]
+        if case % 24 == 5:
+            # 150 characters of Z64 x Z64 span three blocks of 64 level masks;
+            # one nonzero character, in the last block or anywhere, decides
+            k = 150
+            freqs = [g.dual.zero] * k
+            spot = k - 1 if case < 24 else int(rng.integers(0, k))
+            freqs[spot] = g.dual.element_from_index(int(rng.integers(1, g.order)))
+        level = Fraction(int(rng.integers(0, e // 2 + 1)), e)
+        # exact levels, levels just below them, and Python-integer denominators
+        radius = [
+            level,
+            level - Fraction(1, 2**80) if level else level,
+            Fraction(int(rng.integers(0, 1 << 20)), (1 << 21) + 1),
+            level + Fraction(1, 3 * 2**70),
+        ][case % 4]
+        fallbacks += radius.denominator * e >= 1 << 62
+        blocks_crossed += k > (1 << 18) // g.order
+        mask = bohr_mask(g, freqs, radius)
+        assert np.array_equal(mask, _bohr_mask_oracle(g, freqs, radius))
+        indices = np.asarray([chi.index for chi in freqs], dtype=np.int64)
+        assert np.array_equal(bohr_mask(g, indices, radius), mask)
+        bohr = BohrSet(g, tuple(freqs), radius)
+        for x in rng.integers(0, g.order, size=12):
+            assert mask[x] == bohr.contains(g.element_from_index(int(x)))
+        if k == 0:
+            assert mask.all()
+    assert blocks_crossed and fallbacks
+    with pytest.raises(ValueError):
+        bohr_mask(bg.make_group([8]), [], Fraction(-1, 8))
 
 
 def test_bohr_monotonicity():
