@@ -35,7 +35,7 @@ from .groups import (
     bounded_span,
     subgroup_generators,
 )
-from .lattices import _box_value_indices, _decode_box_positions, span_cover
+from .lattices import box_preimages, span_cover
 from .progressions import CosetProgression
 
 _INT64_GUARD = 1 << 62
@@ -364,58 +364,28 @@ def large_spectrum_certify(
     eta: Fraction,
     epsilon: Fraction,
     chi: Character,
-    *,
-    box_cap: int = 1 << 24,
 ) -> Optional[tuple[int, ...]]:
     """Representation chi = sum a_i gamma_i with |a_i| <= K, or None.
 
-    The search over the coefficient box is exhaustive (meet in the middle),
-    so under the large-coefficient hypothesis of the certification theorem
-    a representation is always found.
+    ``lattices.box_preimages`` decides exactly whether the coefficient box
+    holds a representation, so under the large-coefficient hypothesis of
+    the certification theorem one is always found.  The lexicographically
+    smallest one is returned, each coefficient canonicalized to its
+    balanced residue.
     """
     freqs = _dedupe(frequencies)
     k = len(freqs)
     dual = group.dual
     if chi.group is not dual:
         raise GroupMismatchError("chi must live in the dual group")
-    if k == 0:
-        return () if chi.is_zero else None
     cutoff = spectrum_cutoff(k, eta, epsilon)
-    width = 2 * cutoff + 1
-    half = k // 2 if width**k > box_cap else k
-    if half == 0:
-        half = k
-    left, right = freqs[:half], freqs[half:]
-    if width ** max(half, k - half) > box_cap:
-        raise PreconditionError("spectrum certification box exceeds ceiling")
-    left_vals = _box_value_indices(dual, list(left), cutoff)
-    first_pos = np.full(dual.order, -1, dtype=np.int64)
-    first_pos[left_vals[::-1]] = np.arange(left_vals.size - 1, -1, -1, dtype=np.int64)
-    if right:
-        right_vals = _box_value_indices(dual, list(right), cutoff)
-        # need left + right = chi  =>  left = chi - right
-        targets = dual.add_indices(
-            np.full(right_vals.size, chi.index, dtype=np.int64),
-            dual.negation_permutation[right_vals],
-        )
-        found = first_pos[targets]
-        hits = np.flatnonzero(found >= 0)
-        if hits.size == 0:
-            return None
-        rpos = int(hits[0])
-        lpos = int(found[rpos])
-        lcoef = _decode_box_positions(np.asarray([lpos]), len(left), cutoff)[0]
-        rcoef = _decode_box_positions(np.asarray([rpos]), len(right), cutoff)[0]
-        raw = [int(v) for v in np.concatenate([lcoef, rcoef])]
-    else:
-        pos = int(first_pos[chi.index])
-        if pos < 0:
-            return None
-        raw = [int(v) for v in _decode_box_positions(np.asarray([pos]), k, cutoff)[0]]
+    which, vecs = box_preimages(dual, freqs, cutoff, np.asarray([chi.index]), first=True)
+    if which.size == 0:
+        return None
     # canonicalize each coefficient to the balanced residue mod the
     # character order; the combination is unchanged and stays in the box
     out = []
-    for a, gamma in zip(raw, freqs):
+    for a, gamma in zip(vecs[0].tolist(), freqs):
         ordg = gamma.order
         bal = ((a + ordg // 2) % ordg) - ordg // 2
         out.append(bal if abs(bal) <= cutoff else a)

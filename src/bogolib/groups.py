@@ -31,6 +31,8 @@ from .errors import (
 )
 
 DEFAULT_CEILING = 1 << 24
+SPAN_MAX_STEPS = 1 << 22
+BASIS_MAX_STEPS = 1 << 28
 
 
 def group_order_ceiling() -> int:
@@ -452,8 +454,6 @@ def bounded_span(
     group: FiniteAbelianGroup,
     elements: Sequence[GroupElement],
     radius: int,
-    *,
-    max_steps: int = 1 << 22,
 ) -> GroupSubset:
     """All combinations ``sum lambda_i g_i`` with ``|lambda_i| <= radius``.
 
@@ -465,7 +465,7 @@ def bounded_span(
     for g in elements:
         if g.group is not group:
             raise GroupMismatchError("span generator from a different group")
-    if len(elements) * (2 * radius + 1) > max_steps:
+    if len(elements) * (2 * radius + 1) > SPAN_MAX_STEPS:
         raise FeasibilityError("bounded_span enumeration exceeds feasibility ceiling")
     acc = GroupSubset.from_indices(group, [0])
     for g in elements:
@@ -476,8 +476,6 @@ def bounded_span(
 def is_basis(
     group: FiniteAbelianGroup,
     elements: Sequence[GroupElement],
-    *,
-    max_steps: int = 1 << 28,
 ) -> bool:
     """Basis test: order product equals |G| and the coefficient box injects.
 
@@ -491,7 +489,7 @@ def is_basis(
     orders = [g.order for g in elements]
     if math.prod(orders) != group.order:
         return False
-    if sum(orders) * group.order > max_steps:
+    if sum(orders) * group.order > BASIS_MAX_STEPS:
         raise FeasibilityError("basis check exceeds the enumeration ceiling")
     acc = GroupSubset.from_indices(group, [0])
     for g, n in zip(elements, orders):

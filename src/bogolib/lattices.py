@@ -1,7 +1,11 @@
-"""Integer-lattice machinery: annihilator boxes, spans, bounded coefficients.
+"""Integer-lattice machinery: coefficient boxes, spans, bounded coefficients.
 
-All arithmetic is over arbitrary-precision integers; coefficient bounds
-grow like ``k! K^k`` so no modular shortcuts are taken anywhere.
+Every question about the coefficient box ``[-R, R]^k`` -- which vectors
+``a`` give ``sum a_i s_i = t`` -- goes through :func:`box_preimages`, which
+reads the answer off suffix-reachability masks in the group instead of
+enumerating the box.  On the lattice side all arithmetic is over
+arbitrary-precision integers; coefficient bounds grow like ``k! K^k`` so no
+modular shortcuts are taken there.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ import numpy as np
 
 from . import intmat
 from .errors import FeasibilityError, PreconditionError, TheoremViolationError
-from .groups import FiniteAbelianGroup, GroupElement
+from .groups import FiniteAbelianGroup, GroupElement, GroupSubset, fold_multiples
 
-DEFAULT_BOX_CAP = 1 << 24
+MAX_BOX_CANDIDATES = 1 << 24
 
 
 def _plog(x: float) -> float:
@@ -40,18 +44,65 @@ class IntegerLattice:
         return IntegerLattice(self.dimension, self.rows + (tuple(int(v) for v in vec),))
 
 
-def annihilator_points(
+def box_preimages(
+    group: FiniteAbelianGroup,
     elements: Sequence[GroupElement],
     radius: int,
+    targets: np.ndarray,
     *,
-    box_cap: int = DEFAULT_BOX_CAP,
-) -> np.ndarray:
+    first: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors ``a in [-radius, radius]^k`` with ``sum a_i s_i = t``, per target.
+
+    ``reach[i]`` is the mask of the suffix sums ``sum_{j >= i} a_j s_j`` over
+    the box, ``reach[k] = {0}``, each one ``fold_multiples`` of the next.
+    The search walks the elements in order and keeps a coefficient ``c``
+    only when the remainder ``t - c s_i`` lies in ``reach[i + 1]``, so no
+    partial vector is a dead end.  Returns ``(which, vecs)``: row ``j`` of
+    the ``(n, k)`` int64 array ``vecs`` maps onto ``targets[which[j]]``;
+    rows are grouped by target in the given order and lexicographic within
+    a target.  With ``first`` only the lexicographically smallest vector of
+    each target is kept; its coefficient at each step is the first valid one
+    of ``-radius, -radius + 1, ...``, searched over one period
+    ``min(2 radius + 1, ord s_i)`` since ``c`` and ``c + ord s_i`` leave the
+    same remainder.  Targets with no vector have no row.
+
+    Raises FeasibilityError when a step would test more than
+    ``MAX_BOX_CANDIDATES`` (partial vector, coefficient) pairs; every output
+    row extends one such pair, so this also bounds the output.
+    """
+    acc = GroupSubset.from_indices(group, [0])
+    reach = [acc.mask]
+    for s in reversed(elements):
+        acc = fold_multiples(acc, s, -radius, radius)
+        reach.append(acc.mask)
+    reach.reverse()
+    targets = np.asarray(targets, dtype=np.int64)
+    which = np.flatnonzero(reach[0][targets])
+    rem = targets[which]
+    vecs = np.zeros((which.size, len(elements)), dtype=np.int64)
+    for i, s in enumerate(elements):
+        width = min(2 * radius + 1, s.order) if first else 2 * radius + 1
+        if rem.size * width > MAX_BOX_CANDIDATES:
+            raise FeasibilityError("coefficient-box search exceeds feasibility ceiling")
+        coeffs = np.arange(-radius, width - radius, dtype=np.int64)
+        steps = group.index_of_coords(-coeffs[:, None] * np.asarray(s.coords, dtype=np.int64))
+        nxt = group.add_indices(rem[:, None], steps[None, :])
+        ok = reach[i + 1][nxt]
+        if first:
+            ok &= np.cumsum(ok, axis=1) == 1
+        rows, cols = np.nonzero(ok)
+        which, rem, vecs = which[rows], nxt[rows, cols], vecs[rows]
+        vecs[:, i] = coeffs[cols]
+    return which, vecs
+
+
+def annihilator_points(elements: Sequence[GroupElement], radius: int) -> np.ndarray:
     """Box points of the annihilator lattice of ``(s_1, ..., s_k)``.
 
     Returns an ``(n, k)`` int64 array of all ``lambda in [-radius, radius]^k``
-    with ``sum lambda_i s_i = 0``, in lexicographic order.  Enumerates
-    directly when the box fits under ``box_cap``, otherwise splits
-    meet-in-the-middle.
+    with ``sum lambda_i s_i = 0``, in lexicographic order: the solutions of
+    :func:`box_preimages` for the target 0.
     """
     k = len(elements)
     if k == 0:
@@ -60,65 +111,7 @@ def annihilator_points(
     for s in elements:
         if s.group is not group:
             raise PreconditionError("annihilator elements from different groups")
-    width = 2 * radius + 1
-    if width**k <= box_cap:
-        total = _box_value_indices(group, elements, radius)
-        hits = np.flatnonzero(total == 0)
-        return _decode_box_positions(hits, k, radius)
-    if width ** ((k + 1) // 2) > box_cap:
-        raise FeasibilityError("annihilator box exceeds feasibility ceiling")
-    left, right = elements[: k // 2], elements[k // 2 :]
-    left_vals = _box_value_indices(group, left, radius)
-    right_vals = _box_value_indices(group, right, radius)
-    buckets: dict[int, list[int]] = {}
-    for pos, val in enumerate(right_vals):
-        buckets.setdefault(int(val), []).append(pos)
-    neg = group.negation_permutation
-    out = []
-    for lpos, lval in enumerate(left_vals):
-        for rpos in buckets.get(int(neg[lval]), ()):
-            out.append((lpos, rpos))
-            if len(out) > box_cap:
-                raise FeasibilityError("annihilator point set exceeds ceiling")
-    left_dec = _decode_box_positions(
-        np.asarray([p for p, _ in out], dtype=np.int64), len(left), radius
-    )
-    right_dec = _decode_box_positions(
-        np.asarray([q for _, q in out], dtype=np.int64), len(right), radius
-    )
-    pts = np.hstack([left_dec, right_dec]) if out else np.zeros((0, k), dtype=np.int64)
-    order = np.lexsort(pts.T[::-1])
-    return pts[order]
-
-
-def _box_value_indices(
-    group: FiniteAbelianGroup, elements: Sequence[GroupElement], radius: int
-) -> np.ndarray:
-    """Group index of ``sum a_i s_i`` over the whole box, lex order.
-
-    Coordinates are carried through the fold and encoded once at the end;
-    this avoids large gathers on the per-element index tables.
-    """
-    moduli = np.asarray(group.moduli, dtype=np.int64)
-    coords = np.zeros((1, group.rank), dtype=np.int64)
-    coeffs = np.arange(-radius, radius + 1, dtype=np.int64)
-    for s in elements:
-        per = (coeffs[:, None] * np.asarray(s.coords, dtype=np.int64)[None, :]) % moduli
-        coords = (coords[:, None, :] + per[None, :, :]).reshape(-1, group.rank)
-        if coords.shape[0] > (1 << 20):
-            coords %= moduli
-    coords %= moduli
-    return coords @ np.asarray(group._radix, dtype=np.int64)
-
-
-def _decode_box_positions(pos: np.ndarray, k: int, radius: int) -> np.ndarray:
-    width = 2 * radius + 1
-    out = np.zeros((pos.size, k), dtype=np.int64)
-    rem = pos.astype(np.int64)
-    for i in range(k - 1, -1, -1):
-        rem, digit = np.divmod(rem, width)
-        out[:, i] = digit - radius
-    return out
+    return box_preimages(group, elements, radius, np.zeros(1), first=False)[1]
 
 
 def in_z_span(vec: Sequence[int], generators: Sequence[Sequence[int]]) -> bool:
@@ -252,36 +245,26 @@ def span_cover(
     members: Sequence[GroupElement],
     ambient: Sequence[GroupElement],
     radius: int,
-    *,
-    box_cap: int = DEFAULT_BOX_CAP,
 ) -> SpanCover:
     """Cover a subset ``B`` of ``<a_1..a_k>_R`` by bounded combinations of
     its own elements.
 
     Preimages in ``[-R, R]^k`` are the lexicographically smallest vectors
-    mapping onto each member; the greedy loop adjoins any member whose
+    mapping onto each member, found for all members in one
+    :func:`box_preimages` call; the greedy loop adjoins any member whose
     preimage leaves the current Z-span, smallest element index first.
     """
     if not members:
         raise PreconditionError("members must be nonempty")
     k = len(ambient)
-    width = 2 * radius + 1
-    if width**k > box_cap:
-        raise FeasibilityError("span preimage box exceeds feasibility ceiling")
-    vals = _box_value_indices(group, ambient, radius)
-    first_pos = np.full(group.order, -1, dtype=np.int64)
-    first_pos[vals[::-1]] = np.arange(vals.size - 1, -1, -1, dtype=np.int64)
     ordered = sorted(members, key=lambda e: e.index)
-    preimages: dict[int, list[int]] = {}
-    for b in ordered:
-        pos = int(first_pos[b.index])
-        if pos < 0:
-            raise PreconditionError(
-                "member outside the bounded span of the ambient tuple"
-            )
-        preimages[b.index] = _decode_box_positions(
-            np.asarray([pos], dtype=np.int64), k, radius
-        )[0].tolist()
+    targets = np.asarray([b.index for b in ordered], dtype=np.int64)
+    which, vecs = box_preimages(group, ambient, radius, targets, first=True)
+    if which.size < targets.size:
+        raise PreconditionError(
+            "member outside the bounded span of the ambient tuple"
+        )
+    preimages = dict(zip(targets.tolist(), vecs.tolist()))
     chosen: list[GroupElement] = []
     chosen_vecs: list[list[int]] = []
     hermite: intmat.Matrix = []  # Hermite form of chosen_vecs

@@ -445,3 +445,14 @@ def test_bohr_in_progression_examples():
     assert b.enumerate().size < c.size
     full = bohr_in_progression(CosetProgression.whole_group(g64))
     assert full.enumerate().size == 64
+
+
+def test_bohr_in_progression_large_spectrum():
+    # more than frequency_cap frequencies: the span-cover branch runs on a
+    # coefficient box of 3^k points with k far past any enumerable size
+    g = bg.make_group([16, 16])
+    c = CosetProgression.symmetric(g, [(g.element([1, 0]), 4), (g.element([0, 1]), 4)])
+    b = bohr_in_progression(c)
+    assert len(b.frequencies) > g.rank  # the cover, not a pinning fallback
+    assert 0 in b.enumerate()
+    assert b.enumerate().is_subset_of(c.enumerate())

@@ -2,15 +2,19 @@
 
 import itertools
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import bogolib as bg
 from bogolib import intmat
+from bogolib.bohr import large_spectrum_certify, spectrum_cutoff
 from bogolib.errors import PreconditionError
 from bogolib.lattices import (
     IntegerLattice,
     annihilator_points,
+    box_preimages,
     bounded_representation,
     chain_monitor,
     in_z_span,
@@ -61,6 +65,87 @@ def test_annihilator_matches_bruteforce():
             if (a * elems[0] + b * elems[1]).is_zero:
                 expect.add((a, b))
     assert pts == expect
+
+
+def _box_oracle(g, elems, radius):
+    """Every box vector in lex order (``itertools.product``) and the group
+    index of its combination."""
+    k = len(elems)
+    vecs = np.asarray(
+        list(itertools.product(range(-radius, radius + 1), repeat=k)), dtype=np.int64
+    ).reshape((2 * radius + 1) ** k, k)
+    coords = np.asarray([e.coords for e in elems], dtype=np.int64).reshape(k, g.rank)
+    return vecs, g.index_of_coords(vecs @ coords)
+
+
+_ORACLE_MODULI = [[1], [2], [3], [5], [7], [12], [29], [2, 2], [2, 6], [3, 3], [2, 3, 4]]
+
+
+def _oracle_cases(seed, count):
+    """Seeded (group, elements, radius) with k = 0..4, radius 0 and radius at
+    least the element orders, and zero elements; boxes of at most 13^3."""
+    rng = derive_rng(seed)
+    for case in range(count):
+        g = bg.make_group(_ORACLE_MODULI[case % len(_ORACLE_MODULI)])
+        k = case % 5
+        radius = [0, 1, 2, 3, 6][int(rng.integers(0, 5 if k <= 3 else 3))]
+        elems = [g.element_from_index(int(rng.integers(0, g.order))) for _ in range(k)]
+        if k and case % 3 == 0:
+            elems[int(rng.integers(0, k))] = g.zero
+        yield g, elems, radius
+
+
+def test_box_search_matches_product_oracle():
+    big_radius = 0
+    for g, elems, radius in _oracle_cases(71, 220):
+        vecs, sums = _box_oracle(g, elems, radius)
+        big_radius += any(1 < e.order <= radius for e in elems)
+        if elems:
+            assert annihilator_points(elems, radius).tolist() == vecs[sums == 0].tolist()
+        # every target at once: grouped by target, lex order within one
+        which, got = box_preimages(g, elems, radius, np.arange(g.order), first=False)
+        order = np.argsort(sums, kind="stable")
+        assert which.tolist() == sums[order].tolist()
+        assert got.tolist() == vecs[order].tolist()
+        # lex-smallest preimage of every group element, or none on both sides
+        which, got = box_preimages(g, elems, radius, np.arange(g.order), first=True)
+        assert dict(zip(which.tolist(), got.tolist())) == _lex_preimages(g, elems, radius)
+    assert big_radius >= 25, big_radius
+
+
+def test_large_spectrum_certify_matches_product_oracle():
+    rng = derive_rng(73)
+    eta, rho = Fraction(1), Fraction(0)
+    found = missing = 0
+    for case in range(90):
+        g = bg.make_group(_ORACLE_MODULI[case % len(_ORACLE_MODULI)])
+        k = case % 4
+        freqs = [g.dual.element_from_index(int(rng.integers(0, g.order))) for _ in range(k)]
+        if k > 1 and case % 3 == 0:
+            freqs[1] = freqs[0]  # a repeat, deduplicated by the certifier
+        if k and case % 5 == 0:
+            freqs[0] = g.dual.zero
+        distinct = list(dict.fromkeys(freqs))
+        # eta * eps = 22 k / K pins the cutoff K in 1..3
+        want_cutoff = int(rng.integers(1, 4))
+        eps = Fraction(22 * len(distinct), want_cutoff) if distinct else Fraction(1)
+        cutoff = spectrum_cutoff(len(distinct), eta, eps)
+        assert cutoff == (want_cutoff if distinct else 0)
+        vecs, sums = _box_oracle(g.dual, distinct, cutoff)
+        for chi in g.dual.elements():
+            rep = large_spectrum_certify(g, freqs, rho, eta, eps, chi)
+            if not np.any(sums == chi.index):
+                assert rep is None
+                missing += 1
+                continue
+            assert rep is not None and len(rep) == len(distinct)
+            assert max(map(abs, rep), default=0) <= cutoff
+            combo = g.dual.zero
+            for a, gamma in zip(rep, distinct):
+                combo = combo + a * gamma
+            assert combo == chi
+            found += 1
+    assert found >= 250 and missing >= 250, (found, missing)
 
 
 def test_in_z_span_examples():
@@ -172,12 +257,10 @@ def test_span_cover_full_span():
 
 def _lex_preimages(g, ambient, radius):
     """Element index -> lexicographically smallest box vector onto it."""
+    vecs, sums = _box_oracle(g, ambient, radius)
     first = {}
-    for lam in itertools.product(range(-radius, radius + 1), repeat=len(ambient)):
-        x = g.zero
-        for c, a in zip(lam, ambient):
-            x = x + c * a
-        first.setdefault(x.index, list(lam))
+    for t, v in zip(sums.tolist(), vecs.tolist()):
+        first.setdefault(t, v)
     return first
 
 
