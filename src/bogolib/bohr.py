@@ -215,9 +215,11 @@ def weak_regular_radius_search(
     d(x) = max_gamma min(n(x), e - n(x)), where gamma(x) = n(x)/e, the point
     x lies in B(r) iff d(x) <= r e iff d(x) <= floor(r e), so |B(r)| is the
     cumulative count of d up to floor(r e) and the annulus is
-    |B(rho + eta)| - |B(rho)|.  The grid is walked in integers over a common
-    denominator, so floor(r e) and the closed boundary stay exact.
-    ``is_weakly_regular`` decides the same condition by enumeration.
+    |B(rho + eta)| - |B(rho)|.  The grid is scored a block at a time in
+    integers over a common denominator, so floor(r e) and the closed
+    boundary stay exact: in int64 while the scaled values stay below 2^62,
+    in Python integers beyond.  ``is_weakly_regular`` decides the same
+    condition by enumeration.
     """
     rho_lo, rho_hi = Fraction(rho_lo), Fraction(rho_hi)
     eta, epsilon = Fraction(eta), Fraction(epsilon)
@@ -227,25 +229,35 @@ def weak_regular_radius_search(
     step = (rho_hi - rho_lo) / steps
     if min(rho_lo, rho_lo + eta) < 0:
         raise ValueError("radius must be nonnegative")
+    if any(chi.group is not group.dual for chi in frequencies):
+        raise GroupMismatchError("character does not belong to this group's dual")
     e = group.exponent
+    chars = np.asarray([chi.index for chi in frequencies], dtype=np.int64)
     dist = np.zeros(group.order, dtype=np.int64)
-    for chi in frequencies:
-        n = group.char_numerators(chi)
-        dist = np.maximum(dist, np.minimum(n, e - n))
+    block = max(1, _MASK_BLOCK // group.order)
+    for start in range(0, chars.size, block):
+        n = group.char_numerators(chars[start : start + block], group.dual)
+        dist = np.maximum(dist, np.minimum(n, e - n).max(axis=0))
     cum = np.cumsum(np.bincount(dist, minlength=e // 2 + 1))
     den = math.lcm(rho_lo.denominator, step.denominator, eta.denominator)
-    lo, dj, width = (int(v * den) for v in (rho_lo, step, eta))
+    lo, dj, width = (v.numerator * (den // v.denominator) for v in (rho_lo, step, eta))
+    num_eps, den_eps = epsilon.numerator, epsilon.denominator
+    top = max(den, lo + steps * dj + max(width, 0)) * e
+    wide = top >= _INT64_GUARD or max(abs(num_eps), den_eps) * group.order >= _INT64_GUARD
+    dtype = object if wide else np.int64
 
-    def size(scaled: int) -> int:
-        # |B(scaled / den)|
-        return int(cum[min(scaled * e // den, e // 2)])
+    def size(scaled: np.ndarray) -> np.ndarray:
+        # |B(scaled / den)| for each entry
+        return cum[np.minimum(scaled * e // den, e // 2).astype(np.int64)]
 
-    limit = epsilon * group.order
-    for j in range(steps + 1):
+    for start in range(0, steps + 1, _MASK_BLOCK):
+        j = np.arange(start, min(start + _MASK_BLOCK, steps + 1)).astype(dtype)
         inner = lo + j * dj
         # the annulus is empty when eta < 0
-        if max(0, size(inner + width) - size(inner)) <= limit:
-            return rho_lo + j * step
+        ann = np.maximum(0, size(inner + width) - size(inner)).astype(dtype)
+        hits = np.flatnonzero(ann * den_eps <= num_eps * group.order)
+        if hits.size:
+            return rho_lo + (start + int(hits[0])) * step
     raise NoWeaklyRegularRadiusError(
         "no weakly regular radius on grid; retry with a finer grid"
     )

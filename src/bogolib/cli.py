@@ -141,7 +141,9 @@ def render_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; parsing reads the parser and leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bogolib",
         description="Verification suites and difference-set containment "

@@ -29,10 +29,10 @@ from .errors import (
     GroupSpecSyntaxError,
     GroupTooLargeError,
 )
+from .intmat import row_hermite
 
 DEFAULT_CEILING = 1 << 24
 SPAN_MAX_STEPS = 1 << 22
-BASIS_MAX_STEPS = 1 << 28
 
 
 def group_order_ceiling() -> int:
@@ -139,9 +139,6 @@ class FiniteAbelianGroup:
     def tensor_shape(self) -> tuple[int, ...]:
         # C-order flattening of this shape reproduces the index encoding
         return tuple(reversed(self.moduli))
-
-    def _roll_shifts(self, coords: Sequence[int]) -> tuple[int, ...]:
-        return tuple(reversed([int(c) for c in coords]))
 
     def char_numerators(
         self, chi: "GroupElement | np.ndarray", group: "Optional[FiniteAbelianGroup]" = None
@@ -351,10 +348,16 @@ class GroupSubset:
     def translate(self, x: GroupElement) -> "GroupSubset":
         if x.group is not self.group:
             raise GroupMismatchError("translation element from a different group")
+        # coordinate i is tensor axis rank - 1 - i; shifting an axis by c
+        # moves its last c slices to the front, one slice copy per axis
         t = self.mask.reshape(self.group.tensor_shape)
-        shifts = self.group._roll_shifts(x.coords)
-        rolled = np.roll(t, shift=shifts, axis=tuple(range(len(shifts))))
-        return GroupSubset(self.group, rolled.reshape(-1))
+        for axis, c in enumerate(reversed(x.coords)):
+            if c:
+                head = (slice(None),) * axis
+                t = np.concatenate(
+                    (t[head + (slice(-c, None),)], t[head + (slice(None, -c),)]), axis=axis
+                )
+        return GroupSubset(self.group, t.reshape(-1))
 
     def negate(self) -> "GroupSubset":
         return GroupSubset(self.group, self.mask[self.group.negation_permutation])
@@ -477,24 +480,24 @@ def is_basis(
     group: FiniteAbelianGroup,
     elements: Sequence[GroupElement],
 ) -> bool:
-    """Basis test: order product equals |G| and the coefficient box injects.
+    """Basis test: order product equals |G| and the elements generate G.
 
-    With ``n_i`` the element orders, injectivity of ``lambda -> sum lambda_i x_i``
-    on ``prod [0, n_i)`` together with ``prod n_i == |G|`` is equivalent to the
-    divisibility definition of a basis.
+    With ``n_i`` the element orders, ``lambda -> sum lambda_i x_i`` maps
+    ``prod Z/n_i`` onto the subgroup the elements generate; when
+    ``prod n_i == |G|`` it is a bijection, i.e. the elements form a basis,
+    exactly when they generate G.  That holds when the rows ``x_i`` and
+    ``q_j e_j`` span Z^d, i.e. when their Hermite form is the identity.
     """
     for g in elements:
         if g.group is not group:
             raise GroupMismatchError("basis candidate from a different group")
-    orders = [g.order for g in elements]
-    if math.prod(orders) != group.order:
+    if math.prod(g.order for g in elements) != group.order:
         return False
-    if sum(orders) * group.order > BASIS_MAX_STEPS:
-        raise FeasibilityError("basis check exceeds the enumeration ceiling")
-    acc = GroupSubset.from_indices(group, [0])
-    for g, n in zip(elements, orders):
-        acc = fold_multiples(acc, g, 0, n - 1)
-    return acc.size == group.order
+    d = group.rank
+    rows = [list(g.coords) for g in elements]
+    rows += [[q if j == i else 0 for j in range(d)] for i, q in enumerate(group.moduli)]
+    hermite, _ = row_hermite(rows)
+    return hermite == [[int(i == j) for j in range(d)] for i in range(d)]
 
 
 def invariant_factors(

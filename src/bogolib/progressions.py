@@ -38,6 +38,8 @@ from .groups import (
 )
 from .rng import derive_rng
 
+_GROW_BLOCK = 1 << 18  # index-row entries per block of growth candidates
+
 
 class Arm(NamedTuple):
     generator: GroupElement
@@ -763,6 +765,12 @@ def grow_progression_inside(
     OR-ing ``inner + half v`` and ``inner - half v`` into the mask, where
     ``inner`` is the progression before the arm; since ``inner`` is proper,
     the extension is proper exactly when its size is ``(2 half + 1) |inner|``.
+
+    The first step is scored for a block of candidates at once, through
+    the index rows ``y - v`` and ``y + v``; the first candidate that passes
+    grows its arm by composing its two rows, and the scan resumes after it.
+    A candidate rejected against ``inner`` stays rejected against any
+    larger ``inner``, so this is the one-candidate-at-a-time greedy.
     """
     group = allowed.group
     if 0 not in allowed:
@@ -777,26 +785,43 @@ def grow_progression_inside(
         if candidate_order is not None
         else [int(i) for i in allowed.indices()]
     )
+    cands = np.asarray(order[:candidate_cap], dtype=np.int64)
+    if np.any((cands < 0) | (cands >= group.order)):
+        raise ValueError("element index out of range")
+    cands = cands[cands != 0]
+    outside = ~allowed.mask
+    ys = np.arange(group.order, dtype=np.int64)
     arms: list[Arm] = []
-    inner, inner_size = sub, sub.size
-    for raw in order[:candidate_cap]:
+    inner, inner_size = sub.mask, sub.size
+    block = max(1, _GROW_BLOCK // group.order)
+    for start in range(0, cands.size, block):
         if len(arms) >= rank_cap:
             break
-        v = group.element_from_index(raw)
-        if v.is_zero:
-            continue
-        grown = inner
-        half = 1
-        while half <= v.order // 2 + 1:
-            trial = grown | inner.translate(half * v) | inner.translate(-half * v)
-            if trial.size == (2 * half + 1) * inner_size and trial.is_subset_of(allowed):
-                grown = trial
-                half += 1
-            else:
+        chunk = cands[start : start + block]
+        minus = group.add_indices(ys, group.negation_permutation[chunk][:, None])
+        plus = group.add_indices(ys, chunk[:, None])
+        i = 0
+        while i < chunk.size and len(arms) < rank_cap:
+            trial = inner | inner[minus[i:]] | inner[plus[i:]]
+            ok = (trial.sum(axis=1) == 3 * inner_size) & ~(trial & outside).any(axis=1)
+            hits = np.flatnonzero(ok)
+            if not hits.size:
                 break
-        if half > 1:
+            i += int(hits[0])
+            v = group.element_from_index(int(chunk[i]))
+            grown, back, fwd = trial[hits[0]], minus[i], plus[i]
+            half = 2
+            while half <= v.order // 2 + 1:
+                back, fwd = back[minus[i]], fwd[plus[i]]
+                ext = grown | inner[back] | inner[fwd]
+                if ext.sum() == (2 * half + 1) * inner_size and not (ext & outside).any():
+                    grown = ext
+                    half += 1
+                else:
+                    break
             arms.append(Arm(v, -(half - 1), half - 1))
-            inner, inner_size = grown, grown.size
+            inner, inner_size = grown, (2 * half - 1) * inner_size
+            i += 1
     return CosetProgression._derived(group, group.zero, tuple(arms), sub)
 
 

@@ -293,6 +293,56 @@ def test_weak_regular_search_matches_grid_oracle():
         found += 1
         boundary += (got * e).denominator == 1
     assert raised >= 20 and found >= 100 and boundary >= 50, (raised, found, boundary)
+    # past 2^62 the grid is scored in Python integers: an offset of 1/3^40
+    # on rho, eta or epsilon tips floor(r e) or the epsilon |G| boundary
+    tiny = Fraction(1, 3**40)
+    wide = found = raised = tipped = 0
+    for case in range(120):
+        g = bg.make_group(moduli_pool[case % len(moduli_pool)])
+        e = g.exponent
+        k = int(rng.integers(1, 4))
+        freqs = [
+            g.dual.element_from_index(int(rng.integers(0, g.order)))
+            for _ in range(k)
+        ]
+        sign = 1 if rng.random() < 0.5 else -1
+        eps = Fraction(1, int(rng.integers(2, 9)))
+        steps = math.ceil(2 / eps)
+        rho_lo = Fraction(int(rng.integers(1, e // 4 + 2)), e)
+        rho_hi = rho_lo + Fraction(steps * int(rng.integers(1, 3)), e)
+        eta = Fraction(int(rng.integers(1, e // 3 + 2)), e)
+        kind = case % 3
+        if kind == 2:
+            eps = Fraction(int(rng.integers(1, 6)), g.order)
+        plain = _grid_search_oracle(g, freqs, rho_lo, rho_hi, eta, eps)
+        if kind == 0:
+            eta += sign * tiny
+        elif kind == 1:
+            rho_lo, rho_hi = rho_lo + sign * tiny, rho_hi + sign * tiny
+        else:
+            eps += sign * tiny
+        step = (rho_hi - rho_lo) / math.ceil(2 / eps)
+        den = math.lcm(rho_lo.denominator, step.denominator, eta.denominator)
+        wide += den * e >= 1 << 62 or eps.denominator * g.order >= 1 << 62
+        expected = _grid_search_oracle(g, freqs, rho_lo, rho_hi, eta, eps)
+        # the offset moved the answer to another grid point, or to none
+        tipped += (expected is None) != (plain is None) or (
+            expected is not None and expected - plain not in (0, sign * tiny)
+        )
+        if expected is None:
+            with pytest.raises(NoWeaklyRegularRadiusError):
+                weak_regular_radius_search(g, freqs, rho_lo, rho_hi, eta, eps)
+            raised += 1
+            continue
+        got = weak_regular_radius_search(g, freqs, rho_lo, rho_hi, eta, eps)
+        assert got == expected, (g, freqs, rho_lo, rho_hi, eta, eps)
+        found += 1
+    assert wide == 120 and raised >= 8 and found >= 80 and tipped >= 20, (
+        wide,
+        raised,
+        found,
+        tipped,
+    )
 
 
 def _box_oracle(g, freqs, rho, eta, eps):

@@ -97,6 +97,27 @@ def test_ceiling_applies_to_one_run(tmp_path, monkeypatch):
     assert cli.main([*large, "--ceiling", "16"]) == 1
 
 
+def test_in_process_calls_do_not_leak(tmp_path, capsys):
+    # the parser is built once per process; no call may see the previous one
+    out = tmp_path / "run.json"
+    base = ["--group-g", "Z8", "--group-h", "Z8", "--delta", "0.5", "--out", str(out)]
+    assert cli.main([*base, "--word", "hv", "--seed", "3"]) == 0
+    first = json.loads(out.read_text())
+    assert first["word"] == "hv" and first["seed"] == 3
+    assert cli.main(base) == 0
+    second = json.loads(out.read_text())
+    assert second["word"] == cli.DEFAULT_WORD and second["seed"] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--group-g", "Z8", "--delta", "0.5"])
+    assert exc.value.code == 2
+    assert cli.main(base) == 0
+    third = json.loads(out.read_text())
+    for report in (second, third):
+        report.pop("elapsed_ms")
+    assert third == second
+    capsys.readouterr()
+
+
 def test_single_letter_words(tmp_path, capsys):
     out = tmp_path / "run.json"
     args = ["--group-g", "Z16", "--group-h", "Z16", "--delta", "0.05", "--out", str(out)]

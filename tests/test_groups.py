@@ -185,6 +185,96 @@ def test_is_basis_examples():
     assert bg.is_basis(g22, [g22.element([1, 0]), g22.element([1, 1])])
 
 
+def _is_basis_by_fold(group, elements):
+    """The basis test as the injectivity of the coefficient box."""
+    for g in elements:
+        if g.group is not group:
+            raise bg.GroupMismatchError("basis candidate from a different group")
+    orders = [g.order for g in elements]
+    if np.prod([1] + orders) != group.order:
+        return False
+    acc = GroupSubset.from_indices(group, [0])
+    for g, n in zip(elements, orders):
+        acc = fold_multiples(acc, g, 0, n - 1)
+    return acc.size == group.order
+
+
+def test_is_basis_matches_fold_oracle():
+    from bogolib.progressions import change_basis
+
+    rng = derive_rng(83)
+    moduli_pool = [[4, 6], [2, 2, 8], [12, 18], [8, 4, 6], [9, 3], [2, 2], [1, 5], [64]]
+    moved = full_product_nonbasis = 0
+    for case in range(160):
+        g = bg.make_group(moduli_pool[case % len(moduli_pool)])
+        factors, basis = bg.invariant_factors(g)
+        if case % 2 == 0 and len(basis) >= 2:
+            # a basis moved by a few random basis changes
+            for _ in range(int(rng.integers(1, 5))):
+                i, j = (int(t) for t in rng.choice(len(basis), size=2, replace=False))
+                kind = "upper" if i < j else "lower"
+                basis = change_basis(g, basis, (kind, i, j, int(rng.integers(-3, 4))))
+            elements = basis
+            moved += 1
+        else:
+            # random tuples, kept to those whose order product is |G|
+            k = int(rng.integers(1, 4))
+            for _ in range(200):
+                elements = [g.element_from_index(int(rng.integers(0, g.order))) for _ in range(k)]
+                if np.prod([1] + [x.order for x in elements]) == g.order:
+                    break
+        want = _is_basis_by_fold(g, elements)
+        assert bg.is_basis(g, elements) == want, (g, [x.coords for x in elements])
+        full_product_nonbasis += (
+            not want and np.prod([1] + [x.order for x in elements]) == g.order
+        )
+    assert moved >= 60 and full_product_nonbasis >= 10, (moved, full_product_nonbasis)
+    # order product |G| without generating: the Hermite form is not the identity
+    for moduli, coords in [
+        ([2, 2], [(1, 0), (1, 0)]),
+        ([4, 2], [(1, 0), (2, 0)]),
+        ([6, 6], [(1, 1), (5, 5)]),
+        ([2, 2, 2], [(1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+    ]:
+        g = bg.make_group(moduli)
+        elements = [g.element(c) for c in coords]
+        assert not _is_basis_by_fold(g, elements) and not bg.is_basis(g, elements)
+    for moduli in ([1], [1, 1]):
+        trivial = bg.make_group(moduli)
+        assert bg.is_basis(trivial, []) and _is_basis_by_fold(trivial, [])
+        assert bg.is_basis(trivial, [trivial.zero]) and _is_basis_by_fold(trivial, [trivial.zero])
+    g, twin = bg.make_group([4, 6]), bg.make_group([4, 6])
+    with pytest.raises(bg.GroupMismatchError):
+        bg.is_basis(g, [g.element([1, 0]), twin.element([0, 1])])
+
+
+def test_translate_matches_roll():
+    rng = derive_rng(97)
+    moduli_pool = [[64], [4, 6, 5], [16, 16], [2, 3, 1, 5], [7, 1], [12, 2, 2, 3], [1]]
+    zero_axes = 0
+    for case in range(140):
+        g = bg.make_group(moduli_pool[case % len(moduli_pool)])
+        subset = GroupSubset(g, rng.random(g.order) < rng.uniform(0.05, 0.9))
+        coords = [int(rng.integers(0, q)) for q in g.moduli]
+        if case % 3 == 0:
+            coords = [0 if rng.random() < 0.5 else c for c in coords]
+        if case % 7 == 0:
+            coords = [0] * g.rank
+        x = g.element(coords)
+        zero_axes += any(c == 0 for c in x.coords) and not x.is_zero
+        # the old path: one multi-axis np.roll of the mask tensor
+        shifts = tuple(reversed(x.coords))
+        rolled = np.roll(
+            subset.mask.reshape(g.tensor_shape), shift=shifts, axis=tuple(range(g.rank))
+        ).reshape(-1)
+        got = subset.translate(x)
+        assert np.array_equal(got.mask, rolled), (g, x.coords)
+        assert (subset + x) == got and (subset - (-x)) == got
+    assert zero_axes >= 30, zero_axes
+    with pytest.raises(bg.GroupMismatchError):
+        GroupSubset.empty(bg.make_group([4])).translate(bg.make_group([4]).element([1]))
+
+
 def test_basis_reexpression_bijection():
     g = bg.make_group([4, 6])
     factors, basis = bg.invariant_factors(g)

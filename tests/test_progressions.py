@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bogolib as bg
+from bogolib import progressions
 from bogolib.bilinear import _grid_cells, _QState
 from bogolib.errors import GroupMismatchError, PreconditionError
 from bogolib.groups import GroupSubset, is_subgroup, subgroup_generated
@@ -334,10 +335,10 @@ def _random_allowed(rng, g):
     return GroupSubset(g, mask)
 
 
-def test_grow_progression_matches_trial_loop():
+def test_grow_progression_matches_trial_loop(monkeypatch):
     rng = derive_rng(61)
     moduli_pool = [[24], [4, 6], [2, 3, 5], [2, 2, 8], [9, 3], [64]]
-    grown_arms = long_arms = nontrivial_sub = 0
+    grown_arms = long_arms = nontrivial_sub = blocked = 0
     for case in range(180):
         g = bg.make_group(moduli_pool[case % len(moduli_pool)])
         allowed = _random_allowed(rng, g)
@@ -352,20 +353,31 @@ def test_grow_progression_matches_trial_loop():
             # any element, repeats allowed, 0 and points outside the set included
             kwargs["candidate_order"] = rng.integers(0, g.order, size=20).tolist()
             kwargs["candidate_cap"] = int(rng.integers(1, 21))
+        # blocks of 1-3 candidates in three cases of four, so accepted arms
+        # fall at every position inside a block and across its boundary
+        per_block = case % 4
+        if per_block:
+            monkeypatch.setattr(progressions, "_GROW_BLOCK", per_block * g.order)
         got = grow_progression_inside(allowed, **kwargs)
+        monkeypatch.undo()
         want = _grow_by_trials(allowed, **kwargs)
-        assert got.arms == want.arms, (g, kwargs)
+        assert got.arms == want.arms, (g, kwargs, per_block)
         assert got.subgroup == want.subgroup
         assert got.enumerate() == want.enumerate()
         assert got.is_proper() and got.enumerate().is_subset_of(allowed)
         grown_arms += len(got.arms)
         long_arms += sum(arm.hi >= 2 for arm in got.arms)
         nontrivial_sub += got.subgroup.size > 1
-    assert grown_arms >= 150 and long_arms >= 50 and nontrivial_sub >= 15, (
+        blocked += per_block > 0 and len(got.arms) >= 1
+    assert grown_arms >= 150 and long_arms >= 50 and nontrivial_sub >= 15 and blocked >= 80, (
         grown_arms,
         long_arms,
         nontrivial_sub,
+        blocked,
     )
+    g = bg.make_group([4, 6])
+    with pytest.raises(ValueError):
+        grow_progression_inside(GroupSubset.full(g), candidate_order=[1, g.order])
 
 
 def test_public_constructor_verifies_subgroup():
