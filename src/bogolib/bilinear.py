@@ -32,7 +32,7 @@ from .errors import (
     GroupMismatchError,
     PreconditionError,
 )
-from .fourier import bogolyubov_bohr_in_2A2A
+from .fourier import _bogolyubov_spectra
 from .groups import (
     Character,
     FiniteAbelianGroup,
@@ -609,6 +609,11 @@ def respected_quadruple_count(
     return int((counts.astype(np.int64) ** 2).sum())
 
 
+_FINDER_MIN_AGREE = 3  # the map finder's defaults, also used by linear_cover
+_FINDER_DIRECTIONS = 64
+_PAIR_TABLE = 1 << 20  # entries of each difference table linear_cover keeps
+
+
 @dataclass(frozen=True)
 class CoverResult:
     maps: tuple[FreimanMap, ...]
@@ -637,11 +642,18 @@ def linear_cover(
 
     The estimate keeps the samples whose z and w lie in Y, then those whose
     y + z and y + w do, and dedupes the quads (y+z, z, y+w, w) with one 1-D
-    ``np.unique`` on an int64 key.  In blocks of quads, it computes
-    U_a - U_b and U'_a - U'_b once for each pair (a, b) that occurs (batched
-    real-FFT sumsets, rounding checked by ``groups._exact_counts``), gathers
-    the left side from that table, and sums the two covered differences only
-    for quads whose left side is not inside either of them (both hold 0).
+    ``np.unique`` on an int64 key.  The rows U_a - U_b and U'_a - U'_b of
+    the pairs (a, b) that occur come from tables kept across rounds (batched
+    real-FFT sumsets, rounding checked by ``groups._exact_counts``): a
+    U_a - U_b row depends only on U, so it is computed the first round its
+    pair appears, and a U'_a - U'_b row is computed again only after a round
+    adds a map that covers a new value of U_a or U_b.  The two covered
+    differences are summed only for quads whose left side is not inside
+    either of them (both hold 0).  Each round's table f is one draw with an
+    array of bounds, the same stream as one draw per y.  The finder's line
+    table (``_line_table``) is built once for Y, the first round that fits;
+    each round fits its points from the table's columns (``_fit_lines``), as
+    ``exhaustive_hom_finder`` would with its default settings.
     """
     h = y_set.group
     y_idx = y_set.indices()
@@ -665,14 +677,42 @@ def linear_cover(
     neg = dual.negation_permutation
     u_neg = u[:, neg]  # u_neg[y] is -U_y
     rows_per_block = max(1, (1 << 18) // dual.order)
+    lines = None  # the finder's line table for Y, built on first use
+    sizes = u[y_idx].sum(axis=1)
+    starts = np.cumsum(sizes) - sizes
+    options = np.nonzero(u[y_idx])[1]  # U_y for each y of Y in turn, ascending
+    # per table: the sorted pair keys a |H| + b and their rows
+    kept = {
+        name: (np.zeros(0, dtype=np.int64), np.zeros((0, dual.order), dtype=bool))
+        for name in ("u", "covered")
+    }
 
     def sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return _exact_counts(_convolution_counts(dual, left, right)) > 0
 
+    def difference_rows(name: str, pairs: np.ndarray) -> np.ndarray:
+        """Row p: X_a - X_b for the sorted pair keys ``pairs`` (X = U or U'),
+        from the kept table where it has them; new rows join the table while
+        it stays within ``_PAIR_TABLE`` entries."""
+        keys, table = kept[name]
+        known = np.isin(pairs, keys, assume_unique=True)
+        rows = np.empty((pairs.size, dual.order), dtype=bool)
+        rows[known] = table[np.searchsorted(keys, pairs[known])]
+        todo = pairs[~known]
+        if todo.size:
+            a, b = np.divmod(todo, h.order)
+            left, right = (u, u_neg) if name == "u" else (covered, covered[:, neg])
+            rows[~known] = sums(left[a], right[b])
+            if (keys.size + todo.size) * dual.order <= _PAIR_TABLE:
+                keys = np.concatenate([keys, todo])
+                order = np.argsort(keys)
+                kept[name] = keys[order], np.concatenate([table, rows[~known]])[order]
+        return rows
+
     def condition_fraction(rng) -> float:
         ys, zs, ws = (rng.integers(0, h.order, size=samples) for _ in range(3))
-        keep = y_set.mask[zs] & y_set.mask[ws]
-        ys, zs, ws = ys[keep], zs[keep], ws[keep]
+        in_y = np.flatnonzero(y_set.mask[zs] & y_set.mask[ws])
+        ys, zs, ws = ys[in_y], zs[in_y], ws[in_y]
         yz, yw = h.add_indices(ys, zs), h.add_indices(ys, ws)
         keep = y_set.mask[yz] & y_set.mask[yw]
         # a sample's pairs (y+z, z) and (y+w, w) are keyed a |H| + b and
@@ -694,13 +734,13 @@ def linear_cover(
             ids, slot = np.unique(
                 np.concatenate([blk // pairs.size, blk % pairs.size]), return_inverse=True
             )
-            a, b = np.divmod(pairs[ids], h.order)
             left, right = slot[: blk.size], slot[blk.size :]
-            lhs = sums(u[a], u_neg[b])  # row p: U_a - U_b
-            cov = sums(covered[a], covered[b][:, neg])  # row p: U'_a - U'_b
+            cov = difference_rows("covered", pairs[ids])  # row p: U'_a - U'_b
             # both covered differences hold 0, so their sum holds each of them
-            # and only the rest of the left side needs the sumset
-            need = lhs[left] & lhs[right] & ~cov[left] & ~cov[right]
+            # and only the rest of the left side needs the sumset:
+            # (U_a - U_b) minus (U'_a - U'_b), on both sides
+            rest = difference_rows("u", pairs[ids]) & ~cov
+            need = rest[left] & rest[right]
             open_rows = np.flatnonzero(need.any(axis=1))
             if open_rows.size:
                 rhs = sums(cov[left[open_rows]], cov[right[open_rows]])
@@ -716,14 +756,19 @@ def linear_cover(
             return CoverResult(tuple(maps), rounds, frac, True)
         if rounds == rounds_cap:
             break
-        draw_rng = derive_rng(seed, 2000 + rounds)
-        points = np.full(h.order, -1, dtype=np.int64)
-        for yi in y_idx:
-            options = np.flatnonzero(u[yi])
-            pick = options[int(draw_rng.integers(0, options.size))]
-            if not covered[yi, pick]:
-                points[yi] = pick
-        cand = exhaustive_hom_finder(h, dual, points)
+        # one uniform draw from each U_y in turn, the same stream as a draw
+        # per y; a covered pick leaves y without a point (-1)
+        picks = options[starts + derive_rng(seed, 2000 + rounds).integers(0, sizes)]
+        points = np.where(covered[y_idx, picks], -1, picks)  # a value per point of Y
+        sel = np.flatnonzero(points >= 0)  # positions in Y of this round's points
+        if sel.size == 0:
+            continue
+        if lines is None:
+            lines = _line_table(h, y_idx, _FINDER_DIRECTIONS)
+        directions, reps, k_of = lines
+        cand = _fit_lines(
+            h, dual, directions, reps[:, sel], k_of[:, sel], points[sel], _FINDER_MIN_AGREE
+        )
         if cand is None:
             continue
         vals = cand.values[y_idx]
@@ -731,6 +776,11 @@ def linear_cover(
         gained = u[rows, cols] & ~covered[rows, cols]
         if np.any(gained):
             covered[rows[gained], cols[gained]] = True
+            # U'_a - U'_b is stale where U'_a or U'_b grew; the other rows stay
+            keys, table = kept["covered"]
+            a, b = np.divmod(keys, h.order)
+            fresh = ~np.isin(a, rows[gained]) & ~np.isin(b, rows[gained])
+            kept["covered"] = keys[fresh], table[fresh]
             maps.append(cand)
     return CoverResult(tuple(maps), rounds, frac, False)
 
@@ -740,8 +790,8 @@ def exhaustive_hom_finder(
     dual: FiniteAbelianGroup,
     points: np.ndarray,
     *,
-    min_agree: int = 3,
-    direction_cap: int = 64,
+    min_agree: int = _FINDER_MIN_AGREE,
+    direction_cap: int = _FINDER_DIRECTIONS,
 ) -> Optional[FreimanMap]:
     """Desk-scale Freiman-map finder: affine fits along cyclic lines.
 
@@ -752,22 +802,30 @@ def exhaustive_hom_finder(
     proper progression of length ceil(ord(v)/2), or None when nothing
     reaches ``min_agree`` agreements.
 
-    Every direction of a block is scored at once.  A point's line
-    representative is the smallest index of y - k v over k below the
-    exponent: past ord(v) the shifts repeat, and argmin keeps the first
-    minimum, so k < ord(v).  Each direction's line is the most populated
-    (``bincount``; the smallest representative on ties), anchored at its
-    point of smallest k, and every (direction, w) agreement is counted
-    together.  Ties keep the first w, then the first direction reaching the
-    maximum.  A block's temporaries stay near 2^18 entries, or one
-    direction's worth when that is larger.
+    It is the line table of its points (``_line_table``) followed by the
+    fit (``_fit_lines``); ``linear_cover`` builds the table once for all of
+    Y and fits each round's points from its columns.
     """
     pts_idx = np.flatnonzero(points >= 0)
     if pts_idx.size == 0:
         return None
-    pts_val = points[pts_idx]
-    pts_coords = group.coords_matrix[pts_idx]
-    dual_coords = dual.coords_matrix
+    directions, reps, k_of = _line_table(group, pts_idx, direction_cap)
+    return _fit_lines(group, dual, directions, reps, k_of, points[pts_idx], min_agree)
+
+
+def _line_table(
+    group: FiniteAbelianGroup, ys: np.ndarray, direction_cap: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The finder's directions and the lines of the points ``ys`` along them.
+
+    Directions: the unit vectors, then the indices 1..direction_cap.  For
+    direction d and point j, ``reps[d, j]`` is the line representative of
+    y_j, the smallest index of y_j - k v_d over k below the exponent, and
+    ``k_of[d, j]`` the first such k: past ord(v) the shifts repeat and
+    argmin keeps the first minimum, so k < ord(v).  A block of directions
+    keeps its temporaries near 2^18 entries, or one direction's worth when
+    that is larger.
+    """
     units = [
         group.element(tuple(1 if j == i else 0 for j in range(group.rank))).index
         for i in range(group.rank)
@@ -777,31 +835,63 @@ def exhaustive_hom_finder(
     ]
     directions = np.asarray([idx for idx in directions if idx != 0], dtype=np.int64)
     ks = np.arange(group.exponent)
-    n = pts_idx.size
-    per_direction = ks.size * n * group.rank + group.order + n * dual.order * dual.rank
-    block = max(1, (1 << 18) // per_direction)
+    coords = group.coords_matrix[ys]
+    reps = np.empty((directions.size, ys.size), dtype=np.int64)
+    k_of = np.empty_like(reps)
+    block = max(1, (1 << 18) // max(1, ks.size * ys.size * group.rank))
+    for start in range(0, directions.size, block):
+        vs = directions[start : start + block]
+        v_coords = group.coords_matrix[vs][:, None, None]
+        # shifts[d, k, j] = y_j - k v_d; its minimum over k is y_j's line
+        shifts = group.index_of_coords(coords[None, None] - ks[:, None, None] * v_coords)
+        reps[start : start + block] = shifts.min(axis=1)
+        k_of[start : start + block] = shifts.argmin(axis=1)
+    return directions, reps, k_of
+
+
+def _fit_lines(
+    group: FiniteAbelianGroup,
+    dual: FiniteAbelianGroup,
+    directions: np.ndarray,
+    reps: np.ndarray,
+    k_of: np.ndarray,
+    values: np.ndarray,
+    min_agree: int,
+) -> Optional[FreimanMap]:
+    """The finder's fit from a line table (``_line_table``) and the value
+    of each of its points.
+
+    Every direction of a block is scored at once.  Each direction's line is
+    the most populated (``bincount``; the smallest representative on ties),
+    anchored at its point of smallest k, and every (direction, w) agreement
+    is counted together.  Ties keep the first w, then the first direction
+    reaching the maximum.  A block's temporaries stay near 2^18 entries, or
+    one direction's worth when that is larger.
+    """
+    n = values.size
+    dual_coords = dual.coords_matrix
+    block = max(1, (1 << 18) // (group.order + n * dual.order * dual.rank))
     best = None  # (agreement, v, line_rep, k0, t0, w)
     for start in range(0, directions.size, block):
         vs = directions[start : start + block]
+        rep, k_blk = reps[start : start + block], k_of[start : start + block]
         rows = np.arange(vs.size)
-        v_coords = group.coords_matrix[vs][:, None, None]
-        # shifts[d, k, j] = y_j - k v_d; its minimum over k is y_j's line
-        shifts = group.index_of_coords(pts_coords[None, None] - ks[:, None, None] * v_coords)
-        reps = shifts.min(axis=1)
-        k_of = shifts.argmin(axis=1)
         line_size = np.bincount(
-            (rows[:, None] * group.order + reps).reshape(-1), minlength=vs.size * group.order
+            (rows[:, None] * group.order + rep).reshape(-1), minlength=vs.size * group.order
         ).reshape(vs.size, group.order)
         line_rep = line_size.argmax(axis=1)
-        on_line = reps == line_rep[:, None]
-        anchor = np.where(on_line, k_of, ks.size).argmin(axis=1)
-        k0, t0 = k_of[rows, anchor], pts_val[anchor]
-        steps = k_of - k0[:, None]
-        # agree[d, w] = #{j on line d : t0 + (k_j - k0) w == value_j}
-        pred = dual.index_of_coords(
-            dual_coords[t0][:, None, None] + steps[:, :, None, None] * dual_coords[None, None]
-        )
-        agree = ((pred == pts_val[None, :, None]) & on_line[:, :, None]).sum(axis=1)
+        on_line = rep == line_rep[:, None]
+        anchor = np.where(on_line, k_blk, group.exponent).argmin(axis=1)
+        k0, t0 = k_blk[rows, anchor], values[anchor]
+        steps = k_blk - k0[:, None]
+        # agree[d, w] = #{j on line d : t0 + (k_j - k0) w == value_j}, where
+        # t0 + s w == value iff s w == value - t0; the multiples s w come from
+        # one table over the distinct steps s
+        target = dual.add_indices(values[None, :], dual.negation_permutation[t0][:, None])
+        uniq, inv = np.unique(steps, return_inverse=True)
+        mult = dual.index_of_coords(uniq[:, None, None] * dual_coords[None])
+        hit = mult[inv.reshape(steps.shape)] == target[:, :, None]
+        agree = (hit & on_line[:, :, None]).sum(axis=1)
         w = agree.argmax(axis=1)
         top = agree[rows, w]  # at most the line's size, so short lines never pass
         d = int(top.argmax())
@@ -813,7 +903,8 @@ def exhaustive_hom_finder(
     _, v, line_rep, k0, t0, w = best
     length = -(-v.order // 2)  # no wraparound: differences stay decodable
     anchor = group.element_from_index(line_rep) + k0 * v
-    prog = CosetProgression(
+    # {0} is a subgroup, so the constructor's is_subgroup convolution is skipped
+    prog = CosetProgression._derived(
         group, anchor, (Arm(v, 0, length - 1),), GroupSubset.from_indices(group, [0])
     )
     ks = np.arange(length)[:, None]
@@ -906,6 +997,34 @@ def _bohr_inside(
     return best
 
 
+_ARM_BLOCK = 1 << 18  # coordinate entries of the column arm's multiples per block
+
+
+def _column_arm(group: FiniteAbelianGroup, column: np.ndarray) -> Optional[tuple[int, int]]:
+    """The longest arm g, 2g, ..., mg inside ``column`` (a mask over
+    ``group``), as (index of g, m) with m >= 1, or None.
+
+    For each nonzero g in the column, m is the first k >= 1 with k g outside
+    the column or k g = 0, less one; the first g (by index) with the largest
+    m wins.  All multiples k g, k = 1..exponent, are one index array per
+    block of generators (about ``_ARM_BLOCK`` coordinates); k = ord(g)
+    always stops.
+    """
+    gens = np.flatnonzero(column)
+    gens = gens[gens != 0]
+    ks = np.arange(1, group.exponent + 1)[None, :, None]
+    best = None
+    block = max(1, _ARM_BLOCK // (ks.size * group.rank))
+    for start in range(0, gens.size, block):
+        g = gens[start : start + block]
+        multiples = group.index_of_coords(ks * group.coords_matrix[g][:, None, :])
+        runs = (~column[multiples] | (multiples == 0)).argmax(axis=1)
+        i = int(runs.argmax())
+        if runs[i] >= 1 and (best is None or runs[i] > best[1]):
+            best = (int(g[i]), int(runs[i]))
+    return best
+
+
 def main_theorem_experiment(
     gx: FiniteAbelianGroup,
     gy: FiniteAbelianGroup,
@@ -924,6 +1043,12 @@ def main_theorem_experiment(
     zero column; when that column is empty no variety fits, since every
     Bohr row contains x = 0.  Every candidate is gated by the
     exact containment verifier, and the largest verified variety wins.
+
+    The dense rows come from one pass over the row sums, and their
+    Bogolyubov spectra from one batched call (``fourier._bogolyubov_spectra``);
+    each row's value set is the zero character and at most seven nonzero
+    frequencies, the only characters built.  The column arm scores every
+    element of the zero column at once (``_column_arm``).
     """
     start = time.monotonic()
     a = sample_biset(gx, gy, delta, seed)
@@ -966,28 +1091,20 @@ def main_theorem_experiment(
                 )
         # covering maps fitted to per-row Bogolyubov spectra
         if search_budget > 0:
-            dense_rows = [
-                yi
-                for yi in range(gy.order)
-                if a.matrix[yi].sum() * 2 >= delta * gx.order
-            ]
+            row_sizes = a.matrix.sum(axis=1)
+            dense_rows = np.flatnonzero((row_sizes * 2 >= delta * gx.order) & (row_sizes > 0))
+            dual = gx.dual
             value_sets: dict[int, list[Character]] = {}
-            zero_char = gx.dual.element_from_index(0)
-            for yi in dense_rows:
-                row = GroupSubset(gx, a.matrix[yi].copy())
-                if row.size == 0:
-                    continue
-                bohr = bogolyubov_bohr_in_2A2A(row)
-                vals = [zero_char] + [
-                    chi for chi in bohr.frequencies if not chi.is_zero
-                ][:7]
-                value_sets[yi] = vals
+            for yi, hits in zip(dense_rows, _bogolyubov_spectra(gx, a.matrix[dense_rows])):
+                # the zero character, then at most seven nonzero frequencies
+                value_sets[int(yi)] = [dual.zero] + [
+                    dual.element_from_index(int(i)) for i in hits[hits != 0][:7]
+                ]
             if value_sets:
                 yset = GroupSubset.from_indices(gy, sorted(value_sets))
                 cover = linear_cover(
                     yset, value_sets, rounds_cap=search_budget, seed=seed
                 )
-                dual = gx.dual
                 for fmap in cover.maps[1:]:
                     dom = fmap.domain
                     # recentre at 0, shifting values by the one at the
@@ -1013,26 +1130,9 @@ def main_theorem_experiment(
                             )
                         )
         # column progression through 0 with pinned x = 0
-        col0 = d.column(gx.zero)
-        best_arm = None
-        for gi in col0.indices():
-            gi = int(gi)
-            if gi == 0:
-                continue
-            g = gy.element_from_index(gi)
-            m = 0
-            cur = gy.zero
-            seen = {0}
-            while True:
-                cur = cur + g
-                if cur.index in seen or cur.index not in col0:
-                    break
-                seen.add(cur.index)
-                m += 1
-            if m >= 1 and (best_arm is None or m > best_arm[1]):
-                best_arm = (g, m)
+        best_arm = _column_arm(gy, d.matrix[:, 0])
         if best_arm is not None:
-            g, m = best_arm
+            g, m = gy.element_from_index(best_arm[0]), best_arm[1]
             prog = CosetProgression(gy, gy.zero, (Arm(g, 0, m),), trivial_sub)
             if prog.is_proper():
                 consider(BilinearVariety(gx, pin_gamma, pin_rho, prog, ()))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bogolib as bg
-from bogolib import bilinear, groups
+from bogolib import bilinear, fourier, groups
 from bogolib.bilinear import (
     BilinearVariety,
     BiSet,
@@ -578,7 +578,7 @@ def _condition_oracle(y_set, value_sets, maps, seed, rounds, samples):
     return hits / samples, len(quads)
 
 
-def test_linear_cover_condition_matches_block_oracle():
+def test_linear_cover_condition_matches_block_oracle(monkeypatch):
     rng = derive_rng(103)
     shapes = [([12], [12]), ([16], [8]), ([4, 4], [16]), ([2, 8], [4, 3]), ([10], [10])]
     # a Z64 x Z64 dual takes 64 rows per block, so its quads span several blocks
@@ -598,6 +598,9 @@ def test_linear_cover_condition_matches_block_oracle():
         y_set = GroupSubset.from_indices(h, y_idx)
         samples = (500, 2000, 4000)[case % 3] if dual.order < 4096 else 500
         rounds_cap = (0, 2, 6)[case % 3] if dual.order < 4096 else 1
+        # difference tables kept whole, never kept, or filled part of the way
+        table = (1 << 20, 0, 40 * dual.order, 1 << 20)[case % 4]
+        monkeypatch.setattr(bilinear, "_PAIR_TABLE", table)
         res = linear_cover(y_set, value_sets, rounds_cap=rounds_cap, seed=case, samples=samples)
         want, quads = _condition_oracle(y_set, value_sets, res.maps, case, res.rounds, samples)
         assert res.condition_fraction == want, case
@@ -610,30 +613,54 @@ def test_convolution_rounding_margin_is_checked(monkeypatch):
     g = bg.make_group([4, 6])
     rng = derive_rng(107)
     a, b = (GroupSubset(g, rng.random(24) < 0.3) for _ in range(2))
+    rows = rng.random((6, 24)) < 0.3
+    rows[:, 0] = True
     h, dual = bg.make_group([8]), bg.make_group([8]).dual
     value_sets = {
         yi: [dual.zero, dual.element_from_index(3 * yi % 8), dual.element_from_index(yi)]
         for yi in range(8)
     }
     y_set = GroupSubset.full(h)
+    z24 = bg.make_group([24])
 
     def cover():
         res = linear_cover(y_set, value_sets, rounds_cap=3, seed=4)
         return res.rounds, res.condition_fraction, [m.values.tolist() for m in res.maps]
 
-    expected = a.sumset(b), sumset_counts(a, b), cover()
+    def spectra():
+        return [hits.tolist() for hits in fourier._bogolyubov_spectra(g, rows)]
+
+    def experiment():  # the ladder runs: D is not all of G x H at this size
+        out = main_theorem_experiment(z24, z24, 0.02, 5, word="hv")
+        assert not out.difference_set.matrix.all()
+        return {k: v for k, v in out.report.items() if k != "elapsed_ms"}
+
+    runs = (
+        lambda: a.sumset(b),
+        lambda: sumset_counts(a, b).tolist(),
+        cover,
+        spectra,
+        experiment,
+        lambda: fourier.quadruple_count_all(a).tolist(),
+    )
+    expected = [run() for run in runs]
     helper = groups._convolution_counts
+    quadruples = fourier._quadruple_counts
     for offset, fails in ((0.2, False), (0.3, True)):
-        for module in (groups, bilinear):
+        for module in (groups, bilinear, fourier):
             monkeypatch.setattr(module, "_convolution_counts", lambda *args: helper(*args) + offset)
-        if not fails:  # inside the margin: the same sets and counts
-            assert a.sumset(b) == expected[0]
-            assert np.array_equal(sumset_counts(a, b), expected[1])
-            assert cover() == expected[2]
+        monkeypatch.setattr(fourier, "_quadruple_counts", lambda *args: quadruples(*args) + offset)
+        if not fails:  # inside the margin: the same sets, counts and reports
+            assert [run() for run in runs] == expected
             continue
-        for run in (lambda: a.sumset(b), lambda: sumset_counts(a, b), cover):
+        for run in runs:
             with pytest.raises(ArithmeticError):
                 run()
+    # the ladder's Bogolyubov spectra are checked too, not only D's passes
+    monkeypatch.setattr(bilinear, "_convolution_counts", helper)
+    monkeypatch.setattr(groups, "_convolution_counts", helper)
+    with pytest.raises(ArithmeticError):
+        experiment()
 
 
 def test_linear_cover_condition_fraction_recount():
@@ -711,6 +738,86 @@ def test_containment_reports_match_recorded_digests():
         report.pop("elapsed_ms")
         text = json.dumps(report, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (group, word)
+
+
+# SHA-256 of every CoverResult (rounds, condition_fraction, complete, each
+# map's domain and values) that the nine Z24/Z28/Z32 x hv/vh/hvh containment
+# experiments at delta = 0.02, seeds 0-1, produce: covering maps win none of
+# these experiments, so the report digests cannot see the covering stage.
+_COVER_DIGEST = "9d0b69026f516f20fdb2f546e8eb693109b90bae37231ad93efd45946b6c3c40"
+
+
+def test_cover_results_match_recorded_digest(monkeypatch):
+    records = []
+    real = bilinear.linear_cover
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        records.append([
+            res.rounds,
+            res.condition_fraction.hex(),
+            res.complete,
+            [[m.domain.enumerate().indices().tolist(), m.values.tolist()] for m in res.maps],
+        ])
+        return res
+
+    monkeypatch.setattr(bilinear, "linear_cover", recording)
+    for n in (24, 28, 32):
+        g = bg.make_group([n])
+        for word in ("hv", "vh", "hvh"):
+            for seed in (0, 1):
+                main_theorem_experiment(g, g, 0.02, seed, word=word)
+    assert len(records) == 18 and sum(len(r[3]) for r in records) > 18  # maps gained
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == _COVER_DIGEST
+
+
+def _column_arm_oracle(group, column):
+    """The Python loop over the column's nonzero elements and their multiples."""
+    col0 = GroupSubset(group, column)
+    best_arm = None
+    for gi in col0.indices():
+        gi = int(gi)
+        if gi == 0:
+            continue
+        g = group.element_from_index(gi)
+        m = 0
+        cur = group.zero
+        seen = {0}
+        while True:
+            cur = cur + g
+            if cur.index in seen or cur.index not in col0:
+                break
+            seen.add(cur.index)
+            m += 1
+        if m >= 1 and (best_arm is None or m > best_arm[1]):
+            best_arm = (gi, m)
+    return best_arm
+
+
+def test_column_arm_matches_loop_oracle(monkeypatch):
+    rng = derive_rng(109)
+    cases = []
+    for moduli in ([12], [2, 4], [3, 6], [2, 2, 4], [16], [5]):
+        h = bg.make_group(moduli)
+        only_zero = np.zeros(h.order, dtype=bool)
+        only_zero[0] = True
+        cases += [(h, only_zero), (h, np.ones(h.order, dtype=bool))]
+        cases += [(h, rng.random(h.order) < rng.random()) for _ in range(30)]
+    found = 0
+    for case, (h, column) in enumerate(cases):
+        want = _column_arm_oracle(h, column)
+        # whole blocks, then blocks of one or two generators
+        for block in (1 << 18, h.exponent * h.rank * (case % 2 + 1)):
+            monkeypatch.setattr(bilinear, "_ARM_BLOCK", block)
+            assert bilinear._column_arm(h, column) == want, case
+        found += want is not None
+    assert found >= 100
+    z6, z12 = bg.make_group([6]), bg.make_group([12])
+    assert bilinear._column_arm(z6, np.ones(6, dtype=bool)) == (1, 5)  # 1 and 5 tie
+    assert bilinear._column_arm(z12, np.isin(np.arange(12), [0, 1, 4, 8])) == (4, 2)
+    assert bilinear._column_arm(z12, np.isin(np.arange(12), [0, 6])) == (6, 1)
+    assert bilinear._column_arm(z12, np.isin(np.arange(12), [0])) is None
 
 
 def test_pinned_floor_single_letter_words():

@@ -1,8 +1,12 @@
 """Fourier analysis: transforms, convolution, counts, spectra, Bogolyubov."""
 
+from fractions import Fraction
+
 import numpy as np
 
 import bogolib as bg
+from bogolib import fourier
+from bogolib.bohr import bohr_mask
 from bogolib.fourier import (
     GroupFunction,
     bogolyubov_bohr_in_2A2A,
@@ -139,3 +143,52 @@ def test_bogolyubov_random_always_contained():
         target = diff.sumset(diff)
         b = bogolyubov_bohr_in_2A2A(a)
         assert b.enumerate().is_subset_of(target)
+
+
+def _bogolyubov_oracle(subset, start=Fraction(1, 2)):
+    """The per-row body: 2A - 2A from two sumsets, the coefficients from
+    ``dft``, one ``bohr_mask`` per threshold, starting at alpha^2 * start.
+    Returns the hit indices and the number of halvings."""
+    g = subset.group
+    alpha = Fraction(subset.size, g.order)
+    diff = subset.diffset(subset)
+    target = diff.sumset(diff)
+    coeffs = np.abs(dft(GroupFunction.indicator(subset)).values)
+    threshold = float(alpha * alpha * start)
+    halvings = 0
+    while True:
+        hits = np.flatnonzero(coeffs >= threshold - TOL)
+        if GroupSubset(g, bohr_mask(g, hits, Fraction(1, 4))).is_subset_of(target):
+            return hits, halvings
+        threshold /= 2
+        halvings += 1
+
+
+def test_bogolyubov_spectra_match_per_row_oracle(monkeypatch):
+    # at the start alpha^2/2 the containment holds at once (it is below
+    # alpha^(3/2)), so the halving loop is reached by raising the start
+    rng = np.random.default_rng(11)
+    halved = 0
+    for moduli in ([24], [4, 6], [2, 8]):
+        g = bg.make_group(moduli)
+        density = rng.random((30, 1)) * 0.6
+        rows = rng.random((30, g.order)) < density
+        rows[np.arange(30), rng.integers(0, g.order, size=30)] = True  # nonempty
+        rows[0] = False
+        rows[0, 5] = True  # a single point: every character is hit
+        rows[1] = True
+        for start in (Fraction(1, 2), Fraction(4), Fraction(64)):
+            monkeypatch.setattr(fourier, "_BOGOLYUBOV_START", start)
+            oracle = [_bogolyubov_oracle(GroupSubset(g, row), start) for row in rows]
+            # the whole batch, then one row at a time
+            got = fourier._bogolyubov_spectra(g, rows)
+            assert all(np.array_equal(h, want) for h, (want, _) in zip(got, oracle))
+            singles = [fourier._bogolyubov_spectra(g, row[None])[0] for row in rows]
+            assert all(np.array_equal(h, want) for h, (want, _) in zip(singles, oracle))
+            one = bogolyubov_bohr_in_2A2A(GroupSubset(g, rows[2]))
+            assert [chi.index for chi in one.frequencies] == oracle[2][0].tolist()
+            counts = [n for _, n in oracle]
+            if start == Fraction(1, 2):
+                assert max(counts) == 0
+            halved += sum(n >= 1 for n in counts)
+    assert halved >= 20
