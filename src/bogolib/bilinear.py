@@ -52,6 +52,8 @@ from .progressions import (
 )
 from .rng import derive_rng
 
+_LINEAR_BLOCK = 1 << 20  # pair entries per block of the Freiman-linearity check
+
 
 @dataclass(frozen=True, eq=False)
 class BiSet:
@@ -158,7 +160,7 @@ def iterated_difference(a: BiSet, word: str) -> BiSet:
 # -- Freiman-linear maps into the dual ----------------------------------------
 
 
-def is_freiman_linear(fmap: FreimanMap, *, chunk: int = 1 << 20) -> bool:
+def is_freiman_linear(fmap: FreimanMap) -> bool:
     """L(a - b) = L(a) - L(b) whenever a, b, a - b all lie in the domain."""
     dom = fmap.domain.enumerate()
     idx = dom.indices()
@@ -170,7 +172,7 @@ def is_freiman_linear(fmap: FreimanMap, *, chunk: int = 1 << 20) -> bool:
     vals = lookup[idx]
     neg = g.negation_permutation
     neg_idx = neg[idx]
-    rows_per_block = max(1, chunk // max(1, idx.size))
+    rows_per_block = max(1, _LINEAR_BLOCK // idx.size)
     cod_neg = cod.negation_permutation
     for start in range(0, idx.size, rows_per_block):
         block = slice(start, min(start + rows_per_block, idx.size))
@@ -950,13 +952,11 @@ def _pinning_frequencies(gx: FiniteAbelianGroup) -> tuple[tuple[Character, ...],
     return chars, Fraction(1, 4 * gx.exponent)
 
 
-def _bohr_inside(
-    gx: FiniteAbelianGroup, allowed: GroupSubset, *, char_cap: int = 4096
-) -> Optional[BohrSet]:
+def _bohr_inside(gx: FiniteAbelianGroup, allowed: GroupSubset) -> Optional[BohrSet]:
     """Verified Bohr subset of a symmetric set containing 0, size >= 2.
 
-    Tries cyclic subgroups pinned by their annihilators, then single-char
-    level sets; returns the largest hit.
+    Tries cyclic subgroups pinned by their annihilators, then level sets of
+    the single characters of index below 4096; returns the largest hit.
     """
     from .groups import annihilator_subgroup, subgroup_generators
 
@@ -982,7 +982,7 @@ def _bohr_inside(
             consider(BohrSet(gx, tuple(gens), Fraction(1, 4 * e)))
     dual = gx.dual
     nonzero = np.asarray([i for i in allowed.indices() if i != 0][:4], dtype=np.int64)
-    chars = np.arange(1, min(dual.order, char_cap), dtype=np.int64)
+    chars = np.arange(1, min(dual.order, 4096), dtype=np.int64)
     block = max(1, (1 << 16) // (gx.order * max(1, nonzero.size)))
     for start in range(0, chars.size, block):
         # level sets {dist <= dist[xi]} of a block of characters at once

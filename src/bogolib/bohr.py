@@ -35,7 +35,7 @@ from .groups import (
     bounded_span,
     subgroup_generators,
 )
-from .lattices import box_preimages, span_cover
+from .lattices import box_preimages
 from .progressions import CosetProgression
 
 _INT64_GUARD = 1 << 62
@@ -472,22 +472,17 @@ def dense_difference_cover(
     return True
 
 
-def bohr_in_progression(
-    progression: CosetProgression,
-    *,
-    frequency_cap: int = 64,
-    shrink_grid: Sequence[int] = (4, 6, 8, 12, 16, 24, 32),
-) -> BohrSet:
+def bohr_in_progression(progression: CosetProgression) -> BohrSet:
     """Bohr set contained in a symmetric coset progression, verified.
 
-    Construction: shrink the progression by an even factor d, take the
-    large spectrum of the shrunk copy at threshold ``delta^(1+1/(d-2))/2``
-    and use radius 1/4; the d-fold positivity argument puts the Bohr set
-    back inside the progression, and the containment is checked directly.
-    When the spectrum is large it is compressed through a greedy spanning
-    subset at radius ``1/(4 l S)`` instead of an external cover theorem.
-    Fallbacks: the annihilator of the subgroup part, then the full dual
-    (which pins {0}).
+    Construction: shrink the progression by an even factor d = 4, 6, 8, 12,
+    16, 24 or 32, take the large spectrum of the shrunk copy at threshold
+    ``delta^(1+1/(d-2))/2`` and use radius 1/4; the d-fold positivity
+    argument puts the Bohr set back inside the progression, and the first
+    factor whose set passes the direct containment check is kept, however
+    many frequencies its spectrum has.  Fallbacks: the annihilator of the
+    subgroup part, then the full dual (which pins {0}); the largest of the
+    candidates is returned.
     """
     if not progression.is_symmetric:
         raise PreconditionError("progression must be symmetric")
@@ -498,7 +493,7 @@ def bohr_in_progression(
     pin_radius = Fraction(1, 4 * exponent)
 
     candidates: list[BohrSet] = []
-    for d in shrink_grid:
+    for d in (4, 6, 8, 12, 16, 24, 32):
         arms = [
             (arm.generator, arm.hi // d)
             for arm in progression.arms
@@ -518,16 +513,7 @@ def bohr_in_progression(
         delta = Fraction(qmask.size, group.order)
         threshold = float(delta) ** (1 + 1 / (d - 2)) / 2
         freqs = spectrum(GroupFunction.indicator(qmask), threshold)
-        if len(freqs) > frequency_cap:
-            cover = span_cover(dual, freqs, freqs, 1)
-            ell = len(cover.generators)
-            cand = BohrSet(
-                group,
-                tuple(cover.generators),
-                Fraction(1, 4 * ell * cover.coefficient_bound),
-            )
-        else:
-            cand = BohrSet(group, tuple(freqs), Fraction(1, 4))
+        cand = BohrSet(group, tuple(freqs), Fraction(1, 4))
         if cand.enumerate().is_subset_of(target):
             candidates.append(cand)
             break

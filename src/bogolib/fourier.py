@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 
-from .errors import GroupMismatchError, PreconditionError
+from .errors import GroupMismatchError, PreconditionError, TheoremViolationError
 from .groups import (
     Character,
     FiniteAbelianGroup,
@@ -31,9 +31,6 @@ from .groups import (
 )
 
 TOLERANCE = 1e-9
-# the large-spectrum threshold starts at alpha^2 times this; below alpha^(3/2)
-# the positivity argument already holds, so at 1/2 no row ever halves
-_BOGOLYUBOV_START = Fraction(1, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,8 +90,9 @@ def _quadruple_counts(group: FiniteAbelianGroup, mask: np.ndarray) -> np.ndarray
     """Float counts ``|G|^3 (1_A * 1_A * 1_{-A} * 1_{-A})(x)`` from one real-FFT
     pair; the transform side is ``|1hat_A|^4``, nonnegative real."""
     shape = group.tensor_shape
-    spec = np.fft.rfftn(mask.reshape(shape).astype(np.float64))
-    return np.fft.irfftn(np.abs(spec) ** 4, s=shape).reshape(-1)
+    axes = tuple(range(len(shape)))
+    spec = np.fft.rfftn(mask.reshape(shape).astype(np.float64), axes=axes)
+    return np.fft.irfftn(np.abs(spec) ** 4, s=shape, axes=axes).reshape(-1)
 
 
 def quadruple_count_all(subset: GroupSubset) -> np.ndarray:
@@ -125,12 +123,16 @@ def _bogolyubov_spectra(group: FiniteAbelianGroup, rows: np.ndarray) -> list[np.
     """Per row of the (n, |G|) boolean ``rows`` (each nonempty): the dual
     indices Gamma with B(Gamma; 1/4) inside 2A - 2A, A the row.
 
-    Gamma is the large spectrum {|1hat_A| >= t}; t starts at alpha^2/2
-    (``_BOGOLYUBOV_START``) and halves until the containment holds.  A block
-    of rows (about 2^18 entries) takes two batched checked real-FFT counts
-    for A - A and 2A - 2A and one ``fftn`` over the group axes for the
-    coefficients, divided by |G| as in ``dft``; each threshold a row tries
-    is one ``bohr_mask`` call.
+    Gamma is the large spectrum {|1hat_A| >= alpha^2/2}.  Positivity puts
+    B(Gamma; 1/4) inside 2A - 2A for every threshold below alpha^(3/2): the
+    trivial character alone gives alpha^4, each kept character adds a term of
+    nonnegative real part on B(Gamma; 1/4), and the excluded ones add at most
+    t^2 alpha in absolute value.  Every row is still checked exactly, one
+    ``bohr_mask`` call against 2A - 2A, and a failure raises
+    ``TheoremViolationError``.  A block of rows (about 2^18 entries) takes
+    two batched checked real-FFT counts for A - A and 2A - 2A and one
+    ``fftn`` over the group axes for the coefficients, divided by |G| as in
+    ``dft``.
     """
     from .bohr import bohr_mask  # local import to avoid a cycle
 
@@ -146,29 +148,21 @@ def _bogolyubov_spectra(group: FiniteAbelianGroup, rows: np.ndarray) -> list[np.
         spec = np.fft.fftn(blk.reshape((-1,) + shape).astype(np.complex128), axes=axes)
         coeffs = np.abs(spec.reshape(blk.shape) / group.order)
         for r in range(blk.shape[0]):
-            c = coeffs[r]
             alpha = Fraction(int(blk[r].sum()), group.order)
-            floor = float(c[c > TOLERANCE].min()) if np.any(c > TOLERANCE) else 1.0
-            threshold = float(alpha * alpha * _BOGOLYUBOV_START)
-            while True:
-                hits = np.flatnonzero(c >= threshold - TOLERANCE)
-                if not np.any(bohr_mask(group, hits, quarter) & ~target[r]):
-                    out.append(hits)
-                    break
-                if threshold < floor:  # full support reached; cannot happen past here
-                    raise AssertionError("Bogolyubov verification failed at full spectrum")
-                threshold /= 2
+            hits = np.flatnonzero(coeffs[r] >= float(alpha * alpha / 2) - TOLERANCE)
+            if np.any(bohr_mask(group, hits, quarter) & ~target[r]):
+                raise TheoremViolationError("Bogolyubov Bohr set escaped 2A - 2A")
+            out.append(hits)
     return out
 
 
 def bogolyubov_bohr_in_2A2A(subset: GroupSubset):
     """Bohr set B(Gamma; 1/4) inside 2A - 2A, with verified containment.
 
-    Gamma is the large spectrum of 1_A; the threshold starts at alpha^2/2
-    and halves until the containment check passes.  Termination: once the
-    threshold drops below every nonzero coefficient, Gamma covers the full
-    support of the transform and the positivity argument is exact.  This is
-    the one-row call of ``_bogolyubov_spectra``, wrapped in a BohrSet.
+    Gamma is the large spectrum {|1hat_A| >= alpha^2/2}; positivity
+    guarantees the containment below alpha^(3/2), and it is checked exactly
+    (``TheoremViolationError`` on failure).  This is the one-row call of
+    ``_bogolyubov_spectra``, wrapped in a BohrSet.
     """
     from .bohr import BohrSet  # local import to avoid a cycle
 

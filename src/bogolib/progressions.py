@@ -36,9 +36,11 @@ from .groups import (
     subgroup_generators,
     sumset_counts,
 )
-from .rng import derive_rng
 
 _GROW_BLOCK = 1 << 18  # index-row entries per block of growth candidates
+_PAIR_BLOCK = 1 << 22  # pair entries per block of the Freiman-subgroup check
+_SUM_BLOCK = 1 << 20  # graph-sum entries per block of the Freiman check
+_TRANSLATE_TRIES = 8  # best-overlap translates tried per refinement candidate
 
 
 class Arm(NamedTuple):
@@ -188,7 +190,7 @@ class CosetProgression:
         return out
 
 
-def is_freiman_subgroup(a: GroupSubset, b: GroupSubset, *, chunk: int = 1 << 22) -> bool:
+def is_freiman_subgroup(a: GroupSubset, b: GroupSubset) -> bool:
     """Whenever x, y in A and x - y in B, also x - y in A (exhaustive)."""
     a._check(b)
     if not a.is_subset_of(b):
@@ -199,7 +201,7 @@ def is_freiman_subgroup(a: GroupSubset, b: GroupSubset, *, chunk: int = 1 << 22)
     group = a.group
     neg = group.negation_permutation
     neg_idx = neg[idx]
-    rows_per_block = max(1, chunk // max(1, idx.size))
+    rows_per_block = max(1, _PAIR_BLOCK // idx.size)
     for start in range(0, idx.size, rows_per_block):
         block = idx[start : start + rows_per_block]
         diffs = group.add_indices(
@@ -285,8 +287,6 @@ def change_basis(
     group: FiniteAbelianGroup,
     basis: Sequence[GroupElement],
     move: tuple,
-    *,
-    validate: bool = True,
 ) -> list[GroupElement]:
     """Apply a basis move; kinds (0-based indices, orders n_1 | ... | n_r):
 
@@ -319,11 +319,10 @@ def change_basis(
         basis[i] = lam * basis[i]
     else:
         raise PreconditionError(f"unknown move kind {kind!r}")
-    if validate:
-        if [x.order for x in basis] != orders:
-            raise TheoremViolationError("basis move changed element orders")
-        if not is_basis(group, basis):
-            raise TheoremViolationError("basis move destroyed the basis property")
+    if [x.order for x in basis] != orders:
+        raise TheoremViolationError("basis move changed element orders")
+    if not is_basis(group, basis):
+        raise TheoremViolationError("basis move destroyed the basis property")
     return basis
 
 
@@ -413,63 +412,35 @@ class FreimanMap:
         return int(np.unique(self.values[self.values >= 0]).size)
 
 
-def is_freiman_homomorphism(
-    fmap: FreimanMap,
-    s: Optional[int] = None,
-    *,
-    exhaustive_cutoff: int = 128,
-    samples: int = 10_000,
-    seed: int = 0,
-) -> bool:
-    """Respects all coincidences of s-fold sums on the domain.
+def is_freiman_homomorphism(fmap: FreimanMap, s: Optional[int] = None) -> bool:
+    """Respects all coincidences of s-fold sums on the domain, exactly.
 
-    Exhaustive (vectorized over pair sums) for s = 2 up to the cutoff;
-    larger domains and higher s are checked on seeded random tuples.
+    The s-fold sums of the graph {(x, phi(x))} are built one summand at a
+    time as distinct int64 keys ``x |H| + v``, a block of about 2^20 entries
+    at a time; phi is a Freiman s-homomorphism iff no sum x then carries two
+    values v.
     """
     s = fmap.order if s is None else s
     if s < 2:
         raise PreconditionError("Freiman order must be at least 2")
     dom = fmap.domain.enumerate().indices()
-    n = dom.size
-    if n == 0:
+    if dom.size == 0:
         return True
     g = fmap.domain.group
     h = fmap.codomain
     vals = fmap.values[dom]
-    if s == 2 and n <= exhaustive_cutoff:
-        keys = g.add_indices(np.repeat(dom, n), np.tile(dom, n))
-        sums = h.add_indices(np.repeat(vals, n), np.tile(vals, n))
-        order = np.argsort(keys, kind="stable")
-        keys, sums = keys[order], sums[order]
-        boundaries = np.flatnonzero(np.diff(keys)) + 1
-        for chunk in np.split(sums, boundaries):
-            if chunk.size and np.any(chunk != chunk[0]):
-                return False
-        return True
-    rng = derive_rng(seed, 17)
-    lookup = fmap.values
-    for _ in range(samples):
-        a = dom[rng.integers(0, n, size=s)]
-        b = dom[rng.integers(0, n, size=s - 1)]
-        asum = 0
-        for i in a:
-            asum = int(g.add_indices(np.asarray([asum]), np.asarray([i]))[0])
-        bsum = 0
-        for i in b:
-            bsum = int(g.add_indices(np.asarray([bsum]), np.asarray([i]))[0])
-        last = int(g.add_indices(np.asarray([asum]), g.negation_permutation[[bsum]])[0])
-        if lookup[last] < 0:
-            continue
-        va = 0
-        for i in a:
-            va = int(h.add_indices(np.asarray([va]), np.asarray([lookup[i]]))[0])
-        vb = 0
-        for i in b:
-            vb = int(h.add_indices(np.asarray([vb]), np.asarray([lookup[i]]))[0])
-        vb = int(h.add_indices(np.asarray([vb]), np.asarray([lookup[last]]))[0])
-        if va != vb:
-            return False
-    return True
+    sum_x, sum_v = dom, vals
+    rows_per_block = max(1, _SUM_BLOCK // dom.size)
+    for _ in range(s - 1):
+        keys = []
+        for start in range(0, sum_x.size, rows_per_block):
+            bx = sum_x[start : start + rows_per_block]
+            bv = sum_v[start : start + rows_per_block]
+            x = g.add_indices(np.repeat(bx, dom.size), np.tile(dom, bx.size))
+            v = h.add_indices(np.repeat(bv, dom.size), np.tile(vals, bv.size))
+            keys.append(np.unique(x * h.order + v))
+        sum_x, sum_v = np.divmod(np.unique(np.concatenate(keys)), h.order)
+    return bool(np.all(np.diff(sum_x) != 0))
 
 
 @dataclass(frozen=True)
@@ -489,7 +460,6 @@ def partial_projectivity(
     s: int = 2,
     *,
     domain: Optional[GroupSubset] = None,
-    validate: bool = True,
 ) -> ProjectivityResult:
     """Lift a homomorphism into a quotient to a Freiman s-homomorphism.
 
@@ -540,7 +510,7 @@ def partial_projectivity(
                 k = k - lam * ratio * ks[j]
             ys[i] = y
             ks[i] = k
-            if validate and not (n_i * k).is_zero:
+            if not (n_i * k).is_zero:
                 raise TheoremViolationError("rewritten torsion failed to vanish")
     heavy = tuple(i for i in range(r) if not (orders[i] * ks[i]).is_zero)
     light = [i for i in range(r) if i not in heavy]
@@ -566,22 +536,21 @@ def partial_projectivity(
             raise TheoremViolationError("lift table is inconsistent")
         table[x.index] = v.index
     lift = FreimanMap(prog, codomain, table, order=s)
-    if validate:
-        if 2 ** len(heavy) > max(1, kernel.size):
-            raise TheoremViolationError("rank exceeded log2 |kernel|")
-        if not prog.is_proper():
-            raise TheoremViolationError("lift progression is not proper")
-        dom_size = group.order if domain is None else domain.size
-        if s == 2:
-            ok = prog.size * kernel.size >= dom_size
-        else:
-            ok = float(prog.size) * float(s) ** math.log2(max(1, kernel.size)) >= dom_size - 1e-9
-        if not ok:
-            raise TheoremViolationError("progression below the guaranteed size")
-        for idx in np.flatnonzero(table >= 0):
-            rep = phi_rep(group.element_from_index(idx))
-            if (rep - lift(idx)) not in kernel:
-                raise TheoremViolationError("lift disagrees with phi modulo the kernel")
+    if 2 ** len(heavy) > max(1, kernel.size):
+        raise TheoremViolationError("rank exceeded log2 |kernel|")
+    if not prog.is_proper():
+        raise TheoremViolationError("lift progression is not proper")
+    dom_size = group.order if domain is None else domain.size
+    if s == 2:
+        ok = prog.size * kernel.size >= dom_size
+    else:
+        ok = float(prog.size) * float(s) ** math.log2(max(1, kernel.size)) >= dom_size - 1e-9
+    if not ok:
+        raise TheoremViolationError("progression below the guaranteed size")
+    for idx in np.flatnonzero(table >= 0):
+        rep = phi_rep(group.element_from_index(idx))
+        if (rep - lift(idx)) not in kernel:
+            raise TheoremViolationError("lift disagrees with phi modulo the kernel")
     return ProjectivityResult(
         prog,
         lift,
@@ -948,7 +917,7 @@ def intersect_refine(
             assignments.setdefault(tuple(key), []).append(xi)
     candidates: list[tuple[CosetProgression, int]] = []
 
-    def popular_route(y_set: GroupSubset, translate_tries: int = 8) -> None:
+    def popular_route(y_set: GroupSubset) -> None:
         k_doub = Fraction(y_set.sumset(y_set).size, y_set.size)
         pop = popular_difference_progression(y_set, k_doub)
         triple = y_set.negate().sumset(y_set).sumset(y_set)
@@ -974,7 +943,7 @@ def intersect_refine(
             overlap_counts[~triple.mask] = -1
             order = np.argsort(-overlap_counts, kind="stable")
             placed = False
-            for t_idx in order[:translate_tries]:
+            for t_idx in order[:_TRANSLATE_TRIES]:
                 if overlap_counts[t_idx] < 0:
                     break
                 shifted = cand.translate(group.element_from_index(int(t_idx)))

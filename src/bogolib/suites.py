@@ -446,7 +446,7 @@ def check_partial_projectivity(
             failures += 1
         if prog.size * kernel.size < g.order:
             failures += 1
-        if not is_freiman_homomorphism(lift, 2, exhaustive_cutoff=max_order):
+        if not is_freiman_homomorphism(lift, 2):
             failures += 1
         for idx in np.flatnonzero(lift.values >= 0):
             if (lookup[idx] - lift(idx)) not in kernel:

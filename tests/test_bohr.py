@@ -498,11 +498,11 @@ def test_bohr_in_progression_examples():
 
 
 def test_bohr_in_progression_large_spectrum():
-    # more than frequency_cap frequencies: the span-cover branch runs on a
-    # coefficient box of 3^k points with k far past any enumerable size
+    # a spectrum of more than 64 frequencies is used as it is, at radius 1/4
     g = bg.make_group([16, 16])
     c = CosetProgression.symmetric(g, [(g.element([1, 0]), 4), (g.element([0, 1]), 4)])
     b = bohr_in_progression(c)
-    assert len(b.frequencies) > g.rank  # the cover, not a pinning fallback
+    assert len(b.frequencies) > g.rank  # the spectrum, not a pinning fallback
+    assert b.radius == Fraction(1, 4)
     assert 0 in b.enumerate()
     assert b.enumerate().is_subset_of(c.enumerate())

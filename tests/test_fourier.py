@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import bogolib as bg
-from bogolib import fourier
+from bogolib import bohr, fourier
 from bogolib.bohr import bohr_mask
+from bogolib.errors import TheoremViolationError
 from bogolib.fourier import (
     GroupFunction,
     bogolyubov_bohr_in_2A2A,
@@ -145,30 +147,21 @@ def test_bogolyubov_random_always_contained():
         assert b.enumerate().is_subset_of(target)
 
 
-def _bogolyubov_oracle(subset, start=Fraction(1, 2)):
+def _bogolyubov_oracle(subset):
     """The per-row body: 2A - 2A from two sumsets, the coefficients from
-    ``dft``, one ``bohr_mask`` per threshold, starting at alpha^2 * start.
-    Returns the hit indices and the number of halvings."""
+    ``dft``, the spectrum at alpha^2/2 and one ``bohr_mask`` containment."""
     g = subset.group
     alpha = Fraction(subset.size, g.order)
     diff = subset.diffset(subset)
     target = diff.sumset(diff)
     coeffs = np.abs(dft(GroupFunction.indicator(subset)).values)
-    threshold = float(alpha * alpha * start)
-    halvings = 0
-    while True:
-        hits = np.flatnonzero(coeffs >= threshold - TOL)
-        if GroupSubset(g, bohr_mask(g, hits, Fraction(1, 4))).is_subset_of(target):
-            return hits, halvings
-        threshold /= 2
-        halvings += 1
+    hits = np.flatnonzero(coeffs >= float(alpha * alpha / 2) - TOL)
+    assert GroupSubset(g, bohr_mask(g, hits, Fraction(1, 4))).is_subset_of(target)
+    return hits
 
 
 def test_bogolyubov_spectra_match_per_row_oracle(monkeypatch):
-    # at the start alpha^2/2 the containment holds at once (it is below
-    # alpha^(3/2)), so the halving loop is reached by raising the start
     rng = np.random.default_rng(11)
-    halved = 0
     for moduli in ([24], [4, 6], [2, 8]):
         g = bg.make_group(moduli)
         density = rng.random((30, 1)) * 0.6
@@ -177,18 +170,20 @@ def test_bogolyubov_spectra_match_per_row_oracle(monkeypatch):
         rows[0] = False
         rows[0, 5] = True  # a single point: every character is hit
         rows[1] = True
-        for start in (Fraction(1, 2), Fraction(4), Fraction(64)):
-            monkeypatch.setattr(fourier, "_BOGOLYUBOV_START", start)
-            oracle = [_bogolyubov_oracle(GroupSubset(g, row), start) for row in rows]
-            # the whole batch, then one row at a time
-            got = fourier._bogolyubov_spectra(g, rows)
-            assert all(np.array_equal(h, want) for h, (want, _) in zip(got, oracle))
-            singles = [fourier._bogolyubov_spectra(g, row[None])[0] for row in rows]
-            assert all(np.array_equal(h, want) for h, (want, _) in zip(singles, oracle))
-            one = bogolyubov_bohr_in_2A2A(GroupSubset(g, rows[2]))
-            assert [chi.index for chi in one.frequencies] == oracle[2][0].tolist()
-            counts = [n for _, n in oracle]
-            if start == Fraction(1, 2):
-                assert max(counts) == 0
-            halved += sum(n >= 1 for n in counts)
-    assert halved >= 20
+        oracle = [_bogolyubov_oracle(GroupSubset(g, row)) for row in rows]
+        # the whole batch, then one row at a time
+        got = fourier._bogolyubov_spectra(g, rows)
+        assert all(np.array_equal(h, want) for h, want in zip(got, oracle))
+        singles = [fourier._bogolyubov_spectra(g, row[None])[0] for row in rows]
+        assert all(np.array_equal(h, want) for h, want in zip(singles, oracle))
+        one = bogolyubov_bohr_in_2A2A(GroupSubset(g, rows[2]))
+        assert [chi.index for chi in one.frequencies] == oracle[2].tolist()
+        # a Bohr set that escapes 2A - 2A is caught by the exact check
+        diff = GroupSubset(g, rows[0]).diffset(GroupSubset(g, rows[0]))
+        assert diff.sumset(diff).size < g.order
+        with monkeypatch.context() as m:
+            m.setattr(bohr, "bohr_mask", lambda grp, *_: np.ones(grp.order, dtype=bool))
+            with pytest.raises(TheoremViolationError):
+                fourier._bogolyubov_spectra(g, rows[:1])
+            with pytest.raises(TheoremViolationError):
+                bogolyubov_bohr_in_2A2A(GroupSubset(g, rows[0]))

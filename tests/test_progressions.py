@@ -1,5 +1,6 @@
 """Coset progressions, Freiman homomorphisms and their refinements."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -450,3 +451,70 @@ def test_freiman_map_verification():
     values[5] = 1
     broken = FreimanMap(c, h, values, 2)
     assert not is_freiman_homomorphism(broken, 2)
+    # an arm of 200 points, past the old exhaustive cutoff of 128
+    g256 = bg.make_group([256])
+    c = interval(g256, 1, 0, 199)
+    values = np.where(np.arange(256) < 200, 3 * np.arange(256) % 256, -1)
+    for s in (2, 3):
+        assert is_freiman_homomorphism(FreimanMap(c, g256, values, s), s)
+    values[150] = 0
+    assert not is_freiman_homomorphism(FreimanMap(c, g256, values, 2), 2)
+
+
+def _freiman_oracle(fmap, s):
+    """Brute force: every s-tuple of domain points, summed coordinatewise;
+    each sum must carry a single value."""
+    g, h = fmap.domain.group, fmap.codomain
+    dom = [int(i) for i in fmap.domain.enumerate().indices()]
+    xs = {i: g.element_from_index(i).coords for i in dom}
+    vs = {i: h.element_from_index(int(fmap.values[i])).coords for i in dom}
+    seen = {}
+    for tup in itertools.product(dom, repeat=s):
+        x = tuple(sum(c) % q for c, q in zip(zip(*(xs[i] for i in tup)), g.moduli))
+        v = tuple(sum(c) % q for c, q in zip(zip(*(vs[i] for i in tup)), h.moduli))
+        if seen.setdefault(x, v) != v:
+            return False
+    return True
+
+
+def _arm_map(g, h, base, gen, length, b, w, order):
+    """base + k gen -> b + k w on k = 0..length-1, the k taken in Z."""
+    dom = CosetProgression(g, base, (Arm(gen, 0, length - 1),), GroupSubset.from_indices(g, [0]))
+    values = np.full(g.order, -1, dtype=np.int64)
+    for k in range(length):
+        values[(base + k * gen).index] = (b + k * w).index
+    return FreimanMap(dom, h, values, order)
+
+
+def test_freiman_homomorphism_matches_bruteforce():
+    rng = derive_rng(67)
+    outcomes = []
+    for case in range(80):
+        g = bg.make_group([[32], [4, 8], [24], [2, 2, 6]][case % 4])
+        h = bg.make_group([[3], [6], [9], [24], [2, 4]][int(rng.integers(0, 5))])
+        gen = g.element_from_index(int(rng.integers(1, g.order)))
+        length = int(rng.integers(1, min(gen.order, 16) + 1))
+        base = g.element_from_index(int(rng.integers(0, g.order)))
+        b, w = (h.element_from_index(int(i)) for i in rng.integers(0, h.order, size=2))
+        s = 2 + case % 2
+        fmap = _arm_map(g, h, base, gen, length, b, w, s)
+        if case % 4 >= 2:  # one point moved by a nonzero value
+            values = fmap.values.copy()
+            p = (base + int(rng.integers(0, length)) * gen).index
+            shift = h.element_from_index(int(rng.integers(1, h.order)))
+            values[p] = (h.element_from_index(int(values[p])) + shift).index
+            fmap = FreimanMap(fmap.domain, h, values, s)
+        want = _freiman_oracle(fmap, s)
+        assert is_freiman_homomorphism(fmap, s) == want
+        assert is_freiman_homomorphism(fmap) == want  # s from the map's order
+        outcomes.append(want)
+    assert 20 <= sum(outcomes) <= 60
+    # Z32, arm 0..11: 2-fold sums stay below 32, but 3-fold sums wrap, so a
+    # map linear in k with 32 w != 0 is a Freiman 2- and not a 3-homomorphism;
+    # a sampled check passed these five
+    g = bg.make_group([32])
+    for m, gen, w, b in ((9, 1, 2, 6), (48, 1, 46, 5), (6, 1, 1, 1), (3, 5, 1, 2), (24, 5, 22, 23)):
+        h = bg.make_group([m])
+        fmap = _arm_map(g, h, g.zero, g.element([gen]), 12, h.element([b]), h.element([w]), 3)
+        assert is_freiman_homomorphism(fmap, 2) and _freiman_oracle(fmap, 2)
+        assert not is_freiman_homomorphism(fmap, 3) and not _freiman_oracle(fmap, 3)
