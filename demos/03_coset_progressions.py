@@ -42,8 +42,10 @@ print(f"extracted stride {res.ells[0]}, arm [-{arm.hi}, {arm.hi}] * {arm.generat
 gsrc = bg.make_group([4, 4])
 h = bg.make_group([8])
 kernel = subgroup_generated(h, [h.element([4])])
-lift_of = {x.index: h.element([2 * x.coords[0]]) for x in gsrc.elements()}
-proj = partial_projectivity(gsrc, h, kernel, lambda x: lift_of[x.index], 2)
+# representatives as a value array over G, the image index of each element:
+# (a, b) -> 2a in Z8
+lift_of = h.index_of_coords(2 * gsrc.coords_matrix[:, :1])
+proj = partial_projectivity(gsrc, h, kernel, lift_of, 2)
 print(
     f"lifted on |C| = {proj.progression.size} of |G| = {gsrc.order} "
     f"(guarantee >= |G|/|K| = {gsrc.order // kernel.size}), rank {proj.progression.rank}"

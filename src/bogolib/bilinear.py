@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .groups import (
     FiniteAbelianGroup,
     GroupElement,
     GroupSubset,
+    _combination_indices,
     _convolution_counts,
     _exact_counts,
     subgroup_generated,
@@ -53,6 +54,10 @@ from .progressions import (
 from .rng import derive_rng
 
 _LINEAR_BLOCK = 1 << 20  # pair entries per block of the Freiman-linearity check
+_PAIR_CUTOFF = 1 << 20  # pairs above which qr_property_check samples (a memory guard)
+_PAIR_SAMPLES = 10_000
+_RELATION_BOX = 4  # coefficient box of the relations regularity_partition extracts
+_RHO_GRID_CAP = 64  # radii tried per cell by regularity_partition
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,25 +197,15 @@ def linear_map_on_progression(
     progression: CosetProgression,
     dual: FiniteAbelianGroup,
     arm_values: Sequence[GroupElement],
-    base_value: Optional[GroupElement] = None,
-    subgroup_value: Optional[Callable[[int], GroupElement]] = None,
 ) -> FreimanMap:
-    """Tabulate y = base + sum k_i v_i + h  ->  base_value + sum k_i w_i.
+    """Tabulate y = base + sum k_i v_i + h  ->  sum k_i w_i.
 
-    Requires a proper progression so coordinates are unique; the subgroup
-    part maps through ``subgroup_value`` (zero by default).
+    Requires a proper progression, so coordinates are unique (``coordinates``
+    raises otherwise); the subgroup part maps to zero.
     """
-    if not progression.is_proper():
-        raise PreconditionError("progression must be proper to carry a linear table")
-    base_value = dual.element_from_index(0) if base_value is None else base_value
+    elements, coefficients, _ = progression.coordinates()
     values = np.full(progression.group.order, -1, dtype=np.int64)
-    for idx, (coeffs, h_idx) in progression.coordinates().items():
-        v = base_value
-        for k, w in zip(coeffs, arm_values):
-            v = v + k * w
-        if subgroup_value is not None:
-            v = v + subgroup_value(h_idx)
-        values[idx] = v.index
+    values[elements] = _combination_indices(dual, coefficients, arm_values)
     return FreimanMap(progression, dual, values, order=2)
 
 
@@ -312,17 +307,13 @@ def qr_property_check(
     rho_i: Fraction,
     eta: Fraction,
     group_x: FiniteAbelianGroup,
-    *,
-    pair_cutoff: int = 1 << 20,
-    pair_samples: int = 10_000,
-    seed: int = 0,
 ) -> QRCheck:
     """Both regularity properties of a cell at radius rho_i.
 
     delta is the median of |B(Gamma cup L(y); rho_i)| / |B(Gamma; rho_i)|
     over the cell; property (i) asks a 1 - eta fraction of rows to deviate
     by at most eta |G| from delta |B(Gamma)|, property (ii) the analogue
-    for pairs with delta^2.  Pair statistics are sampled above the cutoff.
+    for pairs with delta^2.  Pair statistics are sampled above ``_PAIR_CUTOFF``.
     """
     rho_i = Fraction(rho_i)
     eta_f = float(eta)
@@ -350,16 +341,16 @@ def qr_property_check(
     fail_i = float(np.mean(dev_i > tol))
     pass_i = fail_i <= eta_f + 1e-12
     n_pairs = ys.size * ys.size
-    sampled = n_pairs > pair_cutoff
+    sampled = n_pairs > _PAIR_CUTOFF
     if not sampled:
         f = row_masks.astype(np.float64)
         inter = f @ f.T
         dev_ii = np.abs(inter - delta * delta * b0)
         fail_ii = float(np.mean(dev_ii > tol))
     else:
-        rng = derive_rng(seed, 29)
-        ia = rng.integers(0, ys.size, size=pair_samples)
-        ib = rng.integers(0, ys.size, size=pair_samples)
+        rng = derive_rng(0, 29)
+        ia = rng.integers(0, ys.size, size=_PAIR_SAMPLES)
+        ib = rng.integers(0, ys.size, size=_PAIR_SAMPLES)
         inter = (row_masks[ia] & row_masks[ib]).sum(axis=1)
         dev_ii = np.abs(inter - delta * delta * b0)
         fail_ii = float(np.mean(dev_ii > tol))
@@ -388,14 +379,14 @@ class RegularityResult:
     relation_lattice: IntegerLattice
 
 
-def _rho_candidates(rho: Fraction, eta: Fraction, cap: int = 64) -> list[Fraction]:
-    """Grid rho - j eta^2 rho / 1000 for j in [0, 500 eta^-2], <= cap points."""
+def _rho_candidates(rho: Fraction, eta: Fraction) -> list[Fraction]:
+    """Grid rho - j eta^2 rho / 1000 for j in [0, 500 eta^-2], <= _RHO_GRID_CAP points."""
     rho, eta = Fraction(rho), Fraction(eta)
     j_max = _ceil(500 / (eta * eta))
-    if j_max + 1 <= cap:
+    if j_max + 1 <= _RHO_GRID_CAP:
         js = list(range(j_max + 1))
     else:
-        js = sorted({j_max * t // (cap - 1) for t in range(cap)})
+        js = sorted({j_max * t // (_RHO_GRID_CAP - 1) for t in range(_RHO_GRID_CAP)})
     return [rho - j * eta * eta * rho / 1000 for j in js]
 
 
@@ -500,26 +491,23 @@ def regularity_partition(
     eta: Fraction,
     step_cap: int,
     group_x: FiniteAbelianGroup,
-    *,
-    relation_box: int = 4,
-    rho_grid_cap: int = 64,
-    seed: int = 0,
 ) -> RegularityResult:
     """Partition C into cells that pass both quasirandomness properties.
 
     Loop: certify cells at some grid radius; on failure extract a new
     vanishing coefficient vector of the maps, shrink Q_s through its
     Freiman-subgroup and repartition.  The relation lattice grows strictly
-    inside [-box, box]^r, so the step count obeys the chain-monitor budget;
-    cells still failing at the cap are flagged rather than forced.
+    inside the box [-b, b]^r, b = ``_RELATION_BOX``, so the step count obeys
+    the chain-monitor budget; cells still failing at the cap are flagged
+    rather than forced.
     """
     if not c.is_symmetric or not c.is_proper():
         raise PreconditionError("C must be a proper symmetric coset progression")
     rho, eta = Fraction(rho), Fraction(eta)
-    candidates = _rho_candidates(rho, eta, rho_grid_cap)
+    candidates = _rho_candidates(rho, eta)
     q = _QState([1] * c.rank, [arm.hi for arm in c.arms], c.subgroup)
     lattice = IntegerLattice(len(maps))
-    budget = chain_monitor(max(1, len(maps)), relation_box)
+    budget = chain_monitor(max(1, len(maps)), _RELATION_BOX)
     steps = 0
     single_first = True
     while True:
@@ -530,9 +518,7 @@ def regularity_partition(
             chosen: Optional[RegularityCell] = None
             last: Optional[QRCheck] = None
             for rho_c in candidates:
-                res = qr_property_check(
-                    cell, gamma, maps, rho_c, eta, group_x, seed=seed
-                )
+                res = qr_property_check(cell, gamma, maps, rho_c, eta, group_x)
                 last = res
                 if res.pass_i and res.pass_ii:
                     chosen = RegularityCell(
@@ -566,7 +552,7 @@ def regularity_partition(
         if steps >= step_cap or steps >= budget:
             return RegularityResult(tuple(cells), False, steps, lattice)
         qprog = q.progression(c)
-        lam = _extract_relation(qprog, maps, lattice, relation_box)
+        lam = _extract_relation(qprog, maps, lattice, _RELATION_BOX)
         if lam is None:
             return RegularityResult(tuple(cells), False, steps, lattice)
         # Freiman-subgroup of Q_s where the relation vanishes
@@ -626,7 +612,8 @@ class CoverResult:
 
 def linear_cover(
     y_set: GroupSubset,
-    value_sets: dict[int, Sequence[GroupElement]],
+    dual: FiniteAbelianGroup,
+    u: np.ndarray,
     rounds_cap: int = 16,
     seed: int = 0,
     *,
@@ -639,8 +626,9 @@ def linear_cover(
     holds on an estimated alpha^4/2 fraction of (y, z, w); each round draws
     a random table f(y) in U_y and asks the homomorphism finder for a map
     agreeing with it on uncovered values.  Maps that cover nothing new are
-    discarded; the zero map is always present.  U and the covered sets U'
-    are boolean (|H|, |dual|) masks.
+    discarded; the zero map is always present.  U is the boolean
+    (|H|, |dual|) mask with row y the value set U_y of y in Y (each holding
+    the zero character 0), and the covered sets U' are a mask alike.
 
     The estimate keeps the samples whose z and w lie in Y, then those whose
     y + z and y + w do, and dedupes the quads (y+z, z, y+w, w) with one 1-D
@@ -659,15 +647,11 @@ def linear_cover(
     """
     h = y_set.group
     y_idx = y_set.indices()
+    u = np.asarray(u, dtype=bool)
+    if u.shape != (h.order, dual.order) or not u[y_idx, 0].all():
+        raise PreconditionError("U must be an (|H|, |dual|) mask with 0 in every U_y")
     if y_idx.size == 0:
         return CoverResult((), 0, 0.0, True)
-    dual = next(iter(value_sets.values()))[0].group
-    u = np.zeros((h.order, dual.order), dtype=bool)
-    for yi in y_idx:
-        vals = value_sets.get(int(yi))
-        if not vals or not any(v.is_zero for v in vals):
-            raise PreconditionError("every U_y must exist and contain 0")
-        u[yi, [v.index for v in vals]] = True
     zero_map = FreimanMap(
         CosetProgression.whole_group(h), dual, np.zeros(h.order, dtype=np.int64)
     )
@@ -1047,8 +1031,9 @@ def main_theorem_experiment(
     The dense rows come from one pass over the row sums, and their
     Bogolyubov spectra from one batched call (``fourier._bogolyubov_spectra``);
     each row's value set is the zero character and at most seven nonzero
-    frequencies, the only characters built.  The column arm scores every
-    element of the zero column at once (``_column_arm``).
+    frequencies, one row of the mask U that ``linear_cover`` takes.  The
+    column arm scores every element of the zero column at once
+    (``_column_arm``).
     """
     start = time.monotonic()
     a = sample_biset(gx, gy, delta, seed)
@@ -1094,17 +1079,14 @@ def main_theorem_experiment(
             row_sizes = a.matrix.sum(axis=1)
             dense_rows = np.flatnonzero((row_sizes * 2 >= delta * gx.order) & (row_sizes > 0))
             dual = gx.dual
-            value_sets: dict[int, list[Character]] = {}
+            u = np.zeros((gy.order, dual.order), dtype=bool)
+            u[dense_rows, 0] = True
             for yi, hits in zip(dense_rows, _bogolyubov_spectra(gx, a.matrix[dense_rows])):
                 # the zero character, then at most seven nonzero frequencies
-                value_sets[int(yi)] = [dual.zero] + [
-                    dual.element_from_index(int(i)) for i in hits[hits != 0][:7]
-                ]
-            if value_sets:
-                yset = GroupSubset.from_indices(gy, sorted(value_sets))
-                cover = linear_cover(
-                    yset, value_sets, rounds_cap=search_budget, seed=seed
-                )
+                u[yi, hits[hits != 0][:7]] = True
+            if dense_rows.size:
+                yset = GroupSubset.from_indices(gy, dense_rows)
+                cover = linear_cover(yset, dual, u, rounds_cap=search_budget, seed=seed)
                 for fmap in cover.maps[1:]:
                     dom = fmap.domain
                     # recentre at 0, shifting values by the one at the

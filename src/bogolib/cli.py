@@ -7,7 +7,7 @@ Usage patterns:
 
 Exit codes: 0 all checks/verifications passed, 1 an assertion failed,
 2 usage error.  The group-order ceiling defaults to 2^24 and may be set
-through BOGO_CEILING (order) or, for one experiment, ``--ceiling`` (bits).
+through BOGO_CEILING (a positive order) or, for one run, ``--ceiling`` (bits).
 ``--word``, ``--budget`` and ``--ceiling`` apply to experiments only and are
 rejected together with ``--suite``.  Reports validate
 against the JSON schema shipped at ``bogolib/schemas/report.schema.json``;
@@ -168,6 +168,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        env_ceiling = group_order_ceiling()
+    except ValueError as exc:
+        parser.error(str(exc))  # exits 2
+    try:
         if args.suite:
             for flag in ("word", "budget", "ceiling"):
                 if getattr(args, flag) is not None:
@@ -191,7 +195,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 args.seed,
                 word=word,
                 search_budget=DEFAULT_BUDGET if args.budget is None else args.budget,
-                ceiling=None if args.ceiling is None else 1 << args.ceiling,
+                ceiling=env_ceiling if args.ceiling is None else 1 << args.ceiling,
             )
             passed = report["verified"]
             if not passed:

@@ -36,10 +36,12 @@ SPAN_MAX_STEPS = 1 << 22
 
 
 def group_order_ceiling() -> int:
-    """Configured group-order ceiling; BOGO_CEILING overrides the default."""
+    """Group-order ceiling: BOGO_CEILING, a positive integer, else the default."""
     raw = os.environ.get("BOGO_CEILING")
     if raw is None:
         return DEFAULT_CEILING
+    if not (raw.strip().isdecimal() and int(raw) > 0):
+        raise ValueError(f"BOGO_CEILING must be a positive integer, got {raw!r}")
     return int(raw)
 
 
@@ -156,6 +158,23 @@ class FiniteAbelianGroup:
         scale = np.asarray([e // q for q in self.moduli], dtype=np.int64)
         w = self.dual.coords_matrix[chi] * scale
         return (w @ self.coords_matrix.T) % e
+
+
+def _coefficient_grid(ranges: Sequence[range]) -> np.ndarray:
+    """The rows of ``itertools.product(*ranges)`` (unit steps), in its order."""
+    shape = tuple(len(r) for r in ranges)
+    grid = np.indices(shape, dtype=np.int64).reshape(len(shape), math.prod(shape)).T
+    return grid + np.asarray([r.start for r in ranges], dtype=np.int64)
+
+
+def _combination_indices(
+    group: FiniteAbelianGroup, coefficients, elements: Sequence["GroupElement"], base=None
+) -> np.ndarray:
+    """Index of ``base + sum_j c_ij e_j`` for every row ``c_i`` of an integer
+    coefficient table, the ``e_j`` elements of ``group``: one matrix product."""
+    gens = np.asarray([e.coords for e in elements], dtype=np.int64).reshape(-1, group.rank)
+    coords = np.asarray(coefficients, dtype=np.int64).reshape(len(coefficients), len(gens)) @ gens
+    return group.index_of_coords(coords if base is None else coords + base.coords)
 
 
 def make_group(moduli: Sequence[int], ceiling: Optional[int] = None) -> FiniteAbelianGroup:

@@ -18,9 +18,16 @@ import numpy as np
 
 from . import intmat
 from .errors import FeasibilityError, PreconditionError, TheoremViolationError
-from .groups import FiniteAbelianGroup, GroupElement, GroupSubset, fold_multiples
+from .groups import (
+    FiniteAbelianGroup,
+    GroupElement,
+    GroupSubset,
+    _combination_indices,
+    fold_multiples,
+)
 
 MAX_BOX_CANDIDATES = 1 << 24
+CHAIN_CONSTANT = 8  # leading constant of the chain-monitor step budget
 
 
 def _plog(x: float) -> float:
@@ -223,11 +230,11 @@ def _represent(frame: _HermiteFrame, w: list[int], k1: int, k2: int) -> list[int
     return lam
 
 
-def chain_monitor(k: int, box_bound: int, *, constant: int = 8) -> int:
+def chain_monitor(k: int, box_bound: int) -> int:
     """Step budget for strictly increasing lattice chains witnessed in a box."""
     if k <= 0:
         return 1
-    return math.ceil(constant * k * k * (_plog(k) + _plog(max(1, box_bound))))
+    return math.ceil(CHAIN_CONSTANT * k * k * (_plog(k) + _plog(max(1, box_bound))))
 
 
 @dataclass(frozen=True)
@@ -252,7 +259,9 @@ def span_cover(
     Preimages in ``[-R, R]^k`` are the lexicographically smallest vectors
     mapping onto each member, found for all members in one
     :func:`box_preimages` call; the greedy loop adjoins any member whose
-    preimage leaves the current Z-span, smallest element index first.
+    preimage leaves the current Z-span, smallest element index first.  The
+    coefficients of every member are checked in one matrix product, reduced
+    modulo the exponent so that it stays exact in int64.
     """
     if not members:
         raise PreconditionError("members must be nonempty")
@@ -282,15 +291,9 @@ def span_cover(
     # preimages lie in [-R, R]^k, so bounded_representation's norm
     # preconditions hold; one frame serves every member
     frame = _hermite_frame(chosen_vecs)
-    coeffs: dict[int, list[int]] = {}
-    s_max = 1
-    for b in ordered:
-        lam = _represent(frame, preimages[b.index], radius, radius)
-        combo = group.zero
-        for c, g in zip(lam, chosen):
-            combo = combo + c * g
-        if combo != b:
-            raise TheoremViolationError("span cover coefficients do not reproduce member")
-        coeffs[b.index] = lam
-        s_max = max(s_max, max((abs(c) for c in lam), default=0))
-    return SpanCover(chosen, s_max, coeffs, budget)
+    lams = [_represent(frame, preimages[t], radius, radius) for t in targets.tolist()]
+    residues = [[c % group.exponent for c in lam] for lam in lams]
+    if np.any(_combination_indices(group, residues, chosen) != targets):
+        raise TheoremViolationError("span cover coefficients do not reproduce member")
+    s_max = max([1] + [abs(c) for lam in lams for c in lam])
+    return SpanCover(chosen, s_max, dict(zip(targets.tolist(), lams)), budget)

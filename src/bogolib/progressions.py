@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .groups import (
     FiniteAbelianGroup,
     GroupElement,
     GroupSubset,
+    _coefficient_grid,
+    _combination_indices,
     fold_multiples,
     invariant_factors,
     is_basis,
@@ -41,6 +43,7 @@ _GROW_BLOCK = 1 << 18  # index-row entries per block of growth candidates
 _PAIR_BLOCK = 1 << 22  # pair entries per block of the Freiman-subgroup check
 _SUM_BLOCK = 1 << 20  # graph-sum entries per block of the Freiman check
 _TRANSLATE_TRIES = 8  # best-overlap translates tried per refinement candidate
+_CANDIDATE_CAP = 512  # growth candidates scanned by grow_progression_inside
 
 
 class Arm(NamedTuple):
@@ -166,28 +169,22 @@ class CosetProgression:
             self.group, self.base + t, self.arms, self.subgroup
         )
 
-    def coordinates(self) -> dict[int, tuple[tuple[int, ...], int]]:
-        """element index -> (arm coefficients, subgroup element index).
+    def coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(elements, coefficients, subgroup)`` int64 arrays with
+        ``elements[i] = base + sum_j coefficients[i, j] v_j + subgroup[i]``,
+        coefficient rows in ``itertools.product`` order, each once per
+        subgroup element.
 
         Only meaningful for proper progressions (raises on a collision).
         """
-        out: dict[int, tuple[tuple[int, ...], int]] = {}
         sub_idx = self.subgroup.indices()
-        ranges = [range(arm.lo, arm.hi + 1) for arm in self.arms]
-        for coeffs in itertools.product(*ranges):
-            offset = self.base
-            for c, arm in zip(coeffs, self.arms):
-                offset = offset + c * arm.generator
-            base_index = offset.index
-            shifted = self.group.add_indices(
-                np.full(sub_idx.size, base_index, dtype=np.int64), sub_idx
-            )
-            for h, e in zip(sub_idx, shifted):
-                e = int(e)
-                if e in out:
-                    raise PreconditionError("progression is not proper")
-                out[e] = (coeffs, int(h))
-        return out
+        coeffs = _coefficient_grid([range(arm.lo, arm.hi + 1) for arm in self.arms])
+        gens = [arm.generator for arm in self.arms]
+        offsets = _combination_indices(self.group, coeffs, gens, self.base)
+        elements = self.group.add_indices(offsets[:, None], sub_idx).reshape(-1)
+        if np.unique(elements).size != elements.size:
+            raise PreconditionError("progression is not proper")
+        return elements, np.repeat(coeffs, sub_idx.size, axis=0), np.tile(sub_idx, offsets.size)
 
 
 def is_freiman_subgroup(a: GroupSubset, b: GroupSubset) -> bool:
@@ -255,16 +252,11 @@ def extract_subprogression(
     new_arms: list[Arm] = []
     for arm in c.arms:
         n = arm.hi
-        ell = None
-        for cand in range(1, min(search_cap, n) + 1):
-            if (cand * arm.generator) in a:
-                ell = cand
-                break
-        if ell is None:
-            ell = max(1, fallback_ell)
-            m = 0
-        else:
-            m = n // ell
+        # the strides l with l v in A, from the multiples l = 1..min(cap, n)
+        steps = np.arange(1, min(search_cap, n) + 1)[:, None]
+        hits = np.flatnonzero(a.mask[_combination_indices(group, steps, [arm.generator])]) + 1
+        ell = int(hits[0]) if hits.size else max(1, fallback_ell)
+        m = n // ell if hits.size else 0
         ells.append(ell)
         new_arms.append(Arm(ell * arm.generator, -m, m))
     h_prime = a & c.subgroup
@@ -456,19 +448,21 @@ def partial_projectivity(
     group: FiniteAbelianGroup,
     codomain: FiniteAbelianGroup,
     kernel: GroupSubset,
-    phi_rep: Callable[[GroupElement], GroupElement],
+    phi_rep: np.ndarray,
     s: int = 2,
     *,
     domain: Optional[GroupSubset] = None,
 ) -> ProjectivityResult:
     """Lift a homomorphism into a quotient to a Freiman s-homomorphism.
 
-    ``phi_rep`` returns a representative in the codomain; ``x ->
-    phi_rep(x) + kernel`` must be a homomorphism.  The sweep rewrites the
-    basis downward, replacing ``h_i`` by ``k_i`` with ``n_i k_i = 0``
-    whenever ``n_i h_i`` already lies in the subgroup generated by the
-    heavier torsion witnesses; each survivor doubles that subgroup, so at
-    most ``log2 |kernel|`` arms remain.
+    ``phi_rep`` is an int64 value array over ``group``, as in
+    ``FreimanMap.values``: the codomain index of a representative at every
+    element of the domain (all of ``group`` by default); ``x -> phi_rep[x]
+    + kernel`` must be a homomorphism.  The sweep rewrites the basis
+    downward, replacing ``h_i`` by ``k_i`` with ``n_i k_i = 0`` whenever
+    ``n_i h_i`` already lies in the subgroup generated by the heavier
+    torsion witnesses; each survivor doubles that subgroup, so at most
+    ``log2 |kernel|`` arms remain.  The lift table is one coefficient grid.
     """
     if s < 2:
         raise PreconditionError("Freiman order must be at least 2")
@@ -476,15 +470,19 @@ def partial_projectivity(
         raise GroupMismatchError("kernel must live in the codomain")
     if not is_subgroup(kernel):
         raise PreconditionError("kernel is not a verified subgroup")
+    phi_rep = np.asarray(phi_rep, dtype=np.int64)
+    off_domain = False if domain is None else ~domain.mask
+    if phi_rep.shape != (group.order,) or not np.all(
+        ((0 <= phi_rep) & (phi_rep < codomain.order)) | off_domain
+    ):
+        raise PreconditionError("phi_rep must hold a codomain index at every domain element")
     if domain is None:
         orders, basis = invariant_factors(group)
     else:
         orders, basis = subgroup_basis(group, domain)
     r = len(basis)
-    hs = [phi_rep(x) for x in basis]
+    hs = [codomain.element_from_index(phi_rep[x.index]) for x in basis]
     for h, x in zip(hs, basis):
-        if h.group is not codomain:
-            raise GroupMismatchError("representative outside the codomain")
         if (x.order * h) not in kernel:
             raise PreconditionError("phi is not a homomorphism into the quotient")
     ys: list[Optional[GroupElement]] = [None] * r
@@ -522,19 +520,14 @@ def partial_projectivity(
         tuple(Arm(ys[i], 0, arm_lengths[i] - 1) for i in heavy),
         sub,
     )
+    lifted = list(heavy) + light  # heavy arms, then the light basis elements
+    grid = _coefficient_grid([range(arm_lengths.get(i, orders[i])) for i in lifted])
+    x = _combination_indices(group, grid, [ys[i] for i in lifted])
+    v = _combination_indices(codomain, grid, [ks[i] for i in lifted])
+    if np.any(np.diff(np.unique(x * codomain.order + v) // codomain.order) == 0):
+        raise TheoremViolationError("lift table is inconsistent")
     table = np.full(group.order, -1, dtype=np.int64)
-    ranges = [range(arm_lengths[i]) for i in heavy] + [range(orders[i]) for i in light]
-    members = [ys[i] for i in heavy] + [ys[i] for i in light]
-    images = [ks[i] for i in heavy] + [ks[i] for i in light]
-    for coeffs in itertools.product(*ranges):
-        x = group.zero
-        v = codomain.zero
-        for lam, yy, kk in zip(coeffs, members, images):
-            x = x + lam * yy
-            v = v + lam * kk
-        if table[x.index] not in (-1, v.index):
-            raise TheoremViolationError("lift table is inconsistent")
-        table[x.index] = v.index
+    table[x] = v
     lift = FreimanMap(prog, codomain, table, order=s)
     if 2 ** len(heavy) > max(1, kernel.size):
         raise TheoremViolationError("rank exceeded log2 |kernel|")
@@ -547,10 +540,10 @@ def partial_projectivity(
         ok = float(prog.size) * float(s) ** math.log2(max(1, kernel.size)) >= dom_size - 1e-9
     if not ok:
         raise TheoremViolationError("progression below the guaranteed size")
-    for idx in np.flatnonzero(table >= 0):
-        rep = phi_rep(group.element_from_index(idx))
-        if (rep - lift(idx)) not in kernel:
-            raise TheoremViolationError("lift disagrees with phi modulo the kernel")
+    pts = np.flatnonzero(table >= 0)
+    diffs = codomain.add_indices(phi_rep[pts], codomain.negation_permutation[table[pts]])
+    if not kernel.mask[diffs].all():
+        raise TheoremViolationError("lift disagrees with phi modulo the kernel")
     return ProjectivityResult(
         prog,
         lift,
@@ -612,12 +605,11 @@ def injectivity_partition(
     g = c.group
     h = phi.codomain
     kernel_sub = c.subgroup
-    corner = c.base
-    for arm in c.arms:
-        corner = corner + arm.lo * arm.generator
+    lows = [[arm.lo for arm in c.arms]]
+    corner = int(_combination_indices(g, lows, [arm.generator for arm in c.arms], c.base)[0])
     # psi(k) = phi(corner + k) - phi(corner) on the subgroup part K
     k_idx = kernel_sub.indices()
-    shifted = g.add_indices(np.full(k_idx.size, corner.index), k_idx)
+    shifted = g.add_indices(corner, k_idx)
     neg_base = h.negation_permutation[phi.at(corner)]
     psi = h.add_indices(phi.at(shifted), np.full(k_idx.size, neg_base))
     # psi is a genuine homomorphism K -> H
@@ -632,15 +624,9 @@ def injectivity_partition(
         raise TheoremViolationError("kernel larger than 1/alpha")
     image_idx, first = np.unique(psi, return_index=True)
     psi_image = GroupSubset.from_indices(h, image_idx)
-    nu_rep = {int(v): g.element_from_index(k_idx[i]) for v, i in zip(image_idx, first)}
-    proj = partial_projectivity(
-        h,
-        g,
-        s_mask,
-        lambda y: nu_rep[y.index],
-        s=2,
-        domain=psi_image,
-    )
+    nu_rep = np.full(h.order, -1, dtype=np.int64)
+    nu_rep[image_idx] = k_idx[first]
+    proj = partial_projectivity(h, g, s_mask, nu_rep, s=2, domain=psi_image)
     # theta is injective; its image is the desired progression D
     theta_vals = proj.lift.values[proj.lift.values >= 0]
     if np.unique(theta_vals).size != theta_vals.size:
@@ -723,17 +709,17 @@ def grow_progression_inside(
     *,
     candidate_order: Optional[Sequence[int]] = None,
     rank_cap: int = 3,
-    candidate_cap: int = 512,
     use_stabilizer: bool = True,
 ) -> CosetProgression:
     """Greedy symmetric proper progression inside an allowed set containing 0.
 
     Arms extend while the enumeration stays in the allowed set and the
     progression stays proper; candidates are scanned in the given order
-    (element index by default).  Arm ``v`` grows one step at a time by
-    OR-ing ``inner + half v`` and ``inner - half v`` into the mask, where
-    ``inner`` is the progression before the arm; since ``inner`` is proper,
-    the extension is proper exactly when its size is ``(2 half + 1) |inner|``.
+    (element index by default), the first ``_CANDIDATE_CAP`` of them.  Arm
+    ``v`` grows one step at a time by OR-ing ``inner + half v`` and ``inner
+    - half v`` into the mask, where ``inner`` is the progression before the
+    arm; since ``inner`` is proper, the extension is proper exactly when its
+    size is ``(2 half + 1) |inner|``.
 
     The first step is scored for a block of candidates at once, through
     the index rows ``y - v`` and ``y + v``; the first candidate that passes
@@ -754,7 +740,7 @@ def grow_progression_inside(
         if candidate_order is not None
         else [int(i) for i in allowed.indices()]
     )
-    cands = np.asarray(order[:candidate_cap], dtype=np.int64)
+    cands = np.asarray(order[:_CANDIDATE_CAP], dtype=np.int64)
     if np.any((cands < 0) | (cands >= group.order)):
         raise ValueError("element index out of range")
     cands = cands[cands != 0]
@@ -871,50 +857,33 @@ def intersect_refine(
         inter = inter & c.enumerate()
     if not x_set.is_subset_of(inter):
         raise PreconditionError("X must sit inside every progression")
-    delta = Fraction(x_set.size, group.order)
     r = len(progressions)
     d = max(1, max(c.rank for c in progressions))
-    # per-progression cell id of every x in X; margin cells map to None
-    coords = [c.coordinates() for c in progressions]
-    widths = []
-    margins = []
+    # the cell of x in X: its block along every arm of every progression.
+    # An arm of length n has blocks of ceil(delta n / (100 d r)) coefficients,
+    # delta = |X| / |G|; when that makes t >= 50 d r / delta blocks, x in
+    # the four outermost blocks at either end is dropped; otherwise blocks
+    # have width 1
+    x_idx = x_set.indices()
+    kept = np.ones(x_idx.size, dtype=bool)
+    blocks, widths = [], []
     for c in progressions:
-        per_arm_w = []
-        per_arm_margin = []
-        for arm in c.arms:
-            n = arm.length
-            m = _ceil_frac(delta * n / (100 * d * r))
-            t = -(-n // m)
-            if t < 50 * d * r / delta:
-                m, t, margin = 1, n, False
-            else:
-                margin = True
-            per_arm_w.append(m)
-            per_arm_margin.append(margin)
-        widths.append(per_arm_w)
-        margins.append(per_arm_margin)
-    assignments: dict[tuple, list[int]] = {}
-    for xi in x_set.indices():
-        xi = int(xi)
-        key = []
-        ok = True
-        for ci, c in enumerate(progressions):
-            lam, _h = coords[ci][xi]
-            cell = []
-            for j, arm in enumerate(c.arms):
-                off = lam[j] - arm.lo
-                block = off // widths[ci][j]
-                if margins[ci][j]:
-                    t = -(-arm.length // widths[ci][j])
-                    if block < 4 or block > t - 4:
-                        ok = False
-                        break
-                cell.append(block)
-            if not ok:
-                break
-            key.append(tuple(cell))
-        if ok:
-            assignments.setdefault(tuple(key), []).append(xi)
+        elements, coeffs, _ = c.coordinates()
+        row = np.empty(group.order, dtype=np.int64)
+        row[elements] = np.arange(elements.size)
+        lo = np.asarray([arm.lo for arm in c.arms], dtype=np.int64)
+        n = np.asarray([arm.length for arm in c.arms], dtype=np.int64)
+        m = -(-(x_set.size * n) // (100 * d * r * group.order))
+        t = -(-n // m)
+        margin = t * x_set.size >= 50 * d * r * group.order
+        width = np.where(margin, m, 1)
+        block = (coeffs[row[x_idx]] - lo) // width
+        kept &= np.all(~margin | ((block >= 4) & (block <= t - 4)), axis=1)
+        blocks.append(block)
+        widths.append(width.tolist())
+    cells, cell_of, counts = np.unique(
+        np.concatenate(blocks, axis=1)[kept], axis=0, return_inverse=True, return_counts=True
+    )
     candidates: list[tuple[CosetProgression, int]] = []
 
     def popular_route(y_set: GroupSubset) -> None:
@@ -956,12 +925,13 @@ def intersect_refine(
             if placed:
                 break
 
-    if assignments:
-        best_key = max(assignments, key=lambda k: (len(assignments[k]), k))
-        y_set = GroupSubset.from_indices(group, assignments[best_key])
+    if counts.size:
+        # the most populated cell, the largest on a tie
+        best = np.flatnonzero(counts == counts.max())[-1]
+        y_set = GroupSubset.from_indices(group, x_idx[kept][cell_of.reshape(-1) == best])
         popular_route(y_set)
         if r == 1:
-            cell = _cell_progression(progressions[0], best_key[0], widths[0])
+            cell = _cell_progression(progressions[0], tuple(cells[best].tolist()), widths[0])
             if cell.enumerate().is_subset_of(inter):
                 candidates.append((cell, int((cell.enumerate() & x_set).size)))
         if y_set.size < x_set.size:

@@ -12,6 +12,8 @@ from .errors import PreconditionError, TheoremViolationError
 from .rng import derive_rng
 
 TOLERANCE = 1e-9
+EXHAUSTIVE_CUTOFF = 1 << 16  # k-tuples above which neighborhood_stats samples (a memory guard)
+NEIGHBORHOOD_SAMPLES = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +91,6 @@ def neighborhood_stats(
     m: int,
     tuple_set: Optional[np.ndarray],
     eta: float,
-    *,
-    exhaustive_cutoff: int = 1 << 16,
-    samples: int = 10_000,
-    seed: int = 0,
 ) -> NeighborhoodStats:
     """Deviation probability of |N_{x_1..x_k}^m cap M| from delta^{mk} |M|.
 
@@ -114,10 +112,9 @@ def neighborhood_stats(
     eps = box_norm(graph.balanced())
     target = delta ** (m * k) * tuple_set.shape[0]
     total = nx**k
-    sampled = total > exhaustive_cutoff
-    rng = derive_rng(seed, 23)
+    sampled = total > EXHAUSTIVE_CUTOFF
     if sampled:
-        draws = rng.integers(0, nx, size=(samples, k))
+        draws = derive_rng(0, 23).integers(0, nx, size=(NEIGHBORHOOD_SAMPLES, k))
     else:
         draws = np.stack(
             np.meshgrid(*([np.arange(nx)] * k), indexing="ij"), axis=-1

@@ -39,7 +39,7 @@ from .bohr import (
 )
 from .errors import BogolibError, NoWeaklyRegularRadiusError
 from .fourier import GroupFunction, dft, quadruple_count_all
-from .groups import GroupSubset, subgroup_generated
+from .groups import GroupSubset, _coefficient_grid, _combination_indices, subgroup_generated
 from .lattices import chain_monitor, span_cover
 from .progressions import (
     CosetProgression,
@@ -50,6 +50,10 @@ from .progressions import (
     popular_difference_progression,
 )
 from .rng import derive_rng
+
+MAIN_WORD = "hvvhvhh"  # criterion 12: the operator word of every run
+MAIN_SEARCH_BUDGET = 6  # its search rounds per run
+MAIN_CROSSCHECKS = 4  # its runs re-checked by brute-force membership
 
 
 @dataclass
@@ -72,8 +76,8 @@ def _random_moduli(rng, max_order: int) -> list[int]:
     return [q1, q2, int(rng.integers(2, rest + 1))]
 
 
-def _random_radius(rng, max_den: int = 24) -> Fraction:
-    den = int(rng.integers(5, max_den + 1))
+def _random_radius(rng) -> Fraction:
+    den = int(rng.integers(5, 25))
     num = int(rng.integers(1, max(2, den // 4 + 1)))
     return Fraction(num, den)
 
@@ -191,20 +195,16 @@ def check_large_spectrum(
     for g, freqs, rho in batch:
         b = bohr_enumerate(g, freqs, rho)
         coeffs = np.abs(dft(GroupFunction.indicator(b)).values)
-        deduped = list(dict.fromkeys(f.coords for f in freqs))
-        for chi_idx in np.flatnonzero(coeffs >= float(eps)):
-            chi = g.dual.element_from_index(int(chi_idx))
-            rep = large_spectrum_certify(g, freqs, rho, eta, eps, chi)
-            if rep is None:
-                failures += 1
-                continue
-            combo = g.dual.element_from_index(0)
-            for a, coords in zip(rep, deduped):
-                combo = combo + a * g.dual.element(coords)
-            if combo != chi:
-                failures += 1
-            else:
-                certified += 1
+        deduped = [g.dual.element(c) for c in dict.fromkeys(f.coords for f in freqs)]
+        large = np.flatnonzero(coeffs >= float(eps))
+        chis = [g.dual.element_from_index(int(i)) for i in large]
+        reps = [large_spectrum_certify(g, freqs, rho, eta, eps, chi) for chi in chis]
+        found = [rep is not None for rep in reps]
+        # every sum a_i gamma_i in one matrix product, a_i reduced modulo the exponent
+        residues = [[a % g.exponent for a in rep] for rep in reps if rep is not None]
+        combos = _combination_indices(g.dual, residues, deduped)
+        certified += int(np.sum(combos == large[found]))
+        failures += len(reps) - int(np.sum(combos == large[found]))
     return CheckResult(
         "bohr_large_spectrum",
         failures == 0 and len(batch) >= instances,
@@ -279,11 +279,8 @@ def check_dense_difference(
         k_eff = len(dict.fromkeys(f.coords for f in freqs))
         removable = int(b.size / 4 ** (k_eff + 1))
         idx = b.indices()
-        drop = set(
-            int(v)
-            for v in rng.choice(idx, size=min(removable, idx.size), replace=False)
-        )
-        a = GroupSubset.from_indices(g, [int(v) for v in idx if int(v) not in drop])
+        drop = rng.choice(idx, size=min(removable, idx.size), replace=False)
+        a = GroupSubset.from_indices(g, np.setdiff1d(idx, drop))
         try:
             dense_difference_cover(a, freqs, rho)
         except BogolibError:
@@ -401,8 +398,6 @@ def check_quadruple_counting(
 def check_partial_projectivity(
     seed: int, instances: int = 50, max_order: int = 64, max_kernel: int = 8
 ) -> CheckResult:
-    import itertools
-
     failures = 0
     done = 0
     attempt = 0
@@ -418,26 +413,17 @@ def check_partial_projectivity(
             continue
         orders, basis = bg.invariant_factors(g)
         reps = []
-        ok = True
         for n in orders:
-            cands = [e for e in h.elements() if (n * e) in kernel]
-            if not cands:
-                ok = False
-                break
-            reps.append(cands[int(rng.integers(0, len(cands)))])
-        if not ok:
-            continue
-        lookup = {}
-        for coeffs in itertools.product(*[range(n) for n in orders]):
-            x = g.zero
-            v = h.zero
-            for c, b, r in zip(coeffs, basis, reps):
-                x = x + c * b
-                v = v + c * r
-            lookup[x.index] = v
+            # a uniform e of H with n e in the kernel; 0 always qualifies
+            cands = np.flatnonzero(kernel.mask[h.index_of_coords(n * h.coords_matrix)])
+            reps.append(h.element_from_index(int(cands[rng.integers(0, cands.size)])))
+        # phi(sum c_i b_i) = sum c_i r_i over the basis's coefficient grid
+        grid = _coefficient_grid([range(n) for n in orders])
+        phi = np.full(g.order, -1, dtype=np.int64)
+        phi[_combination_indices(g, grid, basis)] = _combination_indices(h, grid, reps)
         done += 1
         try:
-            res = partial_projectivity(g, h, kernel, lambda x: lookup[x.index], 2)
+            res = partial_projectivity(g, h, kernel, phi, 2)
         except BogolibError:
             failures += 1
             continue
@@ -448,10 +434,9 @@ def check_partial_projectivity(
             failures += 1
         if not is_freiman_homomorphism(lift, 2):
             failures += 1
-        for idx in np.flatnonzero(lift.values >= 0):
-            if (lookup[idx] - lift(idx)) not in kernel:
-                failures += 1
-                break
+        pts = np.flatnonzero(lift.values >= 0)
+        diffs = h.add_indices(phi[pts], h.negation_permutation[lift.values[pts]])
+        failures += not kernel.mask[diffs].all()
     return CheckResult(
         "partial_projectivity",
         failures == 0 and done >= instances,
@@ -658,9 +643,6 @@ def check_main_theorem(
     orders: tuple[int, ...] = (16, 64, 256),
     deltas: tuple[float, ...] = (0.05, 0.1, 0.3),
     seeds_per_config: int = 10,
-    word: str = "hvvhvhh",
-    search_budget: int = 6,
-    crosscheck_budget: int = 4,
 ) -> CheckResult:
     failures = 0
     runs = 0
@@ -677,8 +659,8 @@ def check_main_theorem(
                     gy,
                     delta,
                     int(run_seed),
-                    search_budget=search_budget,
-                    word=word,
+                    search_budget=MAIN_SEARCH_BUDGET,
+                    word=MAIN_WORD,
                 )
                 runs += 1
                 rep = out.report
@@ -692,7 +674,7 @@ def check_main_theorem(
                         nontrivial += 1
                     else:
                         failures += 1
-                if crosschecked < crosscheck_budget and gx.order * gy.order <= 4096:
+                if crosschecked < MAIN_CROSSCHECKS and gx.order * gy.order <= 4096:
                     brute = variety_membership_bruteforce(out.variety)
                     if brute != out.variety.enumerate():
                         failures += 1

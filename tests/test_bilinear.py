@@ -28,7 +28,8 @@ from bogolib.bilinear import (
     variety_contained_in,
     variety_membership_bruteforce,
 )
-from bogolib.cli import run_experiment
+from bogolib.cli import DEFAULT_BUDGET, run_experiment
+from bogolib.errors import PreconditionError
 from bogolib.groups import GroupSubset, sumset_counts
 from bogolib.progressions import Arm, CosetProgression, FreimanMap
 from bogolib.rng import derive_rng
@@ -283,14 +284,24 @@ def test_respected_quadruples_examples():
     assert respected_quadruple_count(g, h, [0, 0, -1, -1, -1]) == 6
 
 
+def _value_mask(h, dual, value_sets):
+    """linear_cover's U: row y holds the value set U_y, a list of characters."""
+    u = np.zeros((h.order, dual.order), dtype=bool)
+    for yi, vals in value_sets.items():
+        u[yi, [v.index for v in vals]] = True
+    return u
+
+
 def test_linear_cover_trivial_and_linear():
     h = bg.make_group([16])
     dual = bg.make_group([16]).dual
     y = GroupSubset.full(h)
-    res = linear_cover(y, {i: [dual.element([0])] for i in range(16)}, rounds_cap=4, seed=2)
+    zeros = np.zeros((16, 16), dtype=bool)
+    zeros[:, 0] = True
+    res = linear_cover(y, dual, zeros, rounds_cap=4, seed=2)
     assert len(res.maps) == 1 and res.complete
-    u = {i: [dual.element([0]), dual.element([i])] for i in range(16)}
-    res = linear_cover(y, u, rounds_cap=8, seed=2)
+    u = _value_mask(h, dual, {i: [dual.element([0]), dual.element([i])] for i in range(16)})
+    res = linear_cover(y, dual, u, rounds_cap=8, seed=2)
     assert res.complete
     found_linear = False
     for m in res.maps[1:]:
@@ -298,16 +309,26 @@ def test_linear_cover_trivial_and_linear():
         if matches >= 4:
             found_linear = True
     assert found_linear
-    empty = linear_cover(GroupSubset.empty(h), {}, rounds_cap=2, seed=0)
+    empty = linear_cover(GroupSubset.empty(h), dual, zeros & False, rounds_cap=2, seed=0)
     assert empty.maps == () and empty.complete
+    # U is a (|H|, |dual|) mask, and every U_y of Y holds 0
+    with pytest.raises(PreconditionError):
+        linear_cover(y, dual, zeros[:, :8], rounds_cap=2, seed=0)
+    with pytest.raises(PreconditionError):
+        linear_cover(y, dual, zeros.T[:, :, None], rounds_cap=2, seed=0)
+    lacking = zeros.copy()
+    lacking[5, 0] = False
+    with pytest.raises(PreconditionError):
+        linear_cover(y, dual, lacking, rounds_cap=2, seed=0)
+    assert linear_cover(GroupSubset.from_indices(h, [0, 1]), dual, lacking).complete
 
 
 def test_linear_cover_maps_are_freiman_linear_after_recentring():
     h = bg.make_group([16])
     dual = bg.make_group([16]).dual
     y = GroupSubset.full(h)
-    u = {i: [dual.element([0]), dual.element([3 * i])] for i in range(16)}
-    res = linear_cover(y, u, rounds_cap=8, seed=5)
+    u = _value_mask(h, dual, {i: [dual.element([0]), dual.element([3 * i])] for i in range(16)})
+    res = linear_cover(y, dual, u, rounds_cap=8, seed=5)
     for m in res.maps:
         dom = m.domain
         base = dom.base
@@ -601,7 +622,8 @@ def test_linear_cover_condition_matches_block_oracle(monkeypatch):
         # difference tables kept whole, never kept, or filled part of the way
         table = (1 << 20, 0, 40 * dual.order, 1 << 20)[case % 4]
         monkeypatch.setattr(bilinear, "_PAIR_TABLE", table)
-        res = linear_cover(y_set, value_sets, rounds_cap=rounds_cap, seed=case, samples=samples)
+        u = _value_mask(h, dual, value_sets)
+        res = linear_cover(y_set, dual, u, rounds_cap=rounds_cap, seed=case, samples=samples)
         want, quads = _condition_oracle(y_set, value_sets, res.maps, case, res.rounds, samples)
         assert res.condition_fraction == want, case
         nonzero += want > 0
@@ -624,7 +646,7 @@ def test_convolution_rounding_margin_is_checked(monkeypatch):
     z24 = bg.make_group([24])
 
     def cover():
-        res = linear_cover(y_set, value_sets, rounds_cap=3, seed=4)
+        res = linear_cover(y_set, dual, _value_mask(h, dual, value_sets), rounds_cap=3, seed=4)
         return res.rounds, res.condition_fraction, [m.values.tolist() for m in res.maps]
 
     def spectra():
@@ -679,7 +701,8 @@ def test_linear_cover_condition_fraction_recount():
                 vals.add(dual.element_from_index(int(rng.integers(0, dual.order))))
             value_sets[yi] = sorted(vals, key=lambda e: e.index)
         y_set = GroupSubset.from_indices(h, y_idx)
-        res = linear_cover(y_set, value_sets, rounds_cap=4, seed=seed, samples=samples)
+        u = _value_mask(h, dual, value_sets)
+        res = linear_cover(y_set, dual, u, rounds_cap=4, seed=seed, samples=samples)
         # recount the triple condition on the same samples with Python sets
         u = {yi: {v.index for v in vals} for yi, vals in value_sets.items()}
         cov = {
@@ -770,6 +793,19 @@ def test_cover_results_match_recorded_digest(monkeypatch):
     assert len(records) == 18 and sum(len(r[3]) for r in records) > 18  # maps gained
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == _COVER_DIGEST
+
+
+def test_covering_stage_wins_a_pinned_experiment():
+    # Z32 x Z32, word vh, delta 0.1, seed 1: the largest verified variety
+    # is the covering stage's, one map over 144 cells; without the stage the
+    # ladder's best holds 96
+    g = bg.make_group([32])
+    out = main_theorem_experiment(g, g, 0.1, 1, search_budget=DEFAULT_BUDGET, word="vh")
+    assert len(out.variety.maps) == 1 and out.report["variety_size"] == 144
+    assert variety_membership_bruteforce(out.variety) == out.variety.enumerate()
+    assert out.variety.enumerate().is_subset_of(out.difference_set)
+    bare = main_theorem_experiment(g, g, 0.1, 1, search_budget=0, word="vh")
+    assert bare.variety.maps == () and bare.report["variety_size"] == 96
 
 
 def _column_arm_oracle(group, column):

@@ -70,13 +70,25 @@ def test_group_ceiling_gate():
     assert "too large" in proc.stderr
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(monkeypatch, capsys):
     assert run_cli(["--group-g", "Z0", "--group-h", "Z2", "--delta", "0.5"]).returncode == 2
     assert run_cli(["--suite", "does-not-exist"]).returncode == 2
     assert run_cli(["--group-g", "Z4", "--delta", "0.5"]).returncode == 2
     assert run_cli(
         ["--group-g", "Z4", "--group-h", "Z4", "--delta", "0.5", "--word", "hxv"]
     ).returncode == 2
+    # BOGO_CEILING must be a positive integer, for experiments and suites alike
+    experiment = ["--group-g", "Z8", "--group-h", "Z8", "--delta", "0.5", "--seed", "1"]
+    for raw in ("abc", "-5", "0"):
+        monkeypatch.setenv("BOGO_CEILING", raw)
+        for argv in (experiment, ["--suite", "lattice"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert "BOGO_CEILING" in capsys.readouterr().err
+    monkeypatch.setenv("BOGO_CEILING", "63")  # |G| |H| = 64
+    assert cli.main(experiment) == 1
+    assert "too large" in capsys.readouterr().err
 
 
 def test_suite_rejects_experiment_flags():

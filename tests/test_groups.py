@@ -1,5 +1,6 @@
 """Group core: exact arithmetic, spans, bases, subsets."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bogolib as bg
+from bogolib import groups
 from bogolib.groups import (
     GroupSubset,
     annihilator_subgroup,
@@ -351,3 +353,28 @@ def test_parse_group_spec_ascii_digits_only():
     for spec in ("Z\u00b2", "Z4xZ\u00b3", "Z\u0661\u0662"):
         with pytest.raises(bg.GroupSpecSyntaxError):
             bg.parse_group_spec(spec)
+
+
+def test_coefficient_grid_and_combinations_match_loops():
+    # the array tables against itertools.product and GroupElement sums
+    rng = derive_rng(137)
+    for moduli in ([12], [4, 6], [2, 3, 5], [9, 27]):
+        g = bg.make_group(moduli)
+        for _ in range(6):
+            k = int(rng.integers(0, 4))
+            ranges = [range(lo, lo + int(rng.integers(1, 5))) for lo in rng.integers(-3, 4, k).tolist()]
+            grid = groups._coefficient_grid(ranges)
+            assert grid.dtype == np.int64
+            assert grid.tolist() == [list(row) for row in itertools.product(*ranges)]
+            elements = [g.element_from_index(i) for i in rng.integers(0, g.order, k).tolist()]
+            base = g.element_from_index(int(rng.integers(0, g.order)))
+            want = []
+            for row in itertools.product(*ranges):
+                x = base
+                for c, e in zip(row, elements):
+                    x = x + c * e
+                want.append(x.index)
+            assert groups._combination_indices(g, grid, elements, base).tolist() == want
+            assert groups._combination_indices(g, grid.tolist(), elements).tolist() == [
+                (x - base).index for x in map(g.element_from_index, want)
+            ]

@@ -1,6 +1,7 @@
 """Coset progressions, Freiman homomorphisms and their refinements."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -61,8 +62,21 @@ def test_enumeration_matches_formula():
     )
     assert c.formal_size == 5 * 2 * 2
     assert c.size == c.formal_size  # proper here
-    coords = c.coordinates()
-    assert len(coords) == c.size
+    elements, coefficients, subgroup = c.coordinates()
+    assert sorted(elements.tolist()) == c.enumerate().indices().tolist()
+    # row i is base + sum_j coefficients[i, j] v_j + subgroup[i], in
+    # itertools.product order of the coefficients
+    rows = [
+        (lam, int(h)) for lam in itertools.product(range(-2, 3), range(2)) for h in sub.indices()
+    ]
+    assert [(tuple(lam), int(h)) for lam, h in zip(coefficients.tolist(), subgroup)] == rows
+    for e, (lam, h) in zip(elements, rows):
+        x = c.base + g.element_from_index(h)
+        for k, arm in zip(lam, c.arms):
+            x = x + k * arm.generator
+        assert x.index == e
+    with pytest.raises(PreconditionError):
+        interval(bg.make_group([10]), 2, 0, 9).coordinates()
 
 
 def test_is_freiman_subgroup_examples():
@@ -168,16 +182,20 @@ def test_partial_projectivity_trivial_kernel():
     g = bg.make_group([2])
     h = bg.make_group([4])
     k0 = GroupSubset.from_indices(h, [0])
-    res = partial_projectivity(g, h, k0, lambda x: h.element([2 * x.coords[0]]), 2)
+    res = partial_projectivity(g, h, k0, h.index_of_coords(2 * g.coords_matrix), 2)
     assert res.progression.rank == 0
     assert res.progression.size == g.order
+    # phi_rep is a value array over the whole group, one codomain index each
+    for bad in (np.zeros(3, dtype=np.int64), np.asarray([0, h.order]), np.asarray([0, -1])):
+        with pytest.raises(PreconditionError):
+            partial_projectivity(g, h, k0, bad, 2)
 
 
 def test_partial_projectivity_z2_to_z4():
     g = bg.make_group([2])
     h = bg.make_group([4])
     k = GroupSubset.from_indices(h, [0, 2])
-    res = partial_projectivity(g, h, k, lambda x: h.element([x.coords[0]]), 2)
+    res = partial_projectivity(g, h, k, h.index_of_coords(g.coords_matrix), 2)
     assert res.progression.size == 1
     assert res.lift(0).is_zero
     assert res.progression.size * k.size >= g.order
@@ -203,17 +221,15 @@ def test_partial_projectivity_random():
                 if (n * e) in k
             ]
             reps.append(cands[int(rng.integers(0, len(cands)))])
-        lookup = {}
-        import itertools
-
+        lookup = np.full(g.order, -1, dtype=np.int64)
         for coeffs in itertools.product(*[range(n) for n in orders]):
             x = g.zero
             v = h.zero
             for c, b, r in zip(coeffs, basis, reps):
                 x = x + c * b
                 v = v + c * r
-            lookup[x.index] = v
-        res = partial_projectivity(g, h, k, lambda x: lookup[x.index], 2)
+            lookup[x.index] = v.index
+        res = partial_projectivity(g, h, k, lookup, 2)
         assert is_freiman_homomorphism(res.lift, 2)
         done += 1
 
@@ -353,15 +369,15 @@ def test_grow_progression_matches_trial_loop(monkeypatch):
         elif order_kind == 2:
             # any element, repeats allowed, 0 and points outside the set included
             kwargs["candidate_order"] = rng.integers(0, g.order, size=20).tolist()
-            kwargs["candidate_cap"] = int(rng.integers(1, 21))
+            monkeypatch.setattr(progressions, "_CANDIDATE_CAP", int(rng.integers(1, 21)))
         # blocks of 1-3 candidates in three cases of four, so accepted arms
         # fall at every position inside a block and across its boundary
         per_block = case % 4
         if per_block:
             monkeypatch.setattr(progressions, "_GROW_BLOCK", per_block * g.order)
         got = grow_progression_inside(allowed, **kwargs)
+        want = _grow_by_trials(allowed, candidate_cap=progressions._CANDIDATE_CAP, **kwargs)
         monkeypatch.undo()
-        want = _grow_by_trials(allowed, **kwargs)
         assert got.arms == want.arms, (g, kwargs, per_block)
         assert got.subgroup == want.subgroup
         assert got.enumerate() == want.enumerate()
@@ -439,6 +455,126 @@ def test_intersect_refine_examples():
     with pytest.raises(PreconditionError):
         c3 = interval(g, 1, 0, 9, base=60)
         intersect_refine([c1, c3], GroupSubset.from_indices(g, [0]))
+
+
+def _refine_cells_oracle(progs, x_set):
+    """intersect_refine's cell assignment as the per-x loop it replaced:
+    coordinates summed one GroupElement at a time, cells kept in a dict and
+    margin blocks skipped.  Returns (best cell key, its points, widths), the
+    key None when every point of X falls in a margin."""
+    group = x_set.group
+    delta = Fraction(x_set.size, group.order)
+    r = len(progs)
+    d = max(1, max(c.rank for c in progs))
+    tables, widths, margins = [], [], []
+    for c in progs:
+        table = {}
+        for lam in itertools.product(*[range(arm.lo, arm.hi + 1) for arm in c.arms]):
+            offset = c.base
+            for k, arm in zip(lam, c.arms):
+                offset = offset + k * arm.generator
+            for h in c.subgroup.elements():
+                table[(offset + h).index] = lam
+        tables.append(table)
+        per_w, per_m = [], []
+        for arm in c.arms:
+            m = math.ceil(delta * arm.length / (100 * d * r))
+            margin = -(-arm.length // m) >= 50 * d * r / delta
+            per_w.append(m if margin else 1)
+            per_m.append(margin)
+        widths.append(per_w)
+        margins.append(per_m)
+
+    def key_of(xi):
+        key = []
+        for table, c, ws, ms in zip(tables, progs, widths, margins):
+            cell = []
+            for k, arm, w, margin in zip(table[xi], c.arms, ws, ms):
+                block = (k - arm.lo) // w
+                if margin and not 4 <= block <= -(-arm.length // w) - 4:
+                    return None
+                cell.append(block)
+            key.append(tuple(cell))
+        return tuple(key)
+
+    assignments = {}
+    for xi in x_set.indices():
+        key = key_of(int(xi))
+        if key is not None:
+            assignments.setdefault(key, []).append(int(xi))
+    if not assignments:
+        return None, [], widths
+    best = max(assignments, key=lambda k: (len(assignments[k]), k))
+    return best, assignments[best], widths
+
+
+def test_intersect_refine_cells_match_loop_oracle(monkeypatch):
+    cells, routes = [], []
+    real_cell = progressions._cell_progression
+    real_popular = progressions.popular_difference_progression
+
+    def cell_progression(c, cell, widths):
+        cells.append((cell, list(widths)))
+        return real_cell(c, cell, widths)
+
+    def popular(subset, *args, **kwargs):
+        routes.append(subset.indices().tolist())
+        return real_popular(subset, *args, **kwargs)
+
+    monkeypatch.setattr(progressions, "_cell_progression", cell_progression)
+    monkeypatch.setattr(progressions, "popular_difference_progression", popular)
+    # Z1024, one arm [0, 900], X = [0, 900] less a seeded 30% of 24..863:
+    # blocks of width 6, the margin drops blocks 0-3 and 148-150, and the
+    # fully kept blocks 144-147 tie, so the largest, 147, wins (149 without
+    # the margin)
+    z1024 = bg.make_group([1024])
+    drop = derive_rng(127).choice(np.arange(24, 864), size=252, replace=False)
+    points = np.setdiff1d(np.arange(901), drop)
+    long_arm = interval(z1024, 1, 0, 900)
+    cases = [
+        ([long_arm], GroupSubset.from_indices(z1024, points)),
+        # two progressions, both with margins
+        (
+            [long_arm, interval(z1024, 1, 0, 900, base=60)],
+            GroupSubset.from_indices(z1024, points[points >= 60]),
+        ),
+    ]
+    rng = derive_rng(131)
+    g = bg.make_group([6, 10])
+    sub = subgroup_generated(g, [g.element([3, 0])])
+    shapes = [
+        [CosetProgression(g, g.element([1, 2]), (Arm(g.element([0, 1]), -2, 3),), sub)],
+        [
+            CosetProgression(
+                g,
+                g.zero,
+                (Arm(g.element([1, 0]), 0, 2), Arm(g.element([0, 1]), -3, 4)),
+                GroupSubset.from_indices(g, [0]),
+            ),
+            CosetProgression(g, g.zero, (Arm(g.element([0, 1]), 0, 9),), sub),
+        ],
+        [CosetProgression.from_subgroup(sub)],  # rank 0: one cell holds all of X
+    ]
+    for progs in shapes:
+        inter = progs[0].enumerate()
+        for c in progs[1:]:
+            inter = inter & c.enumerate()
+        for _ in range(4):
+            idx = inter.indices()
+            chosen = rng.choice(idx, size=int(rng.integers(1, idx.size + 1)), replace=False)
+            cases.append((progs, GroupSubset.from_indices(g, chosen)))
+    for case, (progs, x_set) in enumerate(cases):
+        cells.clear()
+        routes.clear()
+        res = intersect_refine(progs, x_set)
+        best, members, widths = _refine_cells_oracle(progs, x_set)
+        assert best is not None, case
+        assert routes[0] == members, case
+        assert cells == ([(best[0], widths[0])] if len(progs) == 1 else []), case
+        for c in progs:
+            assert res.progression.enumerate().is_subset_of(c.enumerate()), case
+        if case == 0:
+            assert cells == [((147,), [6])]
 
 
 def test_freiman_map_verification():
