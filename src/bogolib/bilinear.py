@@ -59,6 +59,9 @@ _PAIR_SAMPLES = 10_000
 _RELATION_BOX = 4  # coefficient box of the relations regularity_partition extracts
 _RHO_GRID_CAP = 64  # radii tried per cell by regularity_partition
 
+DEFAULT_WORD = "hvvhvhh"  # the containment experiment's operator word
+DEFAULT_BUDGET = 6  # its covering-stage rounds
+
 
 @dataclass(frozen=True, eq=False)
 class BiSet:
@@ -1014,8 +1017,8 @@ def main_theorem_experiment(
     gy: FiniteAbelianGroup,
     delta: float,
     seed: int,
-    search_budget: int = 8,
-    word: str = "hvvhvhh",
+    search_budget: int = DEFAULT_BUDGET,
+    word: str = DEFAULT_WORD,
 ) -> ExperimentOutcome:
     """Sample a set of the given density, take the iterated difference set
     and search for a verified bilinear Bohr variety inside it.

@@ -25,13 +25,10 @@ import sys
 from importlib import resources
 from typing import Optional
 
-from .bilinear import main_theorem_experiment
+from .bilinear import DEFAULT_BUDGET, DEFAULT_WORD, main_theorem_experiment
 from .errors import BogolibError, GroupSpecSyntaxError, GroupTooLargeError
 from .groups import group_order_ceiling, make_group, parse_group_spec
 from .suites import run_suite, suite_names
-
-DEFAULT_WORD = "hvvhvhh"
-DEFAULT_BUDGET = 6
 
 EXPERIMENT_CSV_COLUMNS = [
     "schema_version",
@@ -159,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--ceiling", type=int, help="group-order ceiling in bits")
     parser.add_argument(
-        "--budget", type=int, help=f"search/cover rounds (default {DEFAULT_BUDGET})"
+        "--budget", type=int, help=f"search/cover rounds, >= 0 (default {DEFAULT_BUDGET})"
     )
     return parser
 
@@ -185,6 +182,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 parser.error("--delta must lie in (0, 1]")
             if args.ceiling is not None and not 0 <= args.ceiling <= 62:
                 parser.error("--ceiling must lie in [0, 62] bits")
+            if args.budget is not None and args.budget < 0:
+                parser.error("--budget must be >= 0")
             word = DEFAULT_WORD if args.word is None else args.word
             if any(ch not in "hv" for ch in word):
                 parser.error("--word may only contain h and v")

@@ -558,24 +558,26 @@ def _subgroup_combination(
     generators: Sequence[GroupElement],
     target: GroupElement,
 ) -> Optional[list[int]]:
-    """Coefficients with sum lam_j g_j = target, or None; DP over the
-    generated subgroup keyed by element index."""
-    states: dict[int, tuple[int, ...]] = {0: ()}
+    """Coefficients with sum lam_j g_j = target, or None.
+
+    One array pass per generator over the elements reached so far: every
+    ``lam g + state`` in lam-major order, each element kept with the
+    coefficients of its first reach, i.e. its smallest lam (for one lam,
+    distinct states reach distinct elements, so the order of the states
+    does not matter).
+    """
+    states = np.zeros(1, dtype=np.int64)  # indices of the elements reached
+    coeffs = np.zeros((1, 0), dtype=np.int64)
     for g in generators:
-        new_states: dict[int, tuple[int, ...]] = {}
-        for lam in range(g.order):
-            shift = (lam * g).index
-            for idx, coeffs in states.items():
-                nxt = int(
-                    group.add_indices(
-                        np.asarray([idx], dtype=np.int64),
-                        np.asarray([shift], dtype=np.int64),
-                    )[0]
-                )
-                if nxt not in new_states:
-                    new_states[nxt] = coeffs + (lam,)
-        states = new_states
-    return list(states[target.index]) if target.index in states else None
+        lams = np.arange(g.order, dtype=np.int64)
+        shifts = group.index_of_coords(lams[:, None] * group.coords_matrix[g.index])
+        n = states.size
+        reach = group.add_indices(np.repeat(shifts, n), np.tile(states, lams.size))
+        _, first = np.unique(reach, return_index=True)
+        states = reach[first]
+        coeffs = np.column_stack([coeffs[first % n], first // n])
+    hit = np.flatnonzero(states == target.index)
+    return coeffs[hit[0]].tolist() if hit.size else None
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Each check runs a seeded batch of instances against an instance-checkable
 theorem and reports pass/fail plus measured quantities.  The same
 functions back both the CLI harness (``bogolib --suite ...``) and the
-acceptance test module; all sizes and tolerances default to the values the
-acceptance criteria pin down.
+acceptance test module, and each takes only the seed: its sizes and
+tolerances, the values the acceptance criteria pin down, are literals in
+its body.
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ from .progressions import (
 )
 from .rng import derive_rng
 
-MAIN_WORD = "hvvhvhh"  # criterion 12: the operator word of every run
-MAIN_SEARCH_BUDGET = 6  # its search rounds per run
-MAIN_CROSSCHECKS = 4  # its runs re-checked by brute-force membership
-
 
 @dataclass
 class CheckResult:
@@ -85,9 +82,8 @@ def _random_radius(rng) -> Fraction:
 # -- criterion 1 ------------------------------------------------------------
 
 
-def check_bohr_size_bounds(
-    seed: int, instances: int = 200, max_order: int = 2048, max_freqs: int = 3
-) -> CheckResult:
+def check_bohr_size_bounds(seed: int) -> CheckResult:
+    instances, max_order, max_freqs = 200, 2048, 3
     violations = 0
     doubling_checked = 0
     for i in range(instances):
@@ -120,10 +116,15 @@ def check_bohr_size_bounds(
 # -- criteria 2 + 3 ----------------------------------------------------------
 
 
-def _weakly_regular_instances(
-    seed: int, count: int, max_order: int, max_k: int, eta: Fraction, eps: Fraction
-):
-    # Criteria 2 and 3 pass eta = 1/10, larger than the search grid's step
+def _weakly_regular_instances(seed: int):
+    """Criteria 2 and 3's batch: up to 50 weakly regular (G, freqs, rho)
+    with |G| <= 512 and at most 2 frequencies, at eta = eps = 1/10.
+
+    Returns the batch, eta, eps and whether the batch is full.
+    """
+    count, max_order, max_k = 50, 512, 2
+    eta = eps = Fraction(1, 10)
+    # eta = 1/10 is larger than the search grid's step
     # (3/8 - 1/8) / ceil(4 / eps) = 1/160, so the pigeonhole guarantee of
     # weak_regular_radius_search does not apply: most draws raise and the
     # batch keeps the draws that happen to be regular (about 50 of 475 at
@@ -148,18 +149,11 @@ def _weakly_regular_instances(
         except NoWeaklyRegularRadiusError:
             continue
         found.append((g, freqs, rho))
-    return found
+    return found, eta, eps, len(found) >= count
 
 
-def check_size_formula(
-    seed: int,
-    instances: int = 50,
-    max_order: int = 512,
-    max_k: int = 2,
-    eta: Fraction = Fraction(1, 10),
-    eps: Fraction = Fraction(1, 10),
-) -> CheckResult:
-    batch = _weakly_regular_instances(seed, instances, max_order, max_k, eta, eps)
+def check_size_formula(seed: int) -> CheckResult:
+    batch, eta, eps, full = _weakly_regular_instances(seed)
     worst = 0.0
     failures = 0
     for g, freqs, rho in batch:
@@ -172,7 +166,7 @@ def check_size_formula(
             failures += 1
     return CheckResult(
         "bohr_size_formula",
-        failures == 0 and len(batch) >= instances,
+        failures == 0 and full,
         {
             "instances": len(batch),
             "failures": failures,
@@ -181,15 +175,8 @@ def check_size_formula(
     )
 
 
-def check_large_spectrum(
-    seed: int,
-    instances: int = 50,
-    max_order: int = 512,
-    max_k: int = 2,
-    eta: Fraction = Fraction(1, 10),
-    eps: Fraction = Fraction(1, 10),
-) -> CheckResult:
-    batch = _weakly_regular_instances(seed, instances, max_order, max_k, eta, eps)
+def check_large_spectrum(seed: int) -> CheckResult:
+    batch, eta, eps, full = _weakly_regular_instances(seed)
     certified = 0
     failures = 0
     for g, freqs, rho in batch:
@@ -207,7 +194,7 @@ def check_large_spectrum(
         failures += len(reps) - int(np.sum(combos == large[found]))
     return CheckResult(
         "bohr_large_spectrum",
-        failures == 0 and len(batch) >= instances,
+        failures == 0 and full,
         {"instances": len(batch), "certified": certified, "failures": failures},
     )
 
@@ -215,9 +202,8 @@ def check_large_spectrum(
 # -- criterion 4 -------------------------------------------------------------
 
 
-def check_bohr_sum(
-    seed: int, instances: int = 20, max_order: int = 256
-) -> CheckResult:
+def check_bohr_sum(seed: int) -> CheckResult:
+    instances, max_order = 20, 256
     failures = 0
     controls = 0
     max_r = 0
@@ -262,9 +248,8 @@ def check_bohr_sum(
 # -- criterion 5 -------------------------------------------------------------
 
 
-def check_dense_difference(
-    seed: int, instances: int = 100, max_order: int = 256
-) -> CheckResult:
+def check_dense_difference(seed: int) -> CheckResult:
+    instances, max_order = 100, 256
     failures = 0
     for i in range(instances):
         rng = derive_rng(seed, 400_000 + i)
@@ -295,13 +280,8 @@ def check_dense_difference(
 # -- criterion 6 -------------------------------------------------------------
 
 
-def check_lattice_spanning(
-    seed: int,
-    instances: int = 100,
-    max_k: int = 4,
-    max_radius: int = 5,
-    max_order: int = 10_000,
-) -> CheckResult:
+def check_lattice_spanning(seed: int) -> CheckResult:
+    instances, max_k, max_radius, max_order = 100, 4, 5, 10_000
     failures = 0
     max_gens = 0
     max_coeff = 0
@@ -358,9 +338,8 @@ def _pair_multiplicity_count(g, subset: GroupSubset) -> np.ndarray:
     return (r[None, :] * r[shifted]).sum(axis=1)
 
 
-def check_quadruple_counting(
-    seed: int, cases: int = 1000, max_order: int = 64, max_size: int = 16
-) -> CheckResult:
+def check_quadruple_counting(seed: int) -> CheckResult:
+    cases, max_order, max_size = 1000, 64, 16
     mismatches = 0
     popular_failures = 0
     for i in range(cases):
@@ -395,9 +374,8 @@ def check_quadruple_counting(
 # -- criterion 8 -------------------------------------------------------------
 
 
-def check_partial_projectivity(
-    seed: int, instances: int = 50, max_order: int = 64, max_kernel: int = 8
-) -> CheckResult:
+def check_partial_projectivity(seed: int) -> CheckResult:
+    instances, max_order, max_kernel = 50, 64, 8
     failures = 0
     done = 0
     attempt = 0
@@ -447,9 +425,8 @@ def check_partial_projectivity(
 # -- criterion 9 -------------------------------------------------------------
 
 
-def check_extraction_and_basis_moves(
-    seed: int, extraction_instances: int = 30, moves: int = 1000
-) -> CheckResult:
+def check_extraction_and_basis_moves(seed: int) -> CheckResult:
+    extraction_instances, moves = 30, 1000
     failures = 0
     for i in range(extraction_instances):
         rng = derive_rng(seed, 800_000 + i)
@@ -527,14 +504,9 @@ def check_extraction_and_basis_moves(
 # -- criterion 10 ------------------------------------------------------------
 
 
-def check_regularity(
-    seed: int,
-    instances: int = 20,
-    max_order: int = 256,
-    max_maps: int = 2,
-    eta: Fraction = Fraction(1, 4),
-    step_cap: int = 12,
-) -> CheckResult:
+def check_regularity(seed: int) -> CheckResult:
+    instances, max_order, max_maps, step_cap = 20, 256, 2, 12
+    eta = Fraction(1, 4)
     failures = 0
     certified_cells = 0
     total_cells = 0
@@ -586,7 +558,8 @@ def check_regularity(
 # -- criterion 11 ------------------------------------------------------------
 
 
-def check_quasirandom_appendix(seed: int, triples: int = 1000) -> CheckResult:
+def check_quasirandom_appendix(seed: int) -> CheckResult:
+    triples = 1000
     rng = derive_rng(seed, 1_000_000)
     failures = 0
     for _ in range(triples):
@@ -638,12 +611,11 @@ def check_quasirandom_appendix(seed: int, triples: int = 1000) -> CheckResult:
 # -- criterion 12 ------------------------------------------------------------
 
 
-def check_main_theorem(
-    seed: int,
-    orders: tuple[int, ...] = (16, 64, 256),
-    deltas: tuple[float, ...] = (0.05, 0.1, 0.3),
-    seeds_per_config: int = 10,
-) -> CheckResult:
+def check_main_theorem(seed: int) -> CheckResult:
+    # every run takes the experiment's default word and budget; the first
+    # `crosschecks` small enough are re-checked by brute-force membership
+    orders, deltas = (16, 64, 256), (0.05, 0.1, 0.3)
+    seeds_per_config, crosschecks = 10, 4
     failures = 0
     runs = 0
     nontrivial = 0
@@ -652,16 +624,11 @@ def check_main_theorem(
         gx = bg.make_group([order])
         gy = bg.make_group([order])
         for delta in deltas:
-            for s in range(seeds_per_config):
+            for _ in range(seeds_per_config):
                 run_seed = derive_rng(seed, 1_100_000 + runs).integers(0, 1 << 62)
-                out = main_theorem_experiment(
-                    gx,
-                    gy,
-                    delta,
-                    int(run_seed),
-                    search_budget=MAIN_SEARCH_BUDGET,
-                    word=MAIN_WORD,
-                )
+                # looked up as a module global, so a wrapper set on this
+                # module sees every run
+                out = main_theorem_experiment(gx, gy, delta, int(run_seed))
                 runs += 1
                 rep = out.report
                 if not rep["verified"]:
@@ -674,7 +641,7 @@ def check_main_theorem(
                         nontrivial += 1
                     else:
                         failures += 1
-                if crosschecked < MAIN_CROSSCHECKS and gx.order * gy.order <= 4096:
+                if crosschecked < crosschecks and gx.order * gy.order <= 4096:
                     brute = variety_membership_bruteforce(out.variety)
                     if brute != out.variety.enumerate():
                         failures += 1
@@ -695,7 +662,7 @@ def check_main_theorem(
 
 # -- suite registry -----------------------------------------------------------
 
-SUITES: dict[str, list[Callable[..., CheckResult]]] = {
+SUITES: dict[str, list[Callable[[int], CheckResult]]] = {
     "bohr": [
         check_bohr_size_bounds,
         check_size_formula,

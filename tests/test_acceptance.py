@@ -1,122 +1,121 @@
-"""Acceptance suite: one test per criterion, at the stated sizes and
-tolerances, printing one pass/fail line each.
+"""Acceptance suite: one test per criterion, printing one pass/fail line each.
 
-Runtime-budgeted criteria assert their wall-clock limits too.
+The sizes and tolerances each criterion pins live in ``bogolib.suites``,
+whose checks take only a seed.  One module-scoped ``run_suite("all", SEED)``
+feeds criteria 1-12; runtime-budgeted criteria read their wall-clock limits
+from that check's ``elapsed_ms``.  Criterion 13 makes one more run and
+compares the two.
 """
 
 import hashlib
+import inspect
 import json
-import time
-from fractions import Fraction
+
+import pytest
 
 from bogolib import suites
 
 SEED = 1
 
-
-def _report(number: int, label: str, result, elapsed=None):
-    status = "PASS" if result.passed else "FAIL"
-    extra = f" [{elapsed:.1f}s]" if elapsed is not None else ""
-    print(f"criterion {number:2d} {status}: {label}{extra}  {result.measured}")
-    assert result.passed, f"criterion {number} failed: {result.measured}"
-
-
-def test_criterion_01_bohr_size_bounds():
-    t0 = time.monotonic()
-    res = suites.check_bohr_size_bounds(SEED, instances=200, max_order=2048, max_freqs=3)
-    elapsed = time.monotonic() - t0
-    _report(1, "Bohr size bounds, 200 instances", res, elapsed)
-    assert elapsed < 60
-
-
-def test_criterion_02_size_formula():
-    t0 = time.monotonic()
-    res = suites.check_size_formula(
-        SEED,
-        instances=50,
-        max_order=512,
-        max_k=2,
-        eta=Fraction(1, 10),
-        eps=Fraction(1, 10),
-    )
-    elapsed = time.monotonic() - t0
-    _report(2, "size formula on weakly regular instances", res, elapsed)
-    assert res.measured["instances"] >= 50
-    assert elapsed < 120
+# the name each criterion's check reports under
+CRITERIA = {
+    1: "bohr_size_bounds",
+    2: "bohr_size_formula",
+    3: "bohr_large_spectrum",
+    4: "bohr_sum_identity",
+    5: "dense_difference_cover",
+    6: "lattice_spanning",
+    7: "quadruple_counting",
+    8: "partial_projectivity",
+    9: "extraction_and_basis_moves",
+    10: "regularity_partition",
+    11: "quasirandom_appendix",
+    12: "main_theorem_containment",
+}
 
 
-def test_criterion_03_large_spectrum():
-    res = suites.check_large_spectrum(
-        SEED,
-        instances=50,
-        max_order=512,
-        max_k=2,
-        eta=Fraction(1, 10),
-        eps=Fraction(1, 10),
-    )
-    _report(3, "large spectrum certification, exhaustive scan", res)
-    assert res.measured["failures"] == 0
+@pytest.fixture(scope="module")
+def battery():
+    return suites.run_suite("all", SEED)
 
 
-def test_criterion_04_bohr_sum():
-    res = suites.check_bohr_sum(SEED, instances=20, max_order=256)
-    _report(4, "Bohr sum identity with negative control", res)
-    assert res.measured["negative_controls"] > 0
+def _criterion(battery, number: int, label: str, budget_s=None) -> dict:
+    """The criterion's check from the battery, printed and asserted passed;
+    with ``budget_s``, its wall-clock limit is asserted too."""
+    (check,) = [c for c in battery["checks"] if c["name"] == CRITERIA[number]]
+    elapsed = check["elapsed_ms"] / 1000
+    status = "PASS" if check["passed"] else "FAIL"
+    print(f"criterion {number:2d} {status}: {label} [{elapsed:.1f}s]  {check['measured']}")
+    assert check["passed"], f"criterion {number} failed: {check['measured']}"
+    if budget_s is not None:
+        assert elapsed < budget_s
+    return check["measured"]
 
 
-def test_criterion_05_dense_difference():
-    res = suites.check_dense_difference(SEED, instances=100, max_order=256)
-    _report(5, "dense difference covering", res)
+def test_checks_take_only_a_seed_and_run_once(battery):
+    registered = {fn for fns in suites.SUITES.values() for fn in fns}
+    assert len(registered) == len(CRITERIA)
+    for fn in registered:
+        assert list(inspect.signature(fn).parameters) == ["seed"], fn.__name__
+    names = [c["name"] for c in battery["checks"]]
+    assert sorted(names) == sorted(CRITERIA.values())
 
 
-def test_criterion_06_lattice_spanning():
-    res = suites.check_lattice_spanning(
-        SEED, instances=100, max_k=4, max_radius=5, max_order=10_000
-    )
-    _report(6, "quantitative lattice spanning", res)
+def test_criterion_01_bohr_size_bounds(battery):
+    _criterion(battery, 1, "Bohr size bounds, 200 instances", budget_s=60)
 
 
-def test_criterion_07_quadruple_counting():
-    res = suites.check_quadruple_counting(SEED, cases=1000, max_order=64, max_size=16)
-    _report(7, "quadruple counting vs oracle + popular differences", res)
-    assert res.measured["cases"] >= 1000
+def test_criterion_02_size_formula(battery):
+    measured = _criterion(battery, 2, "size formula on weakly regular instances", budget_s=120)
+    assert measured["instances"] >= 50
 
 
-def test_criterion_08_partial_projectivity():
-    res = suites.check_partial_projectivity(SEED, instances=50, max_order=64, max_kernel=8)
-    _report(8, "partial projectivity", res)
-    assert res.measured["instances"] >= 50
+def test_criterion_03_large_spectrum(battery):
+    measured = _criterion(battery, 3, "large spectrum certification, exhaustive scan")
+    assert measured["failures"] == 0
 
 
-def test_criterion_09_extraction_and_basis_moves():
-    res = suites.check_extraction_and_basis_moves(SEED, extraction_instances=30, moves=1000)
-    _report(9, "subprogression extraction + 1000 basis moves", res)
-    assert res.measured["moves"] >= 1000
+def test_criterion_04_bohr_sum(battery):
+    measured = _criterion(battery, 4, "Bohr sum identity with negative control")
+    assert measured["negative_controls"] > 0
 
 
-def test_criterion_10_regularity():
-    res = suites.check_regularity(
-        SEED, instances=20, max_order=256, max_maps=2, eta=Fraction(1, 4), step_cap=12
-    )
-    _report(10, "regularity partition recheck", res)
-    assert res.measured["instances"] >= 20
+def test_criterion_05_dense_difference(battery):
+    _criterion(battery, 5, "dense difference covering")
 
 
-def test_criterion_11_quasirandom():
-    res = suites.check_quasirandom_appendix(SEED, triples=1000)
-    _report(11, "quasirandomness appendix (2^16 graphs exhaustive)", res)
-    assert res.measured["exhaustive_graphs"] == 1 << 16
+def test_criterion_06_lattice_spanning(battery):
+    _criterion(battery, 6, "quantitative lattice spanning")
 
 
-def test_criterion_12_main_theorem():
-    t0 = time.monotonic()
-    res = suites.check_main_theorem(
-        SEED, orders=(16, 64, 256), deltas=(0.05, 0.1, 0.3), seeds_per_config=10
-    )
-    elapsed = time.monotonic() - t0
-    _report(12, "main containment experiment batch", res, elapsed)
-    assert res.measured["runs"] >= 30
-    assert elapsed < 600
+def test_criterion_07_quadruple_counting(battery):
+    measured = _criterion(battery, 7, "quadruple counting vs oracle + popular differences")
+    assert measured["cases"] >= 1000
+
+
+def test_criterion_08_partial_projectivity(battery):
+    measured = _criterion(battery, 8, "partial projectivity")
+    assert measured["instances"] >= 50
+
+
+def test_criterion_09_extraction_and_basis_moves(battery):
+    measured = _criterion(battery, 9, "subprogression extraction + 1000 basis moves")
+    assert measured["moves"] >= 1000
+
+
+def test_criterion_10_regularity(battery):
+    measured = _criterion(battery, 10, "regularity partition recheck")
+    assert measured["instances"] >= 20
+
+
+def test_criterion_11_quasirandom(battery):
+    measured = _criterion(battery, 11, "quasirandomness appendix (2^16 graphs exhaustive)")
+    assert measured["exhaustive_graphs"] == 1 << 16
+
+
+def test_criterion_12_main_theorem(battery):
+    measured = _criterion(battery, 12, "main containment experiment batch", budget_s=600)
+    assert measured["runs"] >= 30
 
 
 def _strip_timing(obj):
@@ -132,14 +131,13 @@ def _strip_timing(obj):
 BATTERY_DIGEST = "abdb479c65e00a453a60cf1a783e14761bc2cd641bca372ab299fcce1f6cb7f6"
 
 
-def test_criterion_13_determinism():
-    first = suites.run_suite("all", SEED)
+def test_criterion_13_determinism(battery):
     second = suites.run_suite("all", SEED)
-    a = json.dumps(_strip_timing(first), sort_keys=True)
+    a = json.dumps(_strip_timing(battery), sort_keys=True)
     b = json.dumps(_strip_timing(second), sort_keys=True)
-    ok = a == b and first["all_passed"]
+    ok = a == b and battery["all_passed"]
     status = "PASS" if ok else "FAIL"
     print(f"criterion 13 {status}: determinism of run_suite('all')")
     assert a == b
-    assert first["all_passed"]
+    assert battery["all_passed"]
     assert hashlib.sha256(a.encode()).hexdigest() == BATTERY_DIGEST

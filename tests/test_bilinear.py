@@ -789,7 +789,8 @@ def test_cover_results_match_recorded_digest(monkeypatch):
         g = bg.make_group([n])
         for word in ("hv", "vh", "hvh"):
             for seed in (0, 1):
-                main_theorem_experiment(g, g, 0.02, seed, word=word)
+                # recorded at budget 8, above the default
+                main_theorem_experiment(g, g, 0.02, seed, search_budget=8, word=word)
     assert len(records) == 18 and sum(len(r[3]) for r in records) > 18  # maps gained
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == _COVER_DIGEST

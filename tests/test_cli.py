@@ -77,6 +77,10 @@ def test_usage_errors_exit_2(monkeypatch, capsys):
     assert run_cli(
         ["--group-g", "Z4", "--group-h", "Z4", "--delta", "0.5", "--word", "hxv"]
     ).returncode == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--group-g", "Z8", "--group-h", "Z8", "--delta", "0.5", "--budget", "-1"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
     # BOGO_CEILING must be a positive integer, for experiments and suites alike
     experiment = ["--group-g", "Z8", "--group-h", "Z8", "--delta", "0.5", "--seed", "1"]
     for raw in ("abc", "-5", "0"):

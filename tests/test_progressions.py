@@ -234,6 +234,50 @@ def test_partial_projectivity_random():
         done += 1
 
 
+def _subgroup_combination_oracle(group, generators, target):
+    """The dict DP over the generated subgroup: one state per element,
+    keyed by index, with the coefficients of its first reach."""
+    every = np.arange(group.order)
+    states = {0: ()}
+    for g in generators:
+        new_states = {}
+        for lam in range(g.order):
+            # the element lam g added to every index
+            plus = group.add_indices(every, np.full(group.order, (lam * g).index)).tolist()
+            for idx, coeffs in states.items():
+                nxt = plus[idx]
+                if nxt not in new_states:
+                    new_states[nxt] = coeffs + (lam,)
+        states = new_states
+    return list(states[target.index]) if target.index in states else None
+
+
+def test_subgroup_combination_matches_dict_oracle():
+    rng = derive_rng(59)
+    reached = missed = 0
+    for _ in range(400):
+        rank, count = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+        g = bg.make_group([int(m) for m in rng.integers(2, 9, size=rank)])
+        gens = [g.element_from_index(int(i)) for i in rng.integers(0, g.order, size=count)]
+        if rng.integers(0, 2):
+            target = g.element_from_index(int(rng.integers(0, g.order)))
+        else:
+            target = g.zero
+            for x in gens:
+                target = target + int(rng.integers(0, x.order)) * x
+        got = progressions._subgroup_combination(g, gens, target)
+        assert got == _subgroup_combination_oracle(g, gens, target)
+        if got is None:
+            missed += 1
+        else:
+            total = g.zero
+            for lam, x in zip(got, gens):
+                total = total + lam * x
+            assert total == target and all(0 <= lam < x.order for lam, x in zip(got, gens))
+            reached += 1
+    assert reached > 0 and missed > 0
+
+
 def test_injectivity_partition_projection():
     g = bg.make_group([4, 2])
     h = bg.make_group([4])
