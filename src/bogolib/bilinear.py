@@ -27,7 +27,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bohr import BohrSet, bohr_mask, level_masks
+from .bohr import (
+    BohrSet,
+    bohr_mask,
+    char_distances,
+    level_masks,
+    pinned_bohr_set,
+    subgroup_bohr_set,
+)
 from .errors import (
     GroupMismatchError,
     PreconditionError,
@@ -317,26 +324,17 @@ def qr_property_check(
     over the cell; property (i) asks a 1 - eta fraction of rows to deviate
     by at most eta |G| from delta |B(Gamma)|, property (ii) the analogue
     for pairs with delta^2.  Pair statistics are sampled above ``_PAIR_CUTOFF``.
+    The rows B(Gamma cup L(y); rho_i) are the cell's rows of the bilinear
+    Bohr variety, and |B(Gamma; rho_i)| is one ``bohr_mask``.
     """
     rho_i = Fraction(rho_i)
     eta_f = float(eta)
     ys = cell.enumerate().indices()
     if ys.size == 0:
         raise PreconditionError("empty cell")
-    e = group_x.exponent
-    base_num = np.zeros(group_x.order, dtype=np.int64)
-    for chi in gamma:
-        n = group_x.char_numerators(chi)
-        base_num = np.maximum(base_num, np.minimum(n, e - n))
-    row_num = np.broadcast_to(base_num, (ys.size, group_x.order))
-    for fmap in maps:
-        # numerators of chi(x) over e for chi = L(y), every row y at once
-        n = group_x.char_numerators(fmap.at(ys), fmap.codomain)
-        row_num = np.maximum(row_num, np.minimum(n, e - n))
-    num, den = rho_i.numerator, rho_i.denominator
-    base_mask = base_num * den <= num * e
-    b0 = int(base_mask.sum())
-    row_masks = row_num * den <= num * e
+    variety = BilinearVariety(group_x, tuple(gamma), rho_i, cell, tuple(maps))
+    row_masks = variety.enumerate().matrix[ys]
+    b0 = int(bohr_mask(group_x, gamma, rho_i).sum())
     sizes = row_masks.sum(axis=1)
     delta = float(np.median(sizes)) / b0 if b0 else 1.0
     tol = eta_f * group_x.order + 1e-9
@@ -385,17 +383,12 @@ class RegularityResult:
 def _rho_candidates(rho: Fraction, eta: Fraction) -> list[Fraction]:
     """Grid rho - j eta^2 rho / 1000 for j in [0, 500 eta^-2], <= _RHO_GRID_CAP points."""
     rho, eta = Fraction(rho), Fraction(eta)
-    j_max = _ceil(500 / (eta * eta))
+    j_max = math.ceil(500 / (eta * eta))
     if j_max + 1 <= _RHO_GRID_CAP:
         js = list(range(j_max + 1))
     else:
         js = sorted({j_max * t // (_RHO_GRID_CAP - 1) for t in range(_RHO_GRID_CAP)})
     return [rho - j * eta * eta * rho / 1000 for j in js]
-
-
-def _ceil(x: Fraction) -> int:
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
 
 
 @dataclass
@@ -929,24 +922,13 @@ def sample_biset(
     return BiSet.from_flat_indices(gx, gy, flat)
 
 
-def _pinning_frequencies(gx: FiniteAbelianGroup) -> tuple[tuple[Character, ...], Fraction]:
-    """Frequency set and radius whose Bohr set is exactly {0}."""
-    dual = gx.dual
-    chars = tuple(
-        dual.element(tuple(1 if j == i else 0 for j in range(dual.rank)))
-        for i in range(dual.rank)
-    )
-    return chars, Fraction(1, 4 * gx.exponent)
-
-
 def _bohr_inside(gx: FiniteAbelianGroup, allowed: GroupSubset) -> Optional[BohrSet]:
     """Verified Bohr subset of a symmetric set containing 0, size >= 2.
 
-    Tries cyclic subgroups pinned by their annihilators, then level sets of
-    the single characters of index below 4096; returns the largest hit.
+    Tries cyclic subgroups as Bohr sets (``subgroup_bohr_set``), then level
+    sets of the single characters of index below 4096 (``char_distances``);
+    returns the largest hit.
     """
-    from .groups import annihilator_subgroup, subgroup_generators
-
     if allowed.size == gx.order:
         return BohrSet(gx, (), Fraction(1, 2))
     best: Optional[BohrSet] = None
@@ -965,16 +947,14 @@ def _bohr_inside(gx: FiniteAbelianGroup, allowed: GroupSubset) -> Optional[BohrS
             continue
         cyc = subgroup_generated(gx, [gx.element_from_index(xi)])
         if cyc.is_subset_of(allowed):
-            gens = subgroup_generators(annihilator_subgroup(cyc))
-            consider(BohrSet(gx, tuple(gens), Fraction(1, 4 * e)))
+            consider(subgroup_bohr_set(cyc))
     dual = gx.dual
     nonzero = np.asarray([i for i in allowed.indices() if i != 0][:4], dtype=np.int64)
     chars = np.arange(1, min(dual.order, 4096), dtype=np.int64)
     block = max(1, (1 << 16) // (gx.order * max(1, nonzero.size)))
     for start in range(0, chars.size, block):
         # level sets {dist <= dist[xi]} of a block of characters at once
-        n = gx.char_numerators(chars[start : start + block], dual)
-        dist = np.minimum(n, e - n)
+        dist = char_distances(gx, chars[start : start + block])
         radii = dist[:, nonzero]
         levels = dist[:, None, :] <= radii[:, :, None]
         fits = (levels.sum(axis=2) >= 2) & ~np.any(levels & ~allowed.mask, axis=2)
@@ -1041,7 +1021,7 @@ def main_theorem_experiment(
     start = time.monotonic()
     a = sample_biset(gx, gy, delta, seed)
     d = iterated_difference(a, word)
-    pin_gamma, pin_rho = _pinning_frequencies(gx)
+    pin = pinned_bohr_set(gx)
     trivial_sub = GroupSubset.from_indices(gy, [0])
     candidates: list[BilinearVariety] = []
 
@@ -1120,13 +1100,13 @@ def main_theorem_experiment(
             g, m = gy.element_from_index(best_arm[0]), best_arm[1]
             prog = CosetProgression(gy, gy.zero, (Arm(g, 0, m),), trivial_sub)
             if prog.is_proper():
-                consider(BilinearVariety(gx, pin_gamma, pin_rho, prog, ()))
+                consider(BilinearVariety(gx, pin.frequencies, pin.radius, prog, ()))
     # floor: the single pinned point (0, y0)
     zero_column = d.column(gx.zero).indices()
     if zero_column.size:
         y0 = gy.element_from_index(zero_column[0])
         consider(
-            BilinearVariety(gx, pin_gamma, pin_rho, CosetProgression.singleton(y0), ())
+            BilinearVariety(gx, pin.frequencies, pin.radius, CosetProgression.singleton(y0), ())
         )
     best = max(candidates, key=lambda v: v.size) if candidates else None
     elapsed_ms = int((time.monotonic() - start) * 1000)

@@ -39,38 +39,64 @@ from .lattices import box_preimages
 from .progressions import CosetProgression
 
 _INT64_GUARD = 1 << 62
-_MASK_BLOCK = 1 << 18  # entries per block of level masks
+_MASK_BLOCK = 1 << 18  # entries per block of character distances
 
 
-def _dedupe(frequencies: Sequence[Character]) -> tuple[Character, ...]:
-    seen = set()
-    out = []
-    for chi in frequencies:
-        if chi.coords not in seen:
-            seen.add(chi.coords)
-            out.append(chi)
-    return tuple(out)
+def char_distances(group: FiniteAbelianGroup, chars: np.ndarray) -> np.ndarray:
+    """Row i: e ||chi_i(x)|| for every x (by index), chi_i = dual index chars[i].
+
+    e is the exponent, so each entry is the integer numerator of the torus
+    distance over e; shape (len(chars), |G|), int64.
+    """
+    e = group.exponent
+    n = group.char_numerators(np.asarray(chars, dtype=np.int64), group.dual)
+    return np.minimum(n, e - n)
 
 
-def level_masks(
-    group: FiniteAbelianGroup, chars: np.ndarray, radius: Fraction
+def max_distance(
+    group: FiniteAbelianGroup, frequencies: "Sequence[Character] | np.ndarray"
 ) -> np.ndarray:
-    """Row i: the mask of {x : ||chi_i(x)|| <= radius}, chi_i = dual index chars[i].
+    """max over Gamma of e ||chi(x)|| for every x (by index); 0 for empty Gamma.
 
-    One ``char_numerators`` call for all rows; the comparison
-    ``dist * den <= num * e`` is exact, in int64 while both sides stay below
-    2^62 and in Python integers beyond.
+    ``frequencies`` are characters of the dual, or an int64 array of their
+    indices.  The distances are taken a block of characters at a time,
+    about 2^18 entries per block.
+    """
+    if isinstance(frequencies, np.ndarray):
+        chars = frequencies.astype(np.int64).reshape(-1)
+    else:
+        if any(chi.group is not group.dual for chi in frequencies):
+            raise GroupMismatchError("character does not belong to this group's dual")
+        chars = np.asarray([chi.index for chi in frequencies], dtype=np.int64)
+    dist = np.zeros(group.order, dtype=np.int64)
+    block = max(1, _MASK_BLOCK // group.order)
+    for start in range(0, chars.size, block):
+        dist = np.maximum(dist, char_distances(group, chars[start : start + block]).max(axis=0))
+    return dist
+
+
+def within_radius(group: FiniteAbelianGroup, dist: np.ndarray, radius: Fraction) -> np.ndarray:
+    """The mask dist / e <= radius, e the exponent, for distances from
+    ``char_distances`` or ``max_distance``.
+
+    The comparison ``dist * den <= num * e`` is exact: in int64 while both
+    sides stay below 2^62, in Python integers beyond.
     """
     radius = Fraction(radius)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     e = group.exponent
     num, den = radius.numerator, radius.denominator
-    n = group.char_numerators(np.asarray(chars, dtype=np.int64), group.dual)
-    dist_num = np.minimum(n, e - n)  # distance = dist_num / e
     if den * e < _INT64_GUARD and num * e < _INT64_GUARD:
-        return dist_num * den <= num * e
-    return (dist_num.astype(object) * den <= num * e).astype(bool)
+        return dist * den <= num * e
+    return (dist.astype(object) * den <= num * e).astype(bool)
+
+
+def level_masks(
+    group: FiniteAbelianGroup, chars: np.ndarray, radius: Fraction
+) -> np.ndarray:
+    """Row i: the mask of {x : ||chi_i(x)|| <= radius}, chi_i = dual index chars[i]."""
+    return within_radius(group, char_distances(group, chars), radius)
 
 
 def bohr_mask(
@@ -78,26 +104,13 @@ def bohr_mask(
     frequencies: "Sequence[Character] | np.ndarray",
     radius: Fraction,
 ) -> np.ndarray:
-    """Boolean membership mask of B(Gamma; rho) via exact comparisons.
+    """Boolean membership mask of B(Gamma; rho): ``max_distance`` compared
+    exactly with the radius by ``within_radius``.
 
     ``frequencies`` are characters of the dual, or an int64 array of their
-    indices.  The level masks of ``level_masks`` are computed a block of
-    characters at a time, one ``char_numerators`` call per block of about
-    2^18 entries, and AND-ed together.
+    indices.
     """
-    if Fraction(radius) < 0:
-        raise ValueError("radius must be nonnegative")
-    if isinstance(frequencies, np.ndarray):
-        chars = frequencies.astype(np.int64).reshape(-1)
-    else:
-        if any(chi.group is not group.dual for chi in frequencies):
-            raise GroupMismatchError("character does not belong to this group's dual")
-        chars = np.asarray([chi.index for chi in frequencies], dtype=np.int64)
-    mask = np.ones(group.order, dtype=bool)
-    block = max(1, _MASK_BLOCK // group.order)
-    for start in range(0, chars.size, block):
-        mask &= level_masks(group, chars[start : start + block], radius).all(axis=0)
-    return mask
+    return within_radius(group, max_distance(group, frequencies), radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +122,7 @@ class BohrSet:
     radius: Fraction
 
     def __post_init__(self):
-        freqs = _dedupe(self.frequencies)
+        freqs = tuple(dict.fromkeys(self.frequencies))
         for chi in freqs:
             if chi.group is not self.group.dual:
                 raise GroupMismatchError("frequency outside the group's dual")
@@ -137,6 +150,26 @@ def bohr_enumerate(
     return BohrSet(group, tuple(frequencies), Fraction(radius)).enumerate()
 
 
+def pinned_bohr_set(group: FiniteAbelianGroup) -> BohrSet:
+    """{0} as a Bohr set: the coordinate characters of the dual at radius
+    1/(4 e), e the exponent, below the smallest nonzero distance 1/e."""
+    dual = group.dual
+    basis = tuple(
+        dual.element(tuple(1 if j == i else 0 for j in range(dual.rank)))
+        for i in range(dual.rank)
+    )
+    return BohrSet(group, basis, Fraction(1, 4 * group.exponent))
+
+
+def subgroup_bohr_set(subgroup: GroupSubset) -> BohrSet:
+    """A subgroup H as a Bohr set: the generators of its annihilator at
+    radius 1/(4 e), so x is a member iff every character of the annihilator
+    vanishes at x, iff x lies in H."""
+    group = subgroup.group
+    gens = subgroup_generators(annihilator_subgroup(subgroup))
+    return BohrSet(group, tuple(gens), Fraction(1, 4 * group.exponent))
+
+
 @dataclass(frozen=True)
 class SizeBounds:
     size: int
@@ -154,7 +187,7 @@ def size_bounds(
 
     Both inequalities are theorems; a failure raises, signalling a bug.
     """
-    freqs = _dedupe(frequencies)
+    freqs = tuple(dict.fromkeys(frequencies))
     radius = Fraction(radius)
     k = len(freqs)
     b = bohr_enumerate(group, freqs, radius)
@@ -212,7 +245,7 @@ def weak_regular_radius_search(
     hit.  Raises when no grid point qualifies.
 
     All sizes come from one histogram.  With e the exponent and
-    d(x) = max_gamma min(n(x), e - n(x)), where gamma(x) = n(x)/e, the point
+    d(x) = max_gamma e ||gamma(x)|| (``max_distance``), the point
     x lies in B(r) iff d(x) <= r e iff d(x) <= floor(r e), so |B(r)| is the
     cumulative count of d up to floor(r e) and the annulus is
     |B(rho + eta)| - |B(rho)|.  The grid is scored a block at a time in
@@ -229,16 +262,8 @@ def weak_regular_radius_search(
     step = (rho_hi - rho_lo) / steps
     if min(rho_lo, rho_lo + eta) < 0:
         raise ValueError("radius must be nonnegative")
-    if any(chi.group is not group.dual for chi in frequencies):
-        raise GroupMismatchError("character does not belong to this group's dual")
     e = group.exponent
-    chars = np.asarray([chi.index for chi in frequencies], dtype=np.int64)
-    dist = np.zeros(group.order, dtype=np.int64)
-    block = max(1, _MASK_BLOCK // group.order)
-    for start in range(0, chars.size, block):
-        n = group.char_numerators(chars[start : start + block], group.dual)
-        dist = np.maximum(dist, np.minimum(n, e - n).max(axis=0))
-    cum = np.cumsum(np.bincount(dist, minlength=e // 2 + 1))
+    cum = np.cumsum(np.bincount(max_distance(group, frequencies), minlength=e // 2 + 1))
     den = math.lcm(rho_lo.denominator, step.denominator, eta.denominator)
     lo, dj, width = (v.numerator * (den // v.denominator) for v in (rho_lo, step, eta))
     num_eps, den_eps = epsilon.numerator, epsilon.denominator
@@ -350,7 +375,7 @@ def bohr_size_estimate(
     most 2 epsilon |G|; that bound is asserted by the callers/tests, never
     assumed here.
     """
-    freqs = _dedupe(frequencies)
+    freqs = tuple(dict.fromkeys(frequencies))
     k = len(freqs)
     if k == 0:
         return float(group.order)
@@ -385,7 +410,7 @@ def large_spectrum_certify(
     smallest one is returned, each coefficient canonicalized to its
     balanced residue.
     """
-    freqs = _dedupe(frequencies)
+    freqs = tuple(dict.fromkeys(frequencies))
     k = len(freqs)
     dual = group.dual
     if chi.group is not dual:
@@ -417,7 +442,7 @@ def verify_bohr_sum(
     span1 = bounded_span(dual, list(freqs1), span_radius)
     span2 = bounded_span(dual, list(freqs2), span_radius)
     inter = span1 & span2
-    lhs = bohr_mask(group, list(inter.elements()), Fraction(1, 4))
+    lhs = bohr_mask(group, inter.indices(), Fraction(1, 4))
     rhs = bohr_enumerate(group, freqs1, rho1) + bohr_enumerate(group, freqs2, rho2)
     return not np.any(lhs & ~rhs.mask)
 
@@ -454,7 +479,7 @@ def dense_difference_cover(
     Requires |A| >= (1 - 4^(-k-1)) |B|; under that hypothesis the covering
     is a theorem, so a containment failure raises.
     """
-    freqs = _dedupe(frequencies)
+    freqs = tuple(dict.fromkeys(frequencies))
     radius = Fraction(radius)
     k = len(freqs)
     b = bohr_enumerate(subset.group, freqs, radius)
@@ -480,17 +505,14 @@ def bohr_in_progression(progression: CosetProgression) -> BohrSet:
     ``delta^(1+1/(d-2))/2`` and use radius 1/4; the d-fold positivity
     argument puts the Bohr set back inside the progression, and the first
     factor whose set passes the direct containment check is kept, however
-    many frequencies its spectrum has.  Fallbacks: the annihilator of the
-    subgroup part, then the full dual (which pins {0}); the largest of the
-    candidates is returned.
+    many frequencies its spectrum has.  Fallbacks: the subgroup part as a
+    Bohr set (``subgroup_bohr_set``), then ``pinned_bohr_set`` = {0}; the
+    largest of the candidates is returned.
     """
     if not progression.is_symmetric:
         raise PreconditionError("progression must be symmetric")
     group = progression.group
-    dual = group.dual
     target = progression.enumerate()
-    exponent = group.exponent
-    pin_radius = Fraction(1, 4 * exponent)
 
     candidates: list[BohrSet] = []
     for d in (4, 6, 8, 12, 16, 24, 32):
@@ -517,15 +539,10 @@ def bohr_in_progression(progression: CosetProgression) -> BohrSet:
         if cand.enumerate().is_subset_of(target):
             candidates.append(cand)
             break
-    ann = subgroup_generators(annihilator_subgroup(progression.subgroup))
-    cand = BohrSet(group, tuple(ann), pin_radius)
+    cand = subgroup_bohr_set(progression.subgroup)
     if cand.enumerate().is_subset_of(target):
         candidates.append(cand)
-    basis = [
-        dual.element(tuple(1 if j == i else 0 for j in range(dual.rank)))
-        for i in range(dual.rank)
-    ]
-    candidates.append(BohrSet(group, tuple(basis), pin_radius))
+    candidates.append(pinned_bohr_set(group))
     best = max(candidates, key=lambda b: b.enumerate().size)
     if not best.enumerate().is_subset_of(target):
         raise TheoremViolationError("fallback Bohr set escaped the progression")

@@ -142,16 +142,11 @@ class FiniteAbelianGroup:
         # C-order flattening of this shape reproduces the index encoding
         return tuple(reversed(self.moduli))
 
-    def char_numerators(
-        self, chi: "GroupElement | np.ndarray", group: "Optional[FiniteAbelianGroup]" = None
-    ) -> np.ndarray:
-        """For each x (by index): numerator of chi(x) over denominator exponent.
-
-        ``chi`` is one character, giving shape (|G|,), or an int64 array of
-        character indices into ``group``, giving shape (len(chi), |G|).
+    def char_numerators(self, chi: np.ndarray, group: "FiniteAbelianGroup") -> np.ndarray:
+        """Row i, for each x (by index): numerator of chi_i(x) over denominator
+        exponent, chi_i the character of index chi[i] in ``group``, which must
+        be this group's dual.  Shape (len(chi), |G|).
         """
-        if isinstance(chi, GroupElement):
-            group, chi = chi.group, chi.index
         if group is not self.dual:
             raise GroupMismatchError("character does not belong to this group's dual")
         e = self.exponent

@@ -216,10 +216,6 @@ class ExtractionResult:
     ells: tuple[int, ...]
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def extract_subprogression(
     a: GroupSubset, c: CosetProgression, alpha: Fraction
 ) -> ExtractionResult:
@@ -246,7 +242,7 @@ def extract_subprogression(
     if not is_freiman_subgroup(a, cmask):
         raise PreconditionError("A is not a Freiman-subgroup of the progression")
     group = c.group
-    search_cap = 2 * _ceil_frac(1 / alpha)
+    search_cap = 2 * math.ceil(1 / alpha)
     fallback_ell = int(20 / alpha)
     ells: list[int] = []
     new_arms: list[Arm] = []
@@ -657,7 +653,7 @@ def injectivity_partition(
     blocks_per_arm: list[list[tuple[int, int]]] = []
     for arm in c.arms:
         n = arm.length
-        width = _ceil_frac(alpha * n / (4 * r))
+        width = math.ceil(alpha * n / (4 * r))
         blocks = [
             (arm.lo + t * width, min(arm.lo + (t + 1) * width - 1, arm.hi))
             for t in range(-(-n // width))

@@ -558,6 +558,30 @@ def check_regularity(seed: int) -> CheckResult:
 # -- criterion 11 ------------------------------------------------------------
 
 
+def _one_sided_statistics() -> tuple[np.ndarray, np.ndarray]:
+    """For each of the 2^16 bipartite graphs on 4 + 4 vertices: its
+    eps = max(e1, e2) of ``quasirandom.one_sided_qr`` at its own density
+    and its box norm about that density.  Entry i is the graph whose
+    adjacency entry (r, c) is bit 4 r + c of i."""
+    bits = np.arange(1 << 16, dtype=np.uint32)
+    cells = ((bits[:, None] >> np.arange(16, dtype=np.uint32)[None, :]) & 1).astype(
+        np.float64
+    )
+    graphs = cells.reshape(-1, 4, 4)
+    dens = graphs.mean(axis=(1, 2))
+    degrees = graphs.sum(axis=2)
+    e1 = np.abs(degrees - dens[:, None] * 4).mean(axis=1) / 4
+    # batched matmuls, not einsum: every entry of `graphs` and `balanced` is
+    # a multiple of 1/16, so each sum of four products is an exact multiple
+    # of 1/256 and the result is bit-identical whatever the summation order
+    codeg = graphs @ graphs.transpose(0, 2, 1)
+    e2 = np.abs(codeg - (dens**2)[:, None, None] * 4).mean(axis=(1, 2)) / 4
+    balanced = graphs - dens[:, None, None]
+    inner = balanced @ balanced.transpose(0, 2, 1) / 4
+    box4 = (inner**2).mean(axis=(1, 2))
+    return np.maximum(e1, e2), box4**0.25
+
+
 def check_quasirandom_appendix(seed: int) -> CheckResult:
     triples = 1000
     rng = derive_rng(seed, 1_000_000)
@@ -572,25 +596,8 @@ def check_quasirandom_appendix(seed: int) -> CheckResult:
         except BogolibError:
             failures += 1
     # exhaustive one-sided implication over all 4x4 bipartite graphs
-    bits = np.arange(1 << 16, dtype=np.uint32)
-    cells = ((bits[:, None] >> np.arange(16, dtype=np.uint32)[None, :]) & 1).astype(
-        np.float64
-    )
-    graphs = cells.reshape(-1, 4, 4)
-    dens = graphs.mean(axis=(1, 2))
-    degrees = graphs.sum(axis=2)
-    e1 = np.abs(degrees - dens[:, None] * 4).mean(axis=1) / 4
-    # batched matmuls, not einsum: every entry of `graphs` and `balanced` is
-    # a multiple of 1/16, so each sum of four products is an exact multiple
-    # of 1/256 and the result is bit-identical whatever the summation order
-    codeg = graphs @ graphs.transpose(0, 2, 1)
-    e2 = np.abs(codeg - (dens**2)[:, None, None] * 4).mean(axis=(1, 2)) / 4
-    eps = np.maximum(e1, e2)
-    balanced = graphs - dens[:, None, None]
-    inner = balanced @ balanced.transpose(0, 2, 1) / 4
-    box4 = (inner**2).mean(axis=(1, 2))
-    bound = (3 * eps**0.125) ** 4
-    violations = int(np.count_nonzero(box4 > bound**2 + 1e-9))
+    eps, box = _one_sided_statistics()
+    violations = int(np.count_nonzero(box > 3 * eps**0.125 + qr_mod.TOLERANCE))
     single = np.zeros((2, 2))
     single[0, 0] = 1
     box_ok = abs(qr_mod.box_norm(single - 0.25) - (7 / 256) ** 0.25) < 1e-9

@@ -249,6 +249,84 @@ def test_qr_check_against_direct_sizes():
     assert res.delta == float(np.median(sizes)) / base
 
 
+def _qr_check_oracle(cell, gamma, maps, rho_i, eta, group_x):
+    """``qr_property_check`` from its own numerator loop, one per character
+    of Gamma and one per map, with the radius compared in Python integers."""
+    rho_i = Fraction(rho_i)
+    eta_f = float(eta)
+    ys = cell.enumerate().indices()
+    e = group_x.exponent
+    base_num = np.zeros(group_x.order, dtype=np.int64)
+    for chi in gamma:
+        n = group_x.char_numerators(np.asarray([chi.index]), group_x.dual)[0]
+        base_num = np.maximum(base_num, np.minimum(n, e - n))
+    row_num = np.broadcast_to(base_num, (ys.size, group_x.order))
+    for fmap in maps:
+        n = group_x.char_numerators(fmap.at(ys), fmap.codomain)
+        row_num = np.maximum(row_num, np.minimum(n, e - n))
+    num, den = rho_i.numerator, rho_i.denominator
+    b0 = int((base_num.astype(object) * den <= num * e).sum())
+    row_masks = (row_num.astype(object) * den <= num * e).astype(bool)
+    sizes = row_masks.sum(axis=1)
+    delta = float(np.median(sizes)) / b0 if b0 else 1.0
+    tol = eta_f * group_x.order + 1e-9
+    fail_i = float(np.mean(np.abs(sizes - delta * b0) > tol))
+    sampled = ys.size * ys.size > bilinear._PAIR_CUTOFF
+    if not sampled:
+        f = row_masks.astype(np.float64)
+        inter = f @ f.T
+    else:
+        rng = derive_rng(0, 29)
+        ia = rng.integers(0, ys.size, size=bilinear._PAIR_SAMPLES)
+        ib = rng.integers(0, ys.size, size=bilinear._PAIR_SAMPLES)
+        inter = (row_masks[ia] & row_masks[ib]).sum(axis=1)
+    fail_ii = float(np.mean(np.abs(inter - delta * delta * b0) > tol))
+    return bilinear.QRCheck(
+        delta, fail_i <= eta_f + 1e-12, fail_ii <= eta_f + 1e-12, fail_i, fail_ii, sampled
+    )
+
+
+def test_qr_check_matches_numerator_loop_oracle():
+    rng = derive_rng(131)
+    shapes = [([16], [16]), ([12], [4, 6]), ([2, 8], [9]), ([27], [3, 9]), ([8], [2200])]
+    sampled = wide = 0
+    for case in range(40):
+        gx_shape, gy_shape = shapes[case % len(shapes)]
+        gx, gy = bg.make_group(gx_shape), bg.make_group(gy_shape)
+        dual = gx.dual
+        if gy.order > 1000:
+            arms = [(gy.element([1]), 530)]
+        else:
+            arms = [
+                (gy.element([int(j == i) for j in range(gy.rank)]), int(rng.integers(0, q // 2)))
+                for i, q in enumerate(gy.moduli)
+            ]
+        cell = CosetProgression.symmetric(gy, arms)
+        if case % 3:
+            cell = cell.translate(gy.element_from_index(int(rng.integers(0, gy.order))))
+        def chars(k):
+            return [dual.element_from_index(int(i)) for i in rng.integers(0, dual.order, size=k)]
+
+        gamma = chars(case % 3)
+        maps = [
+            linear_map_on_progression(cell, dual, chars(len(arms)))
+            for _ in range(int(rng.integers(0, 3)))
+        ]
+        e = gx.exponent
+        rho = [
+            Fraction(int(rng.integers(0, e // 2 + 1)), e),
+            Fraction(int(rng.integers(1, 64)), 128),
+            Fraction(int(rng.integers(1, 1 << 20)), (1 << 21) + 1),
+            Fraction(int(rng.integers(1, e // 2 + 1)), e) - Fraction(1, 2**80),
+        ][case % 4]
+        eta = Fraction(1, int(rng.choice([2, 4, 8])))
+        res = qr_property_check(cell, gamma, maps, rho, eta, gx)
+        assert res == _qr_check_oracle(cell, gamma, maps, rho, eta, gx)
+        sampled += res.sampled
+        wide += rho.denominator * e >= 1 << 62
+    assert sampled and wide
+
+
 def test_regularity_trivial_cases():
     gx, gy = bg.make_group([16]), bg.make_group([16])
     c = CosetProgression.symmetric(gy, [(gy.element([1]), 7)])

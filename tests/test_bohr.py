@@ -10,6 +10,12 @@ import bogolib as bg
 from bogolib.bohr import (
     BohrSet,
     bohr_mask,
+    char_distances,
+    level_masks,
+    max_distance,
+    pinned_bohr_set,
+    subgroup_bohr_set,
+    within_radius,
     SizeFormulaParams,
     annulus_size,
     bohr_enumerate,
@@ -27,7 +33,7 @@ from bogolib.bohr import (
 )
 from bogolib.errors import DensityShortfallError, NoWeaklyRegularRadiusError
 from bogolib.fourier import GroupFunction, dft
-from bogolib.groups import GroupSubset, subgroup_generated
+from bogolib.groups import GroupSubset, char_eval, subgroup_generated, torus_dist
 from bogolib.lattices import annihilator_points
 from bogolib.progressions import CosetProgression
 from bogolib.rng import derive_rng
@@ -63,7 +69,7 @@ def _bohr_mask_oracle(group, frequencies, radius):
     num, den = radius.numerator, radius.denominator
     mask = np.ones(group.order, dtype=bool)
     for chi in frequencies:
-        n = group.char_numerators(chi)
+        n = group.char_numerators(np.asarray([chi.index]), group.dual)[0]
         mask &= np.minimum(n, e - n).astype(object) * den <= num * e
     return mask
 
@@ -106,6 +112,68 @@ def test_bohr_mask_matches_per_character_and():
     assert blocks_crossed and fallbacks
     with pytest.raises(ValueError):
         bohr_mask(bg.make_group([8]), [], Fraction(-1, 8))
+
+
+def test_distance_kernel_matches_scalar_oracle():
+    """``char_distances``, ``max_distance``, ``level_masks`` and ``bohr_mask``
+    against ``char_eval``/``torus_dist`` on every element of seeded groups,
+    with no characters, exact levels, levels just off them and radii whose
+    comparison leaves int64."""
+    rng = derive_rng(113)
+    shapes = [[12], [5], [4, 6], [2, 2, 8], [3, 9], [7, 7]]
+    wide = 0
+    for case in range(36):
+        g = bg.make_group(shapes[case % len(shapes)])
+        e = g.exponent
+        k = [0, 1, 3, 8][case % 4]
+        idx = rng.integers(0, g.order, size=k).astype(np.int64)
+        chars = [g.dual.element_from_index(int(i)) for i in idx]
+        dists = np.asarray(
+            [[torus_dist(char_eval(chi, x)) for x in g.elements()] for chi in chars],
+            dtype=object,
+        ).reshape(k, g.order)
+        assert np.array_equal(char_distances(g, idx), dists * e)
+        expected_max = dists.max(axis=0) * e if k else np.zeros(g.order, dtype=np.int64)
+        assert np.array_equal(max_distance(g, idx), expected_max)
+        assert np.array_equal(max_distance(g, chars), expected_max)
+        level = Fraction(int(rng.integers(0, e // 2 + 1)), e)
+        for radius in (
+            level,
+            level - Fraction(1, 2**80) if level else level,
+            Fraction(int(rng.integers(0, 1 << 20)), (1 << 21) + 1),
+            level + Fraction(1, 3 * 2**70),
+            Fraction(3, 4),
+        ):
+            wide += radius.denominator * e >= 1 << 62
+            levels = level_masks(g, idx, radius)
+            assert levels.dtype == bool and levels.shape == (k, g.order)
+            assert np.array_equal(levels, dists <= radius)
+            mask = bohr_mask(g, chars, radius)
+            assert mask.dtype == bool
+            assert np.array_equal(mask, levels.all(axis=0))
+            assert np.array_equal(within_radius(g, max_distance(g, idx), radius), mask)
+    assert wide
+    with pytest.raises(ValueError):
+        within_radius(bg.make_group([8]), np.zeros(8, dtype=np.int64), Fraction(-1, 8))
+    with pytest.raises(bg.GroupMismatchError):
+        max_distance(bg.make_group([8]), [bg.make_group([8]).dual.element([1])])
+
+
+def test_pinned_and_subgroup_bohr_sets():
+    rng = derive_rng(127)
+    for moduli in ([12], [4, 6], [2, 2, 8], [3, 9]):
+        g = bg.make_group(moduli)
+        assert pinned_bohr_set(g).enumerate().indices().tolist() == [0]
+        for _ in range(4):
+            gens = [g.element_from_index(int(i)) for i in rng.integers(0, g.order, size=2)]
+            sub = subgroup_generated(g, gens)
+            assert np.array_equal(subgroup_bohr_set(sub).enumerate().mask, sub.mask)
+    # repeats are dropped, a character of another group is rejected
+    g, other = bg.make_group([8]), bg.make_group([8])
+    chi = g.dual.element([3])
+    assert BohrSet(g, (chi, chi), Fraction(1, 8)).frequencies == (chi,)
+    with pytest.raises(bg.GroupMismatchError):
+        BohrSet(g, (chi, other.dual.element([3])), Fraction(1, 8))
 
 
 def test_bohr_monotonicity():

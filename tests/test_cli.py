@@ -71,12 +71,17 @@ def test_group_ceiling_gate():
 
 
 def test_usage_errors_exit_2(monkeypatch, capsys):
-    assert run_cli(["--group-g", "Z0", "--group-h", "Z2", "--delta", "0.5"]).returncode == 2
-    assert run_cli(["--suite", "does-not-exist"]).returncode == 2
-    assert run_cli(["--group-g", "Z4", "--delta", "0.5"]).returncode == 2
-    assert run_cli(
-        ["--group-g", "Z4", "--group-h", "Z4", "--delta", "0.5", "--word", "hxv"]
-    ).returncode == 2
+    usage_errors = [
+        ["--group-g", "Z0", "--group-h", "Z2", "--delta", "0.5"],
+        ["--suite", "does-not-exist"],
+        ["--group-g", "Z4", "--delta", "0.5"],
+        ["--group-g", "Z4", "--group-h", "Z4", "--delta", "0.5", "--word", "hxv"],
+    ]
+    for argv in usage_errors:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         cli.main(["--group-g", "Z8", "--group-h", "Z8", "--delta", "0.5", "--budget", "-1"])
     assert exc.value.code == 2

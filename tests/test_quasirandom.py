@@ -127,3 +127,21 @@ def test_one_sided_qr_exhaustive_tiny():
         res = one_sided_qr(g, g.density, eps)
         assert res.conditions_hold
         assert res.box_bound_holds
+
+
+def test_battery_one_sided_statistics_match_one_sided_qr():
+    """Criterion 11's per-graph eps and box norm, on a seeded sample of the
+    2^16 graphs on 4 + 4 vertices, against ``one_sided_qr`` on each graph."""
+    from bogolib.suites import _one_sided_statistics
+
+    eps, box = _one_sided_statistics()
+    assert eps.shape == box.shape == (1 << 16,)
+    rng = derive_rng(107)
+    sample = [0, 1, (1 << 16) - 1, *rng.choice(1 << 16, size=200, replace=False).tolist()]
+    for i in sample:
+        g = BipartiteGraph(((i >> np.arange(16)) & 1).reshape(4, 4).astype(bool))
+        probe = one_sided_qr(g, g.density, 1.0)
+        assert abs(max(probe.degree_deviation, probe.pair_deviation) - eps[i]) < TOL
+        assert abs(probe.box_norm - box[i]) < TOL
+        res = one_sided_qr(g, g.density, float(eps[i]))
+        assert res.conditions_hold and res.box_bound_holds
