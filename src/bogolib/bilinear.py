@@ -60,7 +60,6 @@ from .progressions import (
 )
 from .rng import derive_rng
 
-_LINEAR_BLOCK = 1 << 20  # pair entries per block of the Freiman-linearity check
 _PAIR_CUTOFF = 1 << 20  # pairs above which qr_property_check samples (a memory guard)
 _PAIR_SAMPLES = 10_000
 _RELATION_BOX = 4  # coefficient box of the relations regularity_partition extracts
@@ -173,34 +172,6 @@ def iterated_difference(a: BiSet, word: str) -> BiSet:
 
 
 # -- Freiman-linear maps into the dual ----------------------------------------
-
-
-def is_freiman_linear(fmap: FreimanMap) -> bool:
-    """L(a - b) = L(a) - L(b) whenever a, b, a - b all lie in the domain."""
-    dom = fmap.domain.enumerate()
-    idx = dom.indices()
-    if idx.size == 0:
-        return True
-    g = fmap.domain.group
-    cod = fmap.codomain
-    lookup = fmap.values
-    vals = lookup[idx]
-    neg = g.negation_permutation
-    neg_idx = neg[idx]
-    rows_per_block = max(1, _LINEAR_BLOCK // idx.size)
-    cod_neg = cod.negation_permutation
-    for start in range(0, idx.size, rows_per_block):
-        block = slice(start, min(start + rows_per_block, idx.size))
-        a_rep = np.repeat(idx[block], idx.size)
-        av_rep = np.repeat(vals[block], idx.size)
-        diffs = g.add_indices(a_rep, np.tile(neg_idx, idx[block].size))
-        inside = lookup[diffs] >= 0
-        if not np.any(inside):
-            continue
-        want = cod.add_indices(av_rep[inside], cod_neg[np.tile(vals, idx[block].size)[inside]])
-        if np.any(lookup[diffs[inside]] != want):
-            return False
-    return True
 
 
 def linear_map_on_progression(
@@ -568,29 +539,7 @@ def regularity_partition(
         steps += 1
 
 
-# -- respected quadruples and the linear covering loop ---------------------------
-
-
-def respected_quadruple_count(
-    group: FiniteAbelianGroup,
-    codomain: FiniteAbelianGroup,
-    values: np.ndarray,
-) -> int:
-    """#{(a,b,c,d) in A^4 : a + b = c + d and f(a) + f(b) = f(c) + f(d)}.
-
-    ``values`` is a value array over ``group`` (-1 off A), as in FreimanMap.
-    """
-    values = np.asarray(values, dtype=np.int64)
-    idx = np.flatnonzero(values >= 0)
-    if idx.size == 0:
-        return 0
-    vals = values[idx]
-    n = idx.size
-    ksum = group.add_indices(np.repeat(idx, n), np.tile(idx, n))
-    vsum = codomain.add_indices(np.repeat(vals, n), np.tile(vals, n))
-    combined = ksum * codomain.order + vsum
-    _, counts = np.unique(combined, return_counts=True)
-    return int((counts.astype(np.int64) ** 2).sum())
+# -- the linear covering loop ----------------------------------------------------
 
 
 _FINDER_MIN_AGREE = 3  # the map finder's defaults, also used by linear_cover

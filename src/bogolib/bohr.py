@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
     TheoremViolationError,
 )
-from .fourier import GroupFunction, spectrum
+from .fourier import spectrum
 from .groups import (
     Character,
     FiniteAbelianGroup,
@@ -208,28 +208,6 @@ def size_bounds(
     return SizeBounds(b.size, lower, doubled_size, doubling_bound)
 
 
-def annulus_size(
-    group: FiniteAbelianGroup,
-    frequencies: Sequence[Character],
-    radius: Fraction,
-    eta: Fraction,
-) -> int:
-    """|B(Gamma; rho + eta) \\ B(Gamma; rho)|, exactly."""
-    outer = bohr_mask(group, frequencies, Fraction(radius) + Fraction(eta))
-    inner = bohr_mask(group, frequencies, Fraction(radius))
-    return int(np.count_nonzero(outer & ~inner))
-
-
-def is_weakly_regular(
-    group: FiniteAbelianGroup,
-    frequencies: Sequence[Character],
-    radius: Fraction,
-    eta: Fraction,
-    epsilon: Fraction,
-) -> bool:
-    return annulus_size(group, frequencies, radius, eta) <= Fraction(epsilon) * group.order
-
-
 def weak_regular_radius_search(
     group: FiniteAbelianGroup,
     frequencies: Sequence[Character],
@@ -251,8 +229,8 @@ def weak_regular_radius_search(
     |B(rho + eta)| - |B(rho)|.  The grid is scored a block at a time in
     integers over a common denominator, so floor(r e) and the closed
     boundary stay exact: in int64 while the scaled values stay below 2^62,
-    in Python integers beyond.  ``is_weakly_regular`` decides the same
-    condition by enumeration.
+    in Python integers beyond.  The test oracle ``is_weakly_regular``
+    (``tests/oracles.py``) decides the same condition by enumeration.
     """
     rho_lo, rho_hi = Fraction(rho_lo), Fraction(rho_hi)
     eta, epsilon = Fraction(eta), Fraction(epsilon)
@@ -534,7 +512,7 @@ def bohr_in_progression(progression: CosetProgression) -> BohrSet:
             continue  # the pinning fallback handles the degenerate case
         delta = Fraction(qmask.size, group.order)
         threshold = float(delta) ** (1 + 1 / (d - 2)) / 2
-        freqs = spectrum(GroupFunction.indicator(qmask), threshold)
+        freqs = spectrum(qmask, threshold)
         cand = BohrSet(group, tuple(freqs), Fraction(1, 4))
         if cand.enumerate().is_subset_of(target):
             candidates.append(cand)

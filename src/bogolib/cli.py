@@ -9,7 +9,8 @@ Exit codes: 0 all checks/verifications passed, 1 an assertion failed,
 2 usage error.  The group-order ceiling defaults to 2^24 and may be set
 through BOGO_CEILING (a positive order) or, for one run, ``--ceiling`` (bits).
 ``--word``, ``--budget`` and ``--ceiling`` apply to experiments only and are
-rejected together with ``--suite``.  Reports validate
+rejected together with ``--suite``; ``--seed`` must lie in [0, 2^64), the
+range seeds are derived over (``rng.derive_seed``).  Reports validate
 against the JSON schema shipped at ``bogolib/schemas/report.schema.json``;
 identical seeds reproduce identical reports apart from elapsed_ms fields.
 """
@@ -151,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--group-h", help="right group spec")
     parser.add_argument("--delta", type=float, help="sample density in (0, 1]")
     parser.add_argument("--word", help=f"h/v operator word (default {DEFAULT_WORD})")
-    parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+    parser.add_argument("--seed", type=int, default=0, help="master seed in [0, 2^64)")
     parser.add_argument("--out", help="report file path (default stdout)")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--ceiling", type=int, help="group-order ceiling in bits")
@@ -168,6 +169,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         env_ceiling = group_order_ceiling()
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
+    if not 0 <= args.seed < 1 << 64:
+        parser.error("--seed must lie in [0, 2^64)")
     try:
         if args.suite:
             for flag in ("word", "budget", "ceiling"):
@@ -176,7 +179,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             report = run_suite(args.suite, args.seed)
             passed = report["all_passed"]
         else:
-            if not (args.group_g and args.group_h and args.delta):
+            if not args.group_g or not args.group_h or args.delta is None:
                 parser.error("experiment mode needs --group-g, --group-h and --delta")
             if not (0 < args.delta <= 1):
                 parser.error("--delta must lie in (0, 1]")

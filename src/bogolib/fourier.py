@@ -1,30 +1,26 @@
 """Discrete Fourier analysis on finite abelian groups.
 
-Conventions (expectation-normalized):
+Convention (expectation-normalized): for an indicator set A,
 
-    fhat(chi)   = E_x f(x) e(-chi(x))
-    (f * g)(x)  = E_y f(y) g(x - y)          so  (f * g)^ = fhat * ghat
-    f(x)        = sum_chi fhat(chi) e(chi(x))
+    1hat_A(chi) = E_x 1_A(x) e(-chi(x)).
 
-Transforms run through ``numpy.fft`` per cyclic factor (the tensor
-decomposition of the group); all float comparisons use the global 1e-9
-absolute tolerance.  Integer-valued counts come from real FFTs (the shared
-helper ``groups._convolution_counts``, or ``_quadruple_counts``) and are
-rounded by ``groups._exact_counts``, which raises ArithmeticError on a count
-1/4 or more from an integer.
+``dft`` computes it for boolean masks through ``numpy.fft`` per cyclic
+factor (the tensor decomposition of the group); all float comparisons use
+the global 1e-9 absolute tolerance.  Integer-valued counts come from real
+FFTs (the shared helper ``groups._convolution_counts``, or
+``_quadruple_counts``) and are rounded by ``groups._exact_counts``, which
+raises ArithmeticError on a count 1/4 or more from an integer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 
-from .errors import GroupMismatchError, PreconditionError, TheoremViolationError
+from .errors import PreconditionError, TheoremViolationError
 from .groups import (
     Character,
     FiniteAbelianGroup,
-    GroupElement,
     GroupSubset,
     _convolution_counts,
     _exact_counts,
@@ -33,57 +29,18 @@ from .groups import (
 TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class GroupFunction:
-    """Dense complex-valued function on a group, indexed by element."""
+def dft(group: FiniteAbelianGroup, masks: np.ndarray) -> np.ndarray:
+    """1hat_A(chi) for every chi (by dual index), A each mask (by element index).
 
-    group: FiniteAbelianGroup
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.group.order,):
-            raise ValueError("value vector length must equal group order")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def indicator(cls, subset: GroupSubset) -> "GroupFunction":
-        return cls(subset.group, subset.mask.astype(np.complex128))
-
-    @classmethod
-    def constant(cls, group: FiniteAbelianGroup, c: complex) -> "GroupFunction":
-        return cls(group, np.full(group.order, c, dtype=np.complex128))
-
-    def _check(self, other: "GroupFunction") -> None:
-        if self.group is not other.group:
-            raise GroupMismatchError("functions live on different groups")
-
-    def mean(self) -> complex:
-        return complex(self.values.mean())
-
-
-def dft(f: GroupFunction) -> GroupFunction:
-    """Transform onto the dual group: fhat(chi) = E_x f(x) e(-chi(x))."""
-    shape = f.group.tensor_shape
-    spec = np.fft.fftn(f.values.reshape(shape)) / f.group.order
-    return GroupFunction(f.group.dual, spec.reshape(-1))
-
-
-def idft(fhat: GroupFunction) -> GroupFunction:
-    """Inverse transform: f(x) = sum_chi fhat(chi) e(chi(x))."""
-    shape = fhat.group.tensor_shape
-    vals = np.fft.ifftn(fhat.values.reshape(shape)) * fhat.group.order
-    return GroupFunction(fhat.group.dual, vals.reshape(-1))
-
-
-def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
-    """(f * g)(x) = E_y f(y) g(x - y)."""
-    f._check(g)
-    shape = f.group.tensor_shape
-    spec = np.fft.fftn(f.values.reshape(shape)) * np.fft.fftn(g.values.reshape(shape))
-    vals = np.fft.ifftn(spec).reshape(-1) / f.group.order
-    return GroupFunction(f.group, vals)
+    ``masks`` has shape (..., |G|); the leading axes are a batch, each
+    transformed alone, and the result is complex of the same shape.
+    """
+    masks = np.asarray(masks)
+    shape = group.tensor_shape
+    batch = masks.shape[:-1]
+    axes = tuple(range(len(batch), len(batch) + len(shape)))
+    spec = np.fft.fftn(masks.reshape(batch + shape).astype(np.complex128), axes=axes)
+    return spec.reshape(masks.shape) / group.order
 
 
 def _quadruple_counts(group: FiniteAbelianGroup, mask: np.ndarray) -> np.ndarray:
@@ -103,20 +60,13 @@ def quadruple_count_all(subset: GroupSubset) -> np.ndarray:
     return _exact_counts(_quadruple_counts(subset.group, subset.mask)).astype(np.int64)
 
 
-def quadruple_count(subset: GroupSubset, x: GroupElement) -> int:
-    if x.group is not subset.group:
-        raise GroupMismatchError("element from a different group")
-    return int(quadruple_count_all(subset)[x.index])
-
-
-def spectrum(f: GroupFunction, threshold: float) -> list[Character]:
-    """Characters chi with |fhat(chi)| >= threshold (1e-9 inclusive slack)."""
+def spectrum(subset: GroupSubset, threshold: float) -> list[Character]:
+    """Characters chi with |1hat_A(chi)| >= threshold (1e-9 inclusive slack)."""
     if threshold <= 0:
         raise PreconditionError("spectrum threshold must be positive")
-    spec = dft(f)
-    hits = np.flatnonzero(np.abs(spec.values) >= float(threshold) - TOLERANCE)
-    dual = f.group.dual
-    return [dual.element_from_index(int(i)) for i in hits]
+    group = subset.group
+    hits = np.flatnonzero(np.abs(dft(group, subset.mask)) >= float(threshold) - TOLERANCE)
+    return [group.dual.element_from_index(int(i)) for i in hits]
 
 
 def _bogolyubov_spectra(group: FiniteAbelianGroup, rows: np.ndarray) -> list[np.ndarray]:
@@ -131,22 +81,18 @@ def _bogolyubov_spectra(group: FiniteAbelianGroup, rows: np.ndarray) -> list[np.
     ``bohr_mask`` call against 2A - 2A, and a failure raises
     ``TheoremViolationError``.  A block of rows (about 2^18 entries) takes
     two batched checked real-FFT counts for A - A and 2A - 2A and one
-    ``fftn`` over the group axes for the coefficients, divided by |G| as in
-    ``dft``.
+    batched ``dft`` for the coefficients.
     """
     from .bohr import bohr_mask  # local import to avoid a cycle
 
     quarter = Fraction(1, 4)
-    shape = group.tensor_shape
-    axes = tuple(range(1, 1 + len(shape)))
     out: list[np.ndarray] = []
     block = max(1, (1 << 18) // group.order)
     for start in range(0, rows.shape[0], block):
         blk = rows[start : start + block]
         diff = _exact_counts(_convolution_counts(group, blk)) > 0
         target = _exact_counts(_convolution_counts(group, diff, diff)) > 0
-        spec = np.fft.fftn(blk.reshape((-1,) + shape).astype(np.complex128), axes=axes)
-        coeffs = np.abs(spec.reshape(blk.shape) / group.order)
+        coeffs = np.abs(dft(group, blk))
         for r in range(blk.shape[0]):
             alpha = Fraction(int(blk[r].sum()), group.order)
             hits = np.flatnonzero(coeffs[r] >= float(alpha * alpha / 2) - TOLERANCE)

@@ -1,19 +1,15 @@
-"""Quasirandomness of bipartite graphs: box norm, correlation bound,
-neighborhood statistics and the one-sided criterion."""
+"""Quasirandomness of bipartite graphs: box norm, correlation bound and the
+one-sided criterion."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import PreconditionError, TheoremViolationError
-from .rng import derive_rng
+from .errors import TheoremViolationError
 
 TOLERANCE = 1e-9
-EXHAUSTIVE_CUTOFF = 1 << 16  # k-tuples above which neighborhood_stats samples (a memory guard)
-NEIGHBORHOOD_SAMPLES = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,10 +28,6 @@ class BipartiteGraph:
     @property
     def density(self) -> float:
         return float(self.adjacency.mean())
-
-    def balanced(self) -> np.ndarray:
-        """G - delta as a float matrix."""
-        return self.adjacency.astype(np.float64) - self.density
 
 
 def box_norm(f: np.ndarray) -> float:
@@ -75,68 +67,6 @@ def correlation_bound_check(
             f"box-norm correlation bound violated: {lhs} > {rhs}"
         )
     return lhs, rhs
-
-
-@dataclass(frozen=True)
-class NeighborhoodStats:
-    deviation_probability: float
-    bound: float
-    sampled: bool
-    samples: int
-
-
-def neighborhood_stats(
-    graph: BipartiteGraph,
-    k: int,
-    m: int,
-    tuple_set: Optional[np.ndarray],
-    eta: float,
-) -> NeighborhoodStats:
-    """Deviation probability of |N_{x_1..x_k}^m cap M| from delta^{mk} |M|.
-
-    ``tuple_set`` is an (n, m) integer array of m-tuples in Y (defaults to
-    all of Y^m for m = 1).  The empirical probability is checked against
-    ``4 k m eta^{-2} eps`` (plus 3-sigma slack when sampled), where eps is
-    the exact box norm of G - delta.
-    """
-    adj = graph.adjacency
-    nx, ny = adj.shape
-    if tuple_set is None:
-        if m != 1:
-            raise PreconditionError("explicit tuple set required for m > 1")
-        tuple_set = np.arange(ny, dtype=np.int64)[:, None]
-    tuple_set = np.asarray(tuple_set, dtype=np.int64)
-    if tuple_set.ndim != 2 or tuple_set.shape[1] != m:
-        raise ValueError("tuple set must be (n, m)")
-    delta = graph.density
-    eps = box_norm(graph.balanced())
-    target = delta ** (m * k) * tuple_set.shape[0]
-    total = nx**k
-    sampled = total > EXHAUSTIVE_CUTOFF
-    if sampled:
-        draws = derive_rng(0, 23).integers(0, nx, size=(NEIGHBORHOOD_SAMPLES, k))
-    else:
-        draws = np.stack(
-            np.meshgrid(*([np.arange(nx)] * k), indexing="ij"), axis=-1
-        ).reshape(-1, k)
-    deviations = 0
-    for row in draws:
-        common = np.ones(ny, dtype=bool)
-        for x in row:
-            common &= adj[int(x)]
-        hit = np.all(common[tuple_set], axis=1).sum()
-        if abs(float(hit) - target) >= eta * float(ny) ** m:
-            deviations += 1
-    p_hat = deviations / draws.shape[0]
-    bound = 4 * k * m * eps / (eta * eta)
-    slack = 0.0
-    if sampled:
-        slack = 3 * np.sqrt(max(p_hat * (1 - p_hat), 1.0 / draws.shape[0]) / draws.shape[0])
-    if p_hat > bound + slack:
-        raise TheoremViolationError(
-            f"neighborhood deviation probability {p_hat} exceeds bound {bound}"
-        )
-    return NeighborhoodStats(p_hat, bound, sampled, draws.shape[0])
 
 
 @dataclass(frozen=True)

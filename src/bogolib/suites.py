@@ -10,6 +10,7 @@ its body.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -39,7 +40,7 @@ from .bohr import (
     weak_regular_radius_search,
 )
 from .errors import BogolibError, NoWeaklyRegularRadiusError
-from .fourier import GroupFunction, dft, quadruple_count_all
+from .fourier import dft, quadruple_count_all
 from .groups import GroupSubset, _coefficient_grid, _combination_indices, subgroup_generated
 from .lattices import chain_monitor, span_cover
 from .progressions import (
@@ -116,11 +117,14 @@ def check_bohr_size_bounds(seed: int) -> CheckResult:
 # -- criteria 2 + 3 ----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def _weakly_regular_instances(seed: int):
     """Criteria 2 and 3's batch: up to 50 weakly regular (G, freqs, rho)
     with |G| <= 512 and at most 2 frequencies, at eta = eps = 1/10.
 
-    Returns the batch, eta, eps and whether the batch is full.
+    Returns the batch, eta, eps and whether the batch is full.  The last
+    seed's batch is kept, so the two criteria of one battery run build it
+    once; ``run_suite`` clears it, so each run builds its own.
     """
     count, max_order, max_k = 50, 512, 2
     eta = eps = Fraction(1, 10)
@@ -181,7 +185,7 @@ def check_large_spectrum(seed: int) -> CheckResult:
     failures = 0
     for g, freqs, rho in batch:
         b = bohr_enumerate(g, freqs, rho)
-        coeffs = np.abs(dft(GroupFunction.indicator(b)).values)
+        coeffs = np.abs(dft(g, b.mask))
         deduped = [g.dual.element(c) for c in dict.fromkeys(f.coords for f in freqs)]
         large = np.flatnonzero(coeffs >= float(eps))
         chis = [g.dual.element_from_index(int(i)) for i in large]
@@ -701,6 +705,7 @@ def run_suite(name: str, seed: int = 0) -> dict:
         checks = SUITES[name]
     else:
         raise KeyError(f"unknown suite {name!r}; choose from {suite_names()}")
+    _weakly_regular_instances.cache_clear()
     results = []
     start = time.monotonic()
     for fn in checks:

@@ -61,6 +61,27 @@ def test_checks_take_only_a_seed_and_run_once(battery):
     assert sorted(names) == sorted(CRITERIA.values())
 
 
+def test_weakly_regular_batch_built_once_per_run(monkeypatch):
+    # criteria 2 and 3 share one build of their batch in a run, and each
+    # run builds its own
+    calls = []
+    search = suites.weak_regular_radius_search
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(suites, "weak_regular_radius_search", counted)
+    suites._weakly_regular_instances.cache_clear()
+    suites._weakly_regular_instances(SEED)
+    one_build = len(calls)
+    assert one_build >= 50
+    for _ in range(2):
+        calls.clear()
+        suites.run_suite("bohr", SEED)
+        assert len(calls) == one_build
+
+
 def test_criterion_01_bohr_size_bounds(battery):
     _criterion(battery, 1, "Bohr size bounds, 200 instances", budget_s=60)
 

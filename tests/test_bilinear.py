@@ -16,14 +16,12 @@ from bogolib.bilinear import (
     d_hor,
     d_ver,
     exhaustive_hom_finder,
-    is_freiman_linear,
     iterated_difference,
     linear_cover,
     linear_map_on_progression,
     main_theorem_experiment,
     qr_property_check,
     regularity_partition,
-    respected_quadruple_count,
     sample_biset,
     variety_contained_in,
     variety_membership_bruteforce,
@@ -33,6 +31,7 @@ from bogolib.errors import PreconditionError
 from bogolib.groups import GroupSubset, sumset_counts
 from bogolib.progressions import Arm, CosetProgression, FreimanMap
 from bogolib.rng import derive_rng
+from oracles import is_freiman_linear
 
 
 def test_difference_operator_examples():
@@ -350,16 +349,6 @@ def test_regularity_linear_instance_recheck():
             )
             assert again.pass_i and again.pass_ii
             assert Fraction(1, 8) <= cell.rho <= Fraction(1, 4)
-
-
-def test_respected_quadruples_examples():
-    g = bg.make_group([5])
-    h = bg.make_group([5])
-    all_zero = np.zeros(5, dtype=np.int64)
-    assert respected_quadruple_count(g, h, all_zero) == 125
-    identity = np.arange(5)
-    assert respected_quadruple_count(g, h, identity) == 125
-    assert respected_quadruple_count(g, h, [0, 0, -1, -1, -1]) == 6
 
 
 def _value_mask(h, dual, value_sets):

@@ -82,6 +82,20 @@ def test_usage_errors_exit_2(monkeypatch, capsys):
             cli.main(argv)
         assert exc.value.code == 2
     capsys.readouterr()
+    # seeds are derived modulo 2^64, so a seed outside [0, 2^64) would alias another
+    for seed in ("-1", str(1 << 64)):
+        for argv in (
+            ["--group-g", "Z8", "--group-h", "Z8", "--delta", "0.5", "--seed", seed],
+            ["--suite", "lattice", "--seed", seed],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert "--seed" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--group-g", "Z8", "--group-h", "Z8", "--delta", "0"])
+    assert exc.value.code == 2
+    assert "(0, 1]" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         cli.main(["--group-g", "Z8", "--group-h", "Z8", "--delta", "0.5", "--budget", "-1"])
     assert exc.value.code == 2

@@ -1,4 +1,4 @@
-"""Fourier analysis: transforms, convolution, counts, spectra, Bogolyubov."""
+"""Fourier analysis: the transform of masks, counts, spectra, Bogolyubov."""
 
 from fractions import Fraction
 
@@ -10,16 +10,13 @@ from bogolib import bohr, fourier
 from bogolib.bohr import bohr_mask
 from bogolib.errors import TheoremViolationError
 from bogolib.fourier import (
-    GroupFunction,
     bogolyubov_bohr_in_2A2A,
-    convolve,
     dft,
-    idft,
-    quadruple_count,
     quadruple_count_all,
     spectrum,
 )
 from bogolib.groups import GroupSubset, subgroup_generated
+from bogolib.rng import derive_rng
 
 TOL = 1e-9
 
@@ -39,60 +36,53 @@ def brute_quadruple_count(subset, x):
     return total
 
 
+def _character_sums(g, masks):
+    """1hat_A(chi) = E_x 1_A(x) e(-chi(x)) as a direct character sum, no FFT:
+    row i of the result is mask i's coefficients, by dual index."""
+    nums = g.char_numerators(np.arange(g.order), g.dual)  # (chi, x)
+    phases = np.exp(-2j * np.pi * nums / g.exponent)
+    return masks.astype(np.float64) @ phases.T / g.order
+
+
 def test_dft_examples():
     g = bg.make_group([6])
-    ones = GroupFunction.constant(g, 1.0)
-    spec = dft(ones).values
+    spec = dft(g, np.ones(6, dtype=bool))
+    assert spec.shape == (6,) and spec.dtype == np.complex128
     assert abs(spec[0] - 1) < TOL and np.abs(spec[1:]).max() < TOL
-    delta = np.zeros(6, dtype=complex)
-    delta[0] = 6.0
-    spec = dft(GroupFunction(g, delta)).values
-    assert np.abs(spec - 1).max() < TOL
+    spec = dft(g, GroupSubset.from_indices(g, [0]).mask)
+    assert np.abs(spec - 1 / 6).max() < TOL
     g2 = bg.make_group([2])
-    spec = dft(GroupFunction.indicator(GroupSubset.from_indices(g2, [0]))).values
+    spec = dft(g2, GroupSubset.from_indices(g2, [0]).mask)
     assert abs(spec[0] - 0.5) < TOL and abs(spec[1] - 0.5) < TOL
+    spec = dft(g2, GroupSubset.from_indices(g2, [1]).mask)
+    assert abs(spec[0] - 0.5) < TOL and abs(spec[1] + 0.5) < TOL
 
 
-def test_dft_roundtrip_random():
-    rng = np.random.default_rng(3)
-    for moduli in ([7], [4, 3], [2, 2, 3], [16]):
+def test_dft_batch_matches_character_sums():
+    rng = derive_rng(17)
+    for moduli in ([1], [7], [24], [97], [4, 6], [2, 2, 3], [3, 9], [2, 4, 8]):
         g = bg.make_group(moduli)
-        f = GroupFunction(g, rng.normal(size=g.order) + 1j * rng.normal(size=g.order))
-        back = idft(dft(f))
-        assert np.abs(back.values - f.values).max() < TOL
-
-
-def test_convolution_examples():
-    g = bg.make_group([4])
-    ones = GroupFunction.constant(g, 1.0)
-    assert np.abs(convolve(ones, ones).values - 1).max() < TOL
-    delta = np.zeros(4, dtype=complex)
-    delta[0] = 4.0
-    f = GroupFunction(g, np.array([1.0, 2.0, -1.0, 0.5], dtype=complex))
-    conv = convolve(GroupFunction(g, delta), f)
-    assert np.abs(conv.values - f.values).max() < TOL
-    ind = GroupFunction.indicator(GroupSubset.from_indices(g, [0, 1]))
-    assert abs(convolve(ind, ind).values[1] - 0.5) < TOL
-
-
-def test_convolution_theorem_random():
-    rng = np.random.default_rng(4)
-    g = bg.make_group([6, 5])
-    f = GroupFunction(g, rng.normal(size=30) + 1j * rng.normal(size=30))
-    h = GroupFunction(g, rng.normal(size=30) + 1j * rng.normal(size=30))
-    lhs = dft(convolve(f, h)).values
-    rhs = dft(f).values * dft(h).values
-    assert np.abs(lhs - rhs).max() < TOL
+        density = rng.random((12, 1))
+        masks = rng.random((12, g.order)) < density
+        masks[0] = False
+        masks[1] = True
+        batch = dft(g, masks)
+        assert batch.shape == masks.shape
+        assert np.abs(batch - _character_sums(g, masks)).max() < TOL
+        # each row bit for bit as a one-mask call, also under two batch axes
+        for row, mask in zip(batch, masks):
+            assert np.array_equal(row, dft(g, mask))
+        assert np.array_equal(dft(g, masks.reshape(3, 4, g.order)), batch.reshape(3, 4, g.order))
 
 
 def test_quadruple_count_examples():
     g5 = bg.make_group([5])
-    single = GroupSubset.from_indices(g5, [0])
-    assert quadruple_count(single, g5.zero) == 1
-    assert quadruple_count(single, g5.element([2])) == 0
+    single = quadruple_count_all(GroupSubset.from_indices(g5, [0]))
+    assert single[g5.zero.index] == 1
+    assert single[g5.element([2]).index] == 0
     full = GroupSubset.full(g5)
     assert all(quadruple_count_all(full) == 125)
-    assert quadruple_count(GroupSubset.from_indices(g5, [0, 1]), g5.zero) == 6
+    assert quadruple_count_all(GroupSubset.from_indices(g5, [0, 1]))[g5.zero.index] == 6
 
 
 def test_quadruple_count_matches_bruteforce():
@@ -114,11 +104,9 @@ def test_quadruple_count_matches_bruteforce():
 
 def test_spectrum_examples():
     g5 = bg.make_group([5])
-    ones = GroupFunction.constant(g5, 1.0)
-    assert [c.index for c in spectrum(ones, 0.5)] == [0]
-    zero = GroupFunction.constant(g5, 0.0)
-    assert spectrum(zero, 0.1) == []
-    f = GroupFunction.indicator(GroupSubset.from_indices(g5, [0, 1, 4]))
+    assert [c.index for c in spectrum(GroupSubset.full(g5), 0.5)] == [0]
+    assert spectrum(GroupSubset.empty(g5), 0.1) == []
+    f = GroupSubset.from_indices(g5, [0, 1, 4])
     assert sorted(c.index for c in spectrum(f, 0.3)) == [0, 1, 4]
 
 
@@ -148,13 +136,14 @@ def test_bogolyubov_random_always_contained():
 
 
 def _bogolyubov_oracle(subset):
-    """The per-row body: 2A - 2A from two sumsets, the coefficients from
-    ``dft``, the spectrum at alpha^2/2 and one ``bohr_mask`` containment."""
+    """The per-row body: 2A - 2A from two sumsets, the coefficients as direct
+    character sums (no FFT, so independent of ``dft``), the spectrum at
+    alpha^2/2 and one ``bohr_mask`` containment."""
     g = subset.group
     alpha = Fraction(subset.size, g.order)
     diff = subset.diffset(subset)
     target = diff.sumset(diff)
-    coeffs = np.abs(dft(GroupFunction.indicator(subset)).values)
+    coeffs = np.abs(_character_sums(g, subset.mask[None])[0])
     hits = np.flatnonzero(coeffs >= float(alpha * alpha / 2) - TOL)
     assert GroupSubset(g, bohr_mask(g, hits, Fraction(1, 4))).is_subset_of(target)
     return hits

@@ -1,13 +1,11 @@
-"""Box norm, correlation bound, neighborhood statistics, one-sided criterion."""
+"""Box norm, correlation bound, one-sided criterion."""
 
 import numpy as np
 
 from bogolib.quasirandom import (
     BipartiteGraph,
-    NeighborhoodStats,
     box_norm,
     correlation_bound_check,
-    neighborhood_stats,
     one_sided_qr,
 )
 from bogolib.rng import derive_rng
@@ -17,12 +15,12 @@ TOL = 1e-9
 
 def test_box_norm_examples():
     full = BipartiteGraph(np.ones((4, 4), dtype=bool))
-    assert box_norm(full.balanced()) < TOL
+    assert box_norm(full.adjacency - full.density) < TOL
     assert abs(box_norm(np.full((3, 5), 0.7)) - 0.7) < TOL
     single = np.zeros((2, 2), dtype=bool)
     single[0, 0] = True
     g = BipartiteGraph(single)
-    assert abs(box_norm(g.balanced()) - (7 / 256) ** 0.25) < TOL
+    assert abs(box_norm(g.adjacency - g.density) - (7 / 256) ** 0.25) < TOL
 
 
 def test_box_norm_fourfold_bruteforce():
@@ -77,27 +75,6 @@ def test_correlation_bound_examples():
         v = rng.normal(size=8)
         lhs, rhs = correlation_bound_check(f, u, v)
         assert lhs <= rhs + TOL
-
-
-def test_neighborhood_stats_complete():
-    comp = BipartiteGraph(np.ones((6, 6), dtype=bool))
-    st = neighborhood_stats(comp, 3, 1, None, 0.05)
-    assert st.deviation_probability == 0.0
-
-
-def test_neighborhood_stats_k1_degree_concentration():
-    rng = derive_rng(97)
-    g = BipartiteGraph(rng.random((32, 32)) < 0.5)
-    st = neighborhood_stats(g, 1, 1, None, 0.25)
-    assert st.deviation_probability <= st.bound + 1e-12
-
-
-def test_neighborhood_stats_tuples():
-    rng = derive_rng(101)
-    g = BipartiteGraph(rng.random((16, 16)) < 0.5)
-    m_tuples = rng.integers(0, 16, size=(40, 2))
-    st = neighborhood_stats(g, 2, 2, m_tuples, 0.4)
-    assert 0.0 <= st.deviation_probability <= 1.0
 
 
 def test_one_sided_qr_examples():
