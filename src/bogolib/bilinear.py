@@ -58,7 +58,7 @@ from .progressions import (
     extract_subprogression,
     grow_progression_inside,
 )
-from .rng import derive_rng
+from .rng import check_seed, derive_rng
 
 _PAIR_CUTOFF = 1 << 20  # pairs above which qr_property_check samples (a memory guard)
 _PAIR_SAMPLES = 10_000
@@ -950,7 +950,8 @@ def main_theorem_experiment(
     word: str = DEFAULT_WORD,
 ) -> ExperimentOutcome:
     """Sample a set of the given density, take the iterated difference set
-    and search for a verified bilinear Bohr variety inside it.
+    and search for a verified bilinear Bohr variety inside it.  ``seed``
+    must lie in [0, 2^64) (``rng.check_seed``).
 
     The search ladder: the full product, progressions over full or dense
     rows with a Bohr witness on the common row-set, covering maps fitted to
@@ -967,6 +968,7 @@ def main_theorem_experiment(
     column arm scores every element of the zero column at once
     (``_column_arm``).
     """
+    check_seed(seed)
     start = time.monotonic()
     a = sample_biset(gx, gy, delta, seed)
     d = iterated_difference(a, word)

@@ -9,7 +9,9 @@ factor (the tensor decomposition of the group); all float comparisons use
 the global 1e-9 absolute tolerance.  Integer-valued counts come from real
 FFTs (the shared helper ``groups._convolution_counts``, or
 ``_quadruple_counts``) and are rounded by ``groups._exact_counts``, which
-raises ArithmeticError on a count 1/4 or more from an integer.
+raises ArithmeticError on a count 1/4 or more from an integer.  Like
+``dft``, ``quadruple_count_all`` takes masks batched over leading axes, so
+many sets on one group share one real-FFT pair.
 """
 
 from __future__ import annotations
@@ -43,21 +45,24 @@ def dft(group: FiniteAbelianGroup, masks: np.ndarray) -> np.ndarray:
     return spec.reshape(masks.shape) / group.order
 
 
-def _quadruple_counts(group: FiniteAbelianGroup, mask: np.ndarray) -> np.ndarray:
-    """Float counts ``|G|^3 (1_A * 1_A * 1_{-A} * 1_{-A})(x)`` from one real-FFT
+def _quadruple_counts(group: FiniteAbelianGroup, masks: np.ndarray) -> np.ndarray:
+    """Float counts ``|G|^3 (1_A * 1_A * 1_{-A} * 1_{-A})(x)`` for each mask
+    (last axis by element index, leading axes a batch) from one real-FFT
     pair; the transform side is ``|1hat_A|^4``, nonnegative real."""
     shape = group.tensor_shape
-    axes = tuple(range(len(shape)))
-    spec = np.fft.rfftn(mask.reshape(shape).astype(np.float64), axes=axes)
-    return np.fft.irfftn(np.abs(spec) ** 4, s=shape, axes=axes).reshape(-1)
+    batch = masks.shape[:-1]
+    axes = tuple(range(len(batch), len(batch) + len(shape)))
+    spec = np.fft.rfftn(masks.reshape(batch + shape).astype(np.float64), axes=axes)
+    return np.fft.irfftn(np.abs(spec) ** 4, s=shape, axes=axes).reshape(masks.shape)
 
 
-def quadruple_count_all(subset: GroupSubset) -> np.ndarray:
-    """count(x) = #{(a1,a2,a3,a4) in A^4 : a1 + a2 - a3 - a4 = x} for all x.
+def quadruple_count_all(group: FiniteAbelianGroup, masks: np.ndarray) -> np.ndarray:
+    """count(x) = #{(a1,a2,a3,a4) in A^4 : a1 + a2 - a3 - a4 = x} for all x,
+    A each mask; batched over leading axes like ``dft``.
 
     One real-FFT pair (``_quadruple_counts``), rounded by ``_exact_counts``.
     """
-    return _exact_counts(_quadruple_counts(subset.group, subset.mask)).astype(np.int64)
+    return _exact_counts(_quadruple_counts(group, np.asarray(masks))).astype(np.int64)
 
 
 def spectrum(subset: GroupSubset, threshold: float) -> list[Character]:

@@ -788,7 +788,7 @@ def popular_difference_set(
         raise PreconditionError("set must be nonempty")
     if subset.sumset(subset).size > doubling * subset.size:
         raise PreconditionError("doubling constant below the actual doubling")
-    counts = quadruple_count_all(subset)
+    counts = quadruple_count_all(subset.group, subset.mask)
     threshold = Fraction(subset.size**3, 64) / doubling
     popular = GroupSubset(subset.group, counts >= threshold)
     if 0 not in popular:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import PreconditionError
+
 _MASK = (1 << 64) - 1
 
 
@@ -19,6 +21,14 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return (z ^ (z >> 31)) & _MASK
+
+
+def check_seed(seed: int) -> None:
+    """PreconditionError unless ``seed`` lies in [0, 2^64), the range seeds
+    are derived over: outside it ``derive_seed`` would alias another seed.
+    The library's entry points call it once, where the seed enters."""
+    if not 0 <= seed <= _MASK:
+        raise PreconditionError(f"seed must lie in [0, 2^64), got {seed}")
 
 
 def derive_seed(master: int, task_id: int) -> int:

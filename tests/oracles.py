@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from bogolib.bohr import bohr_mask
-from bogolib.groups import Character, FiniteAbelianGroup
+from bogolib.groups import Character, FiniteAbelianGroup, GroupSubset
 from bogolib.progressions import FreimanMap
 
 _LINEAR_BLOCK = 1 << 20  # pair entries per block of the Freiman-linearity check
@@ -63,3 +63,16 @@ def is_weakly_regular(
     epsilon: Fraction,
 ) -> bool:
     return annulus_size(group, frequencies, radius, eta) <= Fraction(epsilon) * group.order
+
+
+def _pair_multiplicity_count(g, subset: GroupSubset) -> np.ndarray:
+    """Independent oracle: counts via pair-sum multiplicities."""
+    idx = subset.indices()
+    sums = g.add_indices(np.repeat(idx, idx.size), np.tile(idx, idx.size))
+    r = np.bincount(sums, minlength=g.order).astype(np.int64)
+    every = np.arange(g.order, dtype=np.int64)
+    # shifted[x, y] = y - x
+    shifted = g.add_indices(
+        np.tile(every, g.order), np.repeat(g.negation_permutation, g.order)
+    ).reshape(g.order, g.order)
+    return (r[None, :] * r[shifted]).sum(axis=1)

@@ -10,10 +10,15 @@ compares the two.
 import hashlib
 import inspect
 import json
+import math
 
+import numpy as np
 import pytest
 
-from bogolib import suites
+from bogolib import fourier, suites
+from bogolib.groups import GroupSubset, make_group
+from bogolib.rng import derive_rng
+from oracles import _pair_multiplicity_count
 
 SEED = 1
 
@@ -80,6 +85,54 @@ def test_weakly_regular_batch_built_once_per_run(monkeypatch):
         calls.clear()
         suites.run_suite("bohr", SEED)
         assert len(calls) == one_build
+
+
+def test_quadruple_batch_one_count_per_group(monkeypatch):
+    # criterion 7 counts each distinct group's cases in one batched call;
+    # the popular-difference step's own calls go through progressions
+    calls = []
+    count = suites.quadruple_count_all
+
+    def counted(group, masks):
+        calls.append(masks.shape)
+        return count(group, masks)
+
+    monkeypatch.setattr(suites, "quadruple_count_all", counted)
+    cases = [
+        tuple(suites._random_moduli(derive_rng(SEED, 600_000 + i), 64)) for i in range(1000)
+    ]
+    suites.check_quadruple_counting(SEED)
+    assert len(calls) == len(set(cases)) < 1000
+    assert sum(shape[0] for shape in calls) == 1000
+
+
+def test_quadruple_table_oracle_matches_pair_multiplicities():
+    rng = derive_rng(29)
+    for moduli in ([1], [5], [12], [4, 6], [2, 2, 3], [2, 4, 8]):
+        g = make_group(moduli)
+        masks = rng.random((10, g.order)) < rng.random((10, 1))
+        masks[0] = False
+        masks[1] = True
+        table = suites._subtraction_table_counts(g, masks)
+        assert table.dtype == np.int64
+        for mask, row in zip(masks, table):
+            assert np.array_equal(row, _pair_multiplicity_count(g, GroupSubset(g, mask)))
+
+
+def test_criterion_07_flags_a_miscount(monkeypatch):
+    # one count off by exactly 1 passes the rounding gate, so only the
+    # oracle comparison can catch it
+    quadruples = fourier._quadruple_counts
+
+    def off_by_one(group, masks):
+        out = quadruples(group, masks)
+        out.reshape(-1)[math.prod(masks.shape) // 2] += 1.0
+        return out
+
+    monkeypatch.setattr(fourier, "_quadruple_counts", off_by_one)
+    res = suites.check_quadruple_counting(SEED)
+    assert res.measured["mismatches"] > 0
+    assert not res.passed
 
 
 def test_criterion_01_bohr_size_bounds(battery):

@@ -730,7 +730,7 @@ def test_convolution_rounding_margin_is_checked(monkeypatch):
         cover,
         spectra,
         experiment,
-        lambda: fourier.quadruple_count_all(a).tolist(),
+        lambda: fourier.quadruple_count_all(a.group, a.mask).tolist(),
     )
     expected = [run() for run in runs]
     helper = groups._convolution_counts

@@ -25,7 +25,6 @@ from bogolib.bohr import (
     formula_coefficients,
     large_spectrum_certify,
     size_bounds,
-    size_formula_cutoff,
     verify_bohr_sum,
     weak_regular_radius_search,
 )

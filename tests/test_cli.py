@@ -14,6 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bogolib import cli
+from bogolib.bilinear import main_theorem_experiment
+from bogolib.errors import PreconditionError
+from bogolib.groups import make_group
 from bogolib.suites import run_suite
 
 
@@ -68,6 +71,19 @@ def test_group_ceiling_gate():
     )
     assert proc.returncode == 1
     assert "too large" in proc.stderr
+
+
+def test_library_entry_points_reject_out_of_range_seeds():
+    # derive_seed reduces seeds modulo 2^64: -1 would alias 2^64 - 1, and 2^64 alias 0
+    z8 = make_group([8])
+    for seed in (-1, 1 << 64):
+        with pytest.raises(PreconditionError):
+            run_suite("lattice", seed)
+        with pytest.raises(PreconditionError):
+            main_theorem_experiment(z8, z8, 0.5, seed)
+        with pytest.raises(PreconditionError):
+            cli.run_experiment("Z8", "Z8", 0.5, seed)
+    assert main_theorem_experiment(z8, z8, 0.5, (1 << 64) - 1).report["verified"]
 
 
 def test_usage_errors_exit_2(monkeypatch, capsys):

@@ -77,12 +77,12 @@ def test_dft_batch_matches_character_sums():
 
 def test_quadruple_count_examples():
     g5 = bg.make_group([5])
-    single = quadruple_count_all(GroupSubset.from_indices(g5, [0]))
+    single = quadruple_count_all(g5, GroupSubset.from_indices(g5, [0]).mask)
     assert single[g5.zero.index] == 1
     assert single[g5.element([2]).index] == 0
     full = GroupSubset.full(g5)
-    assert all(quadruple_count_all(full) == 125)
-    assert quadruple_count_all(GroupSubset.from_indices(g5, [0, 1]))[g5.zero.index] == 6
+    assert all(quadruple_count_all(g5, full.mask) == 125)
+    assert quadruple_count_all(g5, GroupSubset.from_indices(g5, [0, 1]).mask)[g5.zero.index] == 6
 
 
 def test_quadruple_count_matches_bruteforce():
@@ -96,10 +96,32 @@ def test_quadruple_count_matches_bruteforce():
         subset = GroupSubset.from_indices(
             g, rng.choice(g.order, size=size, replace=False)
         )
-        counts = quadruple_count_all(subset)
+        counts = quadruple_count_all(g, subset.mask)
         for xi in rng.choice(g.order, size=min(4, g.order), replace=False):
             x = g.element_from_index(int(xi))
             assert counts[int(xi)] == brute_quadruple_count(subset, x)
+
+
+def test_quadruple_count_batch_matches_single_masks():
+    rng = derive_rng(23)
+    for moduli in ([5], [12], [4, 6], [2, 2, 3], [2, 4, 8]):
+        g = bg.make_group(moduli)
+        density = rng.random((12, 1))
+        masks = rng.random((12, g.order)) < density
+        masks[0] = False
+        masks[1] = True
+        batch = quadruple_count_all(g, masks)
+        assert batch.shape == masks.shape and batch.dtype == np.int64
+        # each row bit for bit as a one-mask call, also under two batch axes
+        for row, mask in zip(batch, masks):
+            assert np.array_equal(row, quadruple_count_all(g, mask))
+        two_axes = quadruple_count_all(g, masks.reshape(3, 4, g.order))
+        assert np.array_equal(two_axes, batch.reshape(3, 4, g.order))
+        for r in range(2, 12, 3):
+            subset = GroupSubset(g, masks[r])
+            for xi in rng.choice(g.order, size=min(3, g.order), replace=False):
+                x = g.element_from_index(int(xi))
+                assert batch[r, int(xi)] == brute_quadruple_count(subset, x)
 
 
 def test_spectrum_examples():

@@ -26,7 +26,6 @@ from bogolib.progressions import (
     is_freiman_subgroup,
     partial_projectivity,
     popular_difference_progression,
-    popular_difference_set,
     stabilizer,
     subgroup_basis,
 )
@@ -324,7 +323,7 @@ def test_popular_difference_threshold_direct():
         a = GroupSubset.from_indices(g, rng.choice(g.order, size=size, replace=False))
         k = Fraction(a.sumset(a).size, a.size)
         pop = popular_difference_progression(a, k)
-        counts = quadruple_count_all(a)
+        counts = quadruple_count_all(g, a.mask)
         thr = Fraction(a.size**3, 64) / k
         for idx in pop.enumerate().indices():
             assert counts[int(idx)] >= thr
