@@ -571,24 +571,31 @@ def _one_sided_statistics() -> tuple[np.ndarray, np.ndarray]:
     """For each of the 2^16 bipartite graphs on 4 + 4 vertices: its
     eps = max(e1, e2) of ``quasirandom.one_sided_qr`` at its own density
     and its box norm about that density.  Entry i is the graph whose
-    adjacency entry (r, c) is bit 4 r + c of i."""
-    bits = np.arange(1 << 16, dtype=np.uint32)
-    cells = ((bits[:, None] >> np.arange(16, dtype=np.uint32)[None, :]) & 1).astype(
-        np.float64
-    )
-    graphs = cells.reshape(-1, 4, 4)
-    dens = graphs.mean(axis=(1, 2))
-    degrees = graphs.sum(axis=2)
-    e1 = np.abs(degrees - dens[:, None] * 4).mean(axis=1) / 4
-    # batched matmuls, not einsum: every entry of `graphs` and `balanced` is
-    # a multiple of 1/16, so each sum of four products is an exact multiple
-    # of 1/256 and the result is bit-identical whatever the summation order
-    codeg = graphs @ graphs.transpose(0, 2, 1)
-    e2 = np.abs(codeg - (dens**2)[:, None, None] * 4).mean(axis=(1, 2)) / 4
-    balanced = graphs - dens[:, None, None]
-    inner = balanced @ balanced.transpose(0, 2, 1) / 4
-    box4 = (inner**2).mean(axis=(1, 2))
-    return np.maximum(e1, e2), box4**0.25
+    adjacency entry (r, c) is bit 4 r + c of i.
+
+    The graphs go in blocks of 2^12 (about 4 MiB of temporaries, not 44
+    MiB for all at once); each reduction is over one graph's own entries
+    and every value is an exact dyadic rational, so blocks change no bit."""
+    size = 1 << 12  # 2^8 to 2^14 give the same bits; 2^12 was fastest
+    eps, box = np.empty(1 << 16), np.empty(1 << 16)
+    for start in range(0, 1 << 16, size):
+        bits = np.arange(start, start + size, dtype=np.uint32)
+        cells = ((bits[:, None] >> np.arange(16, dtype=np.uint32)) & 1).astype(np.float64)
+        graphs = cells.reshape(-1, 4, 4)
+        dens = graphs.mean(axis=(1, 2))
+        degrees = graphs.sum(axis=2)
+        e1 = np.abs(degrees - dens[:, None] * 4).mean(axis=1) / 4
+        # batched matmuls, not einsum: entries of `graphs` and `balanced` are
+        # multiples of 1/16, so each sum of four products is an exact multiple
+        # of 1/256, bit-identical whatever the summation order
+        codeg = graphs @ graphs.transpose(0, 2, 1)
+        e2 = np.abs(codeg - (dens**2)[:, None, None] * 4).mean(axis=(1, 2)) / 4
+        balanced = graphs - dens[:, None, None]
+        inner = balanced @ balanced.transpose(0, 2, 1) / 4
+        box4 = (inner**2).mean(axis=(1, 2))
+        eps[start : start + size] = np.maximum(e1, e2)
+        box[start : start + size] = box4**0.25
+    return eps, box
 
 
 def check_quasirandom_appendix(seed: int) -> CheckResult:

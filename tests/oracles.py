@@ -76,3 +76,25 @@ def _pair_multiplicity_count(g, subset: GroupSubset) -> np.ndarray:
         np.tile(every, g.order), np.repeat(g.negation_permutation, g.order)
     ).reshape(g.order, g.order)
     return (r[None, :] * r[shifted]).sum(axis=1)
+
+
+def one_sided_statistics_whole() -> tuple[np.ndarray, np.ndarray]:
+    """``suites._one_sided_statistics`` over all 2^16 graphs in one pass of
+    whole-array float64 temporaries (about 44 MiB)."""
+    bits = np.arange(1 << 16, dtype=np.uint32)
+    cells = ((bits[:, None] >> np.arange(16, dtype=np.uint32)[None, :]) & 1).astype(
+        np.float64
+    )
+    graphs = cells.reshape(-1, 4, 4)
+    dens = graphs.mean(axis=(1, 2))
+    degrees = graphs.sum(axis=2)
+    e1 = np.abs(degrees - dens[:, None] * 4).mean(axis=1) / 4
+    # batched matmuls, not einsum: every entry of `graphs` and `balanced` is
+    # a multiple of 1/16, so each sum of four products is an exact multiple
+    # of 1/256 and the result is bit-identical whatever the summation order
+    codeg = graphs @ graphs.transpose(0, 2, 1)
+    e2 = np.abs(codeg - (dens**2)[:, None, None] * 4).mean(axis=(1, 2)) / 4
+    balanced = graphs - dens[:, None, None]
+    inner = balanced @ balanced.transpose(0, 2, 1) / 4
+    box4 = (inner**2).mean(axis=(1, 2))
+    return np.maximum(e1, e2), box4**0.25

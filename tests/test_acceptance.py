@@ -17,6 +17,7 @@ import pytest
 
 from bogolib import fourier, suites
 from bogolib.groups import GroupSubset, make_group
+from bogolib.quasirandom import TOLERANCE
 from bogolib.rng import derive_rng
 from oracles import _pair_multiplicity_count
 
@@ -132,6 +133,28 @@ def test_criterion_07_flags_a_miscount(monkeypatch):
     monkeypatch.setattr(fourier, "_quadruple_counts", off_by_one)
     res = suites.check_quadruple_counting(SEED)
     assert res.measured["mismatches"] > 0
+    assert not res.passed
+
+
+def test_criterion_11_flags_a_wrong_box_norm(monkeypatch):
+    # each graph's box norm about density 0, not its own density: only the
+    # graphs with eps = 0 (empty and complete) can break 3 eps^(1/8), and of
+    # those only the complete graph, index 2^16 - 1, moves to box norm 1
+    statistics = suites._one_sided_statistics
+    flagged = []
+
+    def about_zero():
+        eps, _ = statistics()
+        bits = np.arange(1 << 16)
+        graphs = ((bits[:, None] >> np.arange(16)) & 1).astype(np.float64).reshape(-1, 4, 4)
+        box = ((graphs @ graphs.transpose(0, 2, 1) / 4) ** 2).mean(axis=(1, 2)) ** 0.25
+        flagged.extend(np.flatnonzero(box > 3 * eps**0.125 + TOLERANCE).tolist())
+        return eps, box
+
+    monkeypatch.setattr(suites, "_one_sided_statistics", about_zero)
+    res = suites.check_quasirandom_appendix(SEED)
+    assert flagged == [(1 << 16) - 1]
+    assert res.measured["one_sided_violations"] == 1
     assert not res.passed
 
 

@@ -1,5 +1,7 @@
 """Box norm, correlation bound, one-sided criterion."""
 
+import tracemalloc
+
 import numpy as np
 
 from bogolib.quasirandom import (
@@ -9,6 +11,7 @@ from bogolib.quasirandom import (
     one_sided_qr,
 )
 from bogolib.rng import derive_rng
+from oracles import one_sided_statistics_whole
 
 TOL = 1e-9
 
@@ -107,14 +110,19 @@ def test_one_sided_qr_exhaustive_tiny():
 
 
 def test_battery_one_sided_statistics_match_one_sided_qr():
-    """Criterion 11's per-graph eps and box norm, on a seeded sample of the
-    2^16 graphs on 4 + 4 vertices, against ``one_sided_qr`` on each graph."""
+    """Criterion 11's per-graph eps and box norm: bit for bit the whole-array
+    oracle's over all 2^16 graphs on 4 + 4 vertices, and on a seeded sample
+    (block edges included) ``one_sided_qr``'s on each graph."""
     from bogolib.suites import _one_sided_statistics
 
     eps, box = _one_sided_statistics()
     assert eps.shape == box.shape == (1 << 16,)
+    whole_eps, whole_box = one_sided_statistics_whole()
+    assert eps.tobytes() == whole_eps.tobytes()
+    assert box.tobytes() == whole_box.tobytes()
     rng = derive_rng(107)
-    sample = [0, 1, (1 << 16) - 1, *rng.choice(1 << 16, size=200, replace=False).tolist()]
+    edges = [4095, 4096, 61439, 61440]
+    sample = [0, 1, (1 << 16) - 1, *edges, *rng.choice(1 << 16, size=200, replace=False).tolist()]
     for i in sample:
         g = BipartiteGraph(((i >> np.arange(16)) & 1).reshape(4, 4).astype(bool))
         probe = one_sided_qr(g, g.density, 1.0)
@@ -122,3 +130,19 @@ def test_battery_one_sided_statistics_match_one_sided_qr():
         assert abs(probe.box_norm - box[i]) < TOL
         res = one_sided_qr(g, g.density, float(eps[i]))
         assert res.conditions_hold and res.box_bound_holds
+
+
+def test_battery_one_sided_statistics_peak_memory():
+    """Criterion 11's scan holds block-sized temporaries, not whole-array
+    ones: its traced peak after one warm call stays below 8 MiB (about 4 MiB
+    in blocks of 2^12 graphs, about 44 MiB over all 2^16 at once)."""
+    from bogolib.suites import _one_sided_statistics
+
+    _one_sided_statistics()
+    tracemalloc.start()
+    try:
+        _one_sided_statistics()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
