@@ -9,9 +9,8 @@ computes d_hor(d_ver(A)) -- the 'v' (rightmost letter) acts first.
 
 Each letter is one batched real-FFT convolution (``groups._convolution_counts``)
 of every row (or column) with its negation, taken from one forward transform
-times its conjugate.  The counts are rounded to integers, and a count 1/4 or
-more from an integer raises ArithmeticError (``groups._exact_counts``), so
-the float transform never decides membership unchecked.  Both operators map G x H to
+times its conjugate; the kernel returns exact integer counts, so the float
+transform never decides membership unchecked.  Both operators map G x H to
 itself, so ``iterated_difference`` stops as soon as the set is all of G x H.
 """
 
@@ -47,7 +46,6 @@ from .groups import (
     GroupSubset,
     _combination_indices,
     _convolution_counts,
-    _exact_counts,
     subgroup_generated,
 )
 from .lattices import IntegerLattice, annihilator_points, chain_monitor
@@ -94,8 +92,11 @@ class BiSet:
 
     @classmethod
     def from_flat_indices(cls, gx, gy, flat) -> "BiSet":
+        flat = np.asarray(flat, dtype=np.int64).reshape(-1)
+        if flat.size and flat.min() < 0:
+            raise ValueError("element index out of range")
         mat = np.zeros(gx.order * gy.order, dtype=bool)
-        mat[np.asarray(flat, dtype=np.int64).reshape(-1)] = True
+        mat[flat] = True
         return cls(gx, gy, mat.reshape(gy.order, gx.order))
 
     @property
@@ -130,28 +131,14 @@ class BiSet:
         return bool(self.matrix[y.index, x.index])
 
 
-def _row_differences(group: FiniteAbelianGroup, m: np.ndarray) -> np.ndarray:
-    """Row i of the result is the difference set m[i] - m[i] in ``group``.
-
-    One batched real-FFT sumset of each row with its negation, from one
-    forward transform.  The counts are integers up to rounding; a count at
-    least 1/4 from the nearest integer raises ArithmeticError rather than
-    being guessed (``groups._exact_counts``).
-    """
-    return _exact_counts(_convolution_counts(group, m)) > 0
-
-
 def d_hor(a: BiSet) -> BiSet:
-    """Per-row difference set: {(x1 - x2, y) : (x1, y), (x2, y) in A}.
-
-    Computed by ``_row_differences`` (real FFT, 1/4 rounding margin checked).
-    """
-    return BiSet(a.group_x, a.group_y, _row_differences(a.group_x, a.matrix))
+    """Per-row difference set: {(x1 - x2, y) : (x1, y), (x2, y) in A}."""
+    return BiSet(a.group_x, a.group_y, _convolution_counts(a.group_x, a.matrix) > 0)
 
 
 def d_ver(a: BiSet) -> BiSet:
     """Per-column difference set: {(x, y1 - y2) : (x, y1), (x, y2) in A}."""
-    return BiSet(a.group_x, a.group_y, _row_differences(a.group_y, a.matrix.T).T)
+    return BiSet(a.group_x, a.group_y, _convolution_counts(a.group_y, a.matrix.T).T > 0)
 
 
 def iterated_difference(a: BiSet, word: str) -> BiSet:
@@ -579,7 +566,7 @@ def linear_cover(
     y + z and y + w do, and dedupes the quads (y+z, z, y+w, w) with one 1-D
     ``np.unique`` on an int64 key.  The rows U_a - U_b and U'_a - U'_b of
     the pairs (a, b) that occur come from tables kept across rounds (batched
-    real-FFT sumsets, rounding checked by ``groups._exact_counts``): a
+    exact real-FFT sumsets, ``groups._convolution_counts``): a
     U_a - U_b row depends only on U, so it is computed the first round its
     pair appears, and a U'_a - U'_b row is computed again only after a round
     adds a map that covers a new value of U_a or U_b.  The two covered
@@ -618,9 +605,6 @@ def linear_cover(
         for name in ("u", "covered")
     }
 
-    def sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        return _exact_counts(_convolution_counts(dual, left, right)) > 0
-
     def difference_rows(name: str, pairs: np.ndarray) -> np.ndarray:
         """Row p: X_a - X_b for the sorted pair keys ``pairs`` (X = U or U'),
         from the kept table where it has them; new rows join the table while
@@ -633,7 +617,7 @@ def linear_cover(
         if todo.size:
             a, b = np.divmod(todo, h.order)
             left, right = (u, u_neg) if name == "u" else (covered, covered[:, neg])
-            rows[~known] = sums(left[a], right[b])
+            rows[~known] = _convolution_counts(dual, left[a], right[b]) > 0
             if (keys.size + todo.size) * dual.order <= _PAIR_TABLE:
                 keys = np.concatenate([keys, todo])
                 order = np.argsort(keys)
@@ -674,8 +658,8 @@ def linear_cover(
             need = rest[left] & rest[right]
             open_rows = np.flatnonzero(need.any(axis=1))
             if open_rows.size:
-                rhs = sums(cov[left[open_rows]], cov[right[open_rows]])
-                missed = np.any(need[open_rows] & ~rhs, axis=1)
+                rhs = _convolution_counts(dual, cov[left[open_rows]], cov[right[open_rows]])
+                missed = np.any(need[open_rows] & (rhs == 0), axis=1)
                 hits += int(weight[start : start + step][open_rows[missed]].sum())
         return hits / samples
 

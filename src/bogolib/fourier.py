@@ -6,12 +6,12 @@ Convention (expectation-normalized): for an indicator set A,
 
 ``dft`` computes it for boolean masks through ``numpy.fft`` per cyclic
 factor (the tensor decomposition of the group); all float comparisons use
-the global 1e-9 absolute tolerance.  Integer-valued counts come from real
-FFTs (the shared helper ``groups._convolution_counts``, or
-``_quadruple_counts``) and are rounded by ``groups._exact_counts``, which
-raises ArithmeticError on a count 1/4 or more from an integer.  Like
-``dft``, ``quadruple_count_all`` takes masks batched over leading axes, so
-many sets on one group share one real-FFT pair.
+the global 1e-9 absolute tolerance.  Integer-valued counts come from the
+two real-FFT kernels, ``groups._convolution_counts`` and
+``quadruple_count_all``, which return them exact (see
+``groups._exact_counts``).  Like ``dft``, ``quadruple_count_all`` takes
+masks batched over leading axes, so many sets on one group share one
+real-FFT pair.
 """
 
 from __future__ import annotations
@@ -45,24 +45,22 @@ def dft(group: FiniteAbelianGroup, masks: np.ndarray) -> np.ndarray:
     return spec.reshape(masks.shape) / group.order
 
 
-def _quadruple_counts(group: FiniteAbelianGroup, masks: np.ndarray) -> np.ndarray:
-    """Float counts ``|G|^3 (1_A * 1_A * 1_{-A} * 1_{-A})(x)`` for each mask
-    (last axis by element index, leading axes a batch) from one real-FFT
-    pair; the transform side is ``|1hat_A|^4``, nonnegative real."""
-    shape = group.tensor_shape
-    batch = masks.shape[:-1]
-    axes = tuple(range(len(batch), len(batch) + len(shape)))
-    spec = np.fft.rfftn(masks.reshape(batch + shape).astype(np.float64), axes=axes)
-    return np.fft.irfftn(np.abs(spec) ** 4, s=shape, axes=axes).reshape(masks.shape)
-
-
 def quadruple_count_all(group: FiniteAbelianGroup, masks: np.ndarray) -> np.ndarray:
     """count(x) = #{(a1,a2,a3,a4) in A^4 : a1 + a2 - a3 - a4 = x} for all x,
     A each mask; batched over leading axes like ``dft``.
 
-    One real-FFT pair (``_quadruple_counts``), rounded by ``_exact_counts``.
+    One real-FFT pair: the counts are |G|^3 (1_A * 1_A * 1_{-A} * 1_{-A}),
+    whose transform side is ``|1hat_A|^4``, nonnegative real; they leave as
+    int64, rounded and checked by ``groups._exact_counts``.
     """
-    return _exact_counts(_quadruple_counts(group, np.asarray(masks))).astype(np.int64)
+    masks = np.asarray(masks)
+    shape = group.tensor_shape
+    batch = masks.shape[:-1]
+    axes = tuple(range(len(batch), len(batch) + len(shape)))
+    spec = np.fft.rfftn(masks.reshape(batch + shape).astype(np.float64), axes=axes)
+    counts = np.fft.irfftn(np.abs(spec) ** 4, s=shape, axes=axes)
+    del spec  # the spectrum is not held while the counts are rounded
+    return _exact_counts(counts.reshape(masks.shape))
 
 
 def spectrum(subset: GroupSubset, threshold: float) -> list[Character]:
@@ -85,7 +83,7 @@ def _bogolyubov_spectra(group: FiniteAbelianGroup, rows: np.ndarray) -> list[np.
     t^2 alpha in absolute value.  Every row is still checked exactly, one
     ``bohr_mask`` call against 2A - 2A, and a failure raises
     ``TheoremViolationError``.  A block of rows (about 2^18 entries) takes
-    two batched checked real-FFT counts for A - A and 2A - 2A and one
+    two batched exact real-FFT counts for A - A and 2A - 2A and one
     batched ``dft`` for the coefficients.
     """
     from .bohr import bohr_mask  # local import to avoid a cycle
@@ -95,8 +93,8 @@ def _bogolyubov_spectra(group: FiniteAbelianGroup, rows: np.ndarray) -> list[np.
     block = max(1, (1 << 18) // group.order)
     for start in range(0, rows.shape[0], block):
         blk = rows[start : start + block]
-        diff = _exact_counts(_convolution_counts(group, blk)) > 0
-        target = _exact_counts(_convolution_counts(group, diff, diff)) > 0
+        diff = _convolution_counts(group, blk) > 0
+        target = _convolution_counts(group, diff, diff) > 0
         coeffs = np.abs(dft(group, blk))
         for r in range(blk.shape[0]):
             alpha = Fraction(int(blk[r].sum()), group.order)

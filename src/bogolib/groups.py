@@ -292,8 +292,9 @@ class GroupSubset:
     def from_indices(cls, group: FiniteAbelianGroup, indices) -> "GroupSubset":
         mask = np.zeros(group.order, dtype=bool)
         idx = np.asarray(list(indices) if not isinstance(indices, np.ndarray) else indices, dtype=np.int64)
-        if idx.size:
-            mask[idx] = True
+        if idx.size and idx.min() < 0:
+            raise ValueError("element index out of range")
+        mask[idx] = True
         return cls(group, mask)
 
     @classmethod
@@ -381,8 +382,7 @@ class GroupSubset:
 
     def sumset(self, other: "GroupSubset") -> "GroupSubset":
         self._check(other)
-        counts = _exact_counts(_convolution_counts(self.group, self.mask, other.mask))
-        return GroupSubset(self.group, counts > 0)
+        return GroupSubset(self.group, _convolution_counts(self.group, self.mask, other.mask) > 0)
 
     def diffset(self, other: "GroupSubset") -> "GroupSubset":
         return self.sumset(other.negate())
@@ -401,14 +401,14 @@ class GroupSubset:
 def _convolution_counts(
     group: FiniteAbelianGroup, m1: np.ndarray, m2: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Unnormalized convolution counts(x) = #{(a, b): a + b = x} over masks.
+    """Exact int64 convolution counts(x) = #{(a, b): a + b = x} over masks.
 
     The masks' last axis runs over the group; leading axes are a batch, and
     row i of the result convolves row i of ``m1`` with row i of ``m2``.
     Without ``m2``, row i of ``m1`` is convolved with its own negation, so
     counts(x) = #{(a, b): a - b = x}; the transform of the negation is the
     conjugate of the row's own, so that takes one forward transform.
-    The counts are floats; ``_exact_counts`` rounds them.
+    The real-FFT counts are rounded and checked by ``_exact_counts``.
     """
     shape = group.tensor_shape
     batch = m1.shape[:-1]
@@ -419,26 +419,25 @@ def _convolution_counts(
     else:
         f2 = np.fft.rfftn(m2.reshape(batch + shape).astype(np.float64), s=shape, axes=axes)
     out = np.fft.irfftn(f1 * f2, s=shape, axes=axes)
-    return out.reshape(m1.shape)
+    del f1, f2  # the spectra are not held while the counts are rounded
+    return _exact_counts(out.reshape(m1.shape))
 
 
 def _exact_counts(counts: np.ndarray) -> np.ndarray:
-    """Round float convolution counts to the integers they stand for.
+    """Round float FFT counts to the int64 integers they stand for.
 
-    Every count of ``_convolution_counts`` is an integer up to rounding; one
-    1/4 or more from the nearest integer raises ArithmeticError rather than
-    being guessed, so no set is ever decided by an unchecked float.
+    The two count kernels, ``_convolution_counts`` and
+    ``fourier.quadruple_count_all``, call it before returning, so no caller
+    holds a float count.  A count that is not finite, or lies 1/4 or more
+    from the nearest integer, raises ArithmeticError rather than being
+    guessed, so no set is ever decided by an unchecked float.
     """
-    rounded = np.rint(counts)
-    if np.abs(counts - rounded).max() >= 0.25:
-        raise ArithmeticError("FFT counts are not within 1/4 of an integer")
-    return rounded
-
-
-def sumset_counts(a: GroupSubset, b: GroupSubset) -> np.ndarray:
-    """Exact representation counts of x = s + t with s in a, t in b."""
-    a._check(b)
-    return _exact_counts(_convolution_counts(a.group, a.mask, b.mask)).astype(np.int64)
+    if np.isfinite(counts).all():  # NaN and inf have no integer to cast to
+        rounded = np.rint(counts, out=np.empty(counts.shape, np.int64), casting="unsafe")
+        err = counts - rounded
+        if np.abs(err, out=err).max(initial=0.0) < 0.25:
+            return rounded
+    raise ArithmeticError("FFT counts are not all finite and within 1/4 of an integer")
 
 
 # -- spanning, bases, subgroups -------------------------------------------

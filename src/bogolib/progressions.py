@@ -30,13 +30,13 @@ from .groups import (
     GroupSubset,
     _coefficient_grid,
     _combination_indices,
+    _convolution_counts,
     fold_multiples,
     invariant_factors,
     is_basis,
     is_subgroup,
     subgroup_generated,
     subgroup_generators,
-    sumset_counts,
 )
 
 _GROW_BLOCK = 1 << 18  # index-row entries per block of growth candidates
@@ -391,7 +391,10 @@ class FreimanMap:
 
     def at(self, x):
         """Codomain indices at element index/indices ``x``; raises outside the domain."""
-        out = self.values[x.index if isinstance(x, GroupElement) else x]
+        x = x.index if isinstance(x, GroupElement) else x
+        if np.any(np.asarray(x) < 0):
+            raise ValueError("element index out of range")
+        out = self.values[x]
         if np.any(out < 0):
             raise PreconditionError("point outside the map's domain")
         return out
@@ -905,8 +908,10 @@ def intersect_refine(
                 )
             )
         for cand in ladder:
-            # translates t = -y2 + y3 + y4 ranked by |(cand + t) cap X|
-            overlap_counts = _overlap_by_translate(cand.enumerate(), x_set)
+            # translates t = -y2 + y3 + y4 ranked by |(cand + t) cap X|, the
+            # count of t as x - c with x in X and c in cand
+            minus_cand = cand.enumerate().negate().mask
+            overlap_counts = _convolution_counts(group, x_set.mask, minus_cand)
             overlap_counts[~triple.mask] = -1
             order = np.argsort(-overlap_counts, kind="stable")
             placed = False
@@ -941,11 +946,6 @@ def intersect_refine(
     candidates.append((singleton, 1))
     best = max(candidates, key=lambda t: t[1])
     return RefineResult(best[0], best[1])
-
-
-def _overlap_by_translate(a: GroupSubset, b: GroupSubset) -> np.ndarray:
-    """For each t: |(A + t) cap B| = counts of t as b + (-a)."""
-    return sumset_counts(b, a.negate()).astype(np.int64)
 
 
 def _cell_progression(

@@ -123,14 +123,14 @@ def test_quadruple_table_oracle_matches_pair_multiplicities():
 def test_criterion_07_flags_a_miscount(monkeypatch):
     # one count off by exactly 1 passes the rounding gate, so only the
     # oracle comparison can catch it
-    quadruples = fourier._quadruple_counts
+    exact = fourier._exact_counts  # the quadruple counts enter their rounding here
 
-    def off_by_one(group, masks):
-        out = quadruples(group, masks)
-        out.reshape(-1)[math.prod(masks.shape) // 2] += 1.0
-        return out
+    def off_by_one(counts):
+        out = counts.copy()
+        out.reshape(-1)[math.prod(counts.shape) // 2] += 1.0
+        return exact(out)
 
-    monkeypatch.setattr(fourier, "_quadruple_counts", off_by_one)
+    monkeypatch.setattr(fourier, "_exact_counts", off_by_one)
     res = suites.check_quadruple_counting(SEED)
     assert res.measured["mismatches"] > 0
     assert not res.passed

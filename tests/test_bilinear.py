@@ -28,7 +28,7 @@ from bogolib.bilinear import (
 )
 from bogolib.cli import DEFAULT_BUDGET, run_experiment
 from bogolib.errors import PreconditionError
-from bogolib.groups import GroupSubset, sumset_counts
+from bogolib.groups import GroupSubset
 from bogolib.progressions import Arm, CosetProgression, FreimanMap
 from bogolib.rng import derive_rng
 from oracles import is_freiman_linear
@@ -136,10 +136,10 @@ def test_difference_rounding_margin_is_checked(monkeypatch):
     gx, gy = bg.make_group([4, 6]), bg.make_group([5])
     a = BiSet(gx, gy, derive_rng(79).random((5, 24)) < 0.3)
     expected = d_hor(a), d_ver(a)
-    helper = bilinear._convolution_counts
-    monkeypatch.setattr(bilinear, "_convolution_counts", lambda *args: helper(*args) + 0.2)
+    exact = groups._exact_counts  # the float counts enter the kernel's rounding here
+    monkeypatch.setattr(groups, "_exact_counts", lambda counts: exact(counts + 0.2))
     assert (d_hor(a), d_ver(a)) == expected  # inside the margin: same sets
-    monkeypatch.setattr(bilinear, "_convolution_counts", lambda *args: helper(*args) + 0.3)
+    monkeypatch.setattr(groups, "_exact_counts", lambda counts: exact(counts + 0.3))
     for op in (d_hor, d_ver):
         with pytest.raises(ArithmeticError):
             op(a)
@@ -726,19 +726,21 @@ def test_convolution_rounding_margin_is_checked(monkeypatch):
 
     runs = (
         lambda: a.sumset(b),
-        lambda: sumset_counts(a, b).tolist(),
+        lambda: groups._convolution_counts(g, a.mask, b.mask).tolist(),
         cover,
         spectra,
         experiment,
         lambda: fourier.quadruple_count_all(a.group, a.mask).tolist(),
     )
     expected = [run() for run in runs]
-    helper = groups._convolution_counts
-    quadruples = fourier._quadruple_counts
+    exact = groups._exact_counts  # both kernels' float counts enter their rounding here
+
+    def shifted(offset):
+        return lambda counts: exact(counts + offset)
+
     for offset, fails in ((0.2, False), (0.3, True)):
-        for module in (groups, bilinear, fourier):
-            monkeypatch.setattr(module, "_convolution_counts", lambda *args: helper(*args) + offset)
-        monkeypatch.setattr(fourier, "_quadruple_counts", lambda *args: quadruples(*args) + offset)
+        for module in (groups, fourier):
+            monkeypatch.setattr(module, "_exact_counts", shifted(offset))
         if not fails:  # inside the margin: the same sets, counts and reports
             assert [run() for run in runs] == expected
             continue
@@ -746,8 +748,15 @@ def test_convolution_rounding_margin_is_checked(monkeypatch):
             with pytest.raises(ArithmeticError):
                 run()
     # the ladder's Bogolyubov spectra are checked too, not only D's passes
-    monkeypatch.setattr(bilinear, "_convolution_counts", helper)
-    monkeypatch.setattr(groups, "_convolution_counts", helper)
+    monkeypatch.setattr(groups, "_exact_counts", exact)
+    kernel = groups._convolution_counts
+
+    def spectra_kernel(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(groups, "_exact_counts", shifted(0.3))
+            return kernel(*args)
+
+    monkeypatch.setattr(fourier, "_convolution_counts", spectra_kernel)
     with pytest.raises(ArithmeticError):
         experiment()
 

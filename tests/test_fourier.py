@@ -117,6 +117,7 @@ def test_quadruple_count_batch_matches_single_masks():
             assert np.array_equal(row, quadruple_count_all(g, mask))
         two_axes = quadruple_count_all(g, masks.reshape(3, 4, g.order))
         assert np.array_equal(two_axes, batch.reshape(3, 4, g.order))
+        assert quadruple_count_all(g, masks[:0]).shape == (0, g.order)  # an empty batch
         for r in range(2, 12, 3):
             subset = GroupSubset(g, masks[r])
             for xi in rng.choice(g.order, size=min(3, g.order), replace=False):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import bogolib as bg
 from bogolib import groups
+from bogolib.bilinear import BiSet
 from bogolib.groups import (
     GroupSubset,
     annihilator_subgroup,
@@ -18,6 +19,7 @@ from bogolib.groups import (
     subgroup_generated,
     subgroup_generators,
 )
+from bogolib.progressions import CosetProgression, FreimanMap
 from bogolib.rng import derive_rng
 
 
@@ -41,6 +43,21 @@ def test_index_encoding_roundtrip():
     # factor 0 fastest-varying
     assert g.element_from_index(1).coords == (1, 0, 0)
     assert g.element_from_index(4).coords == (0, 1, 0)
+
+
+def test_negative_indices_are_rejected():
+    g = bg.make_group([4, 3])
+    fmap = FreimanMap(CosetProgression.whole_group(g), g, np.arange(g.order))
+    takes = (
+        g.element_from_index,
+        lambda i: GroupSubset.from_indices(g, [0, i]),
+        lambda i: BiSet.from_flat_indices(g, g, [0, i]),
+        fmap.at,
+        lambda i: fmap.at(np.array([0, i])),
+    )
+    for take in takes:  # -1 would wrap to the last element
+        with pytest.raises(ValueError):
+            take(-1)
 
 
 def test_char_eval_examples():
