@@ -7,11 +7,13 @@ d_hor . d_ver . d_ver . d_hor . d_ver . d_hor . d_hor applied to A with the
 rightmost operator acting first.  Worked example: word "hv" applied to A
 computes d_hor(d_ver(A)) -- the 'v' (rightmost letter) acts first.
 
-Each letter is one batched real-FFT convolution (``groups._convolution_counts``)
-of every row (or column) with its negation, taken from one forward transform
-times its conjugate; the kernel returns exact integer counts, so the float
-transform never decides membership unchecked.  Both operators map G x H to
-itself, so ``iterated_difference`` stops as soon as the set is all of G x H.
+Each letter first decides rows (or columns) by counting: an empty row gives
+the empty set, and a row S with 2|S| > |G| gives all of G.  The rows left
+open take one batched real-FFT convolution (``groups._convolution_counts``)
+with their negations, from one forward transform times its conjugate; the
+kernel returns exact integer counts, so the float transform never decides
+membership unchecked.  Both operators map G x H to itself, so
+``iterated_difference`` stops as soon as the set is all of G x H.
 """
 
 from __future__ import annotations
@@ -131,22 +133,41 @@ class BiSet:
         return bool(self.matrix[y.index, x.index])
 
 
+def _row_differences(group: FiniteAbelianGroup, rows: np.ndarray) -> np.ndarray:
+    """S - S for every row S of a boolean (n, |G|) matrix.
+
+    Counting decides two kinds of row: an empty row gives the empty set, and
+    a row with 2|S| > |G| gives all of G, since |S & (S + x)| >= 2|S| - |G|
+    > 0 for every x.  A row of exactly |G|/2 points is left open, as an
+    index-2 subgroup S has S - S = S.  The open rows take one kernel call.
+    """
+    sizes = np.count_nonzero(rows, axis=1)
+    full = 2 * sizes > group.order
+    out = np.zeros(rows.shape, dtype=bool)
+    out[full] = True
+    open_rows = np.flatnonzero((sizes > 0) & ~full)
+    if open_rows.size:
+        out[open_rows] = _convolution_counts(group, rows[open_rows]) > 0
+    return out
+
+
 def d_hor(a: BiSet) -> BiSet:
     """Per-row difference set: {(x1 - x2, y) : (x1, y), (x2, y) in A}."""
-    return BiSet(a.group_x, a.group_y, _convolution_counts(a.group_x, a.matrix) > 0)
+    return BiSet(a.group_x, a.group_y, _row_differences(a.group_x, a.matrix))
 
 
 def d_ver(a: BiSet) -> BiSet:
     """Per-column difference set: {(x, y1 - y2) : (x, y1), (x, y2) in A}."""
-    return BiSet(a.group_x, a.group_y, _convolution_counts(a.group_y, a.matrix.T).T > 0)
+    return BiSet(a.group_x, a.group_y, _row_differences(a.group_y, a.matrix.T).T)
 
 
 def iterated_difference(a: BiSet, word: str) -> BiSet:
     """Apply the operator word, rightmost letter first (see module docstring).
 
-    The whole word is checked before any letter runs.  Each letter is one
-    real-FFT pass with a checked 1/4 rounding margin; once the set is all of
-    G x H, the remaining letters are skipped, since both operators fix it.
+    The whole word is checked before any letter runs.  Each letter decides
+    the empty and more-than-half-full rows by counting and sends the rest to
+    one real-FFT pass with a checked 1/4 rounding margin; once the set is all
+    of G x H, the remaining letters are skipped, since both operators fix it.
     """
     bad = [ch for ch in word if ch not in "hv"]
     if bad:

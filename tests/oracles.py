@@ -65,6 +65,18 @@ def is_weakly_regular(
     return annulus_size(group, frequencies, radius, eta) <= Fraction(epsilon) * group.order
 
 
+def row_differences(group: FiniteAbelianGroup, rows: np.ndarray) -> np.ndarray:
+    """S - S for every row S of a boolean (n, |G|) matrix, from every pair
+    of members through ``add_indices``; no FFT and no counting shortcut."""
+    out = np.zeros(rows.shape, dtype=bool)
+    for i, row in enumerate(rows):
+        members = np.flatnonzero(row)
+        neg = group.negation_permutation[members]
+        diffs = group.add_indices(np.repeat(members, members.size), np.tile(neg, members.size))
+        out[i, diffs] = True
+    return out
+
+
 def _pair_multiplicity_count(g, subset: GroupSubset) -> np.ndarray:
     """Independent oracle: counts via pair-sum multiplicities."""
     idx = subset.indices()

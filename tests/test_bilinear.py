@@ -31,7 +31,7 @@ from bogolib.errors import PreconditionError
 from bogolib.groups import GroupSubset
 from bogolib.progressions import Arm, CosetProgression, FreimanMap
 from bogolib.rng import derive_rng
-from oracles import is_freiman_linear
+from oracles import is_freiman_linear, row_differences
 
 
 def test_difference_operator_examples():
@@ -132,10 +132,57 @@ def test_difference_operators_match_set_oracle():
     assert saturated and unsaturated
 
 
+def _mixed_rows(group, rng):
+    """Empty, singleton, full and random rows, rows of floor(|G|/2) + 1
+    points, and an index-2 subgroup when |G| is even, shuffled.  Returns the
+    rows and the subgroup row (None for odd |G|)."""
+    n = group.order
+    rows = [np.zeros(n, dtype=bool)] * 2 + [np.ones(n, dtype=bool)]
+    rows += [np.arange(n) == x for x in rng.choice(n, size=min(n, 3), replace=False)]
+    for _ in range(3):
+        row = np.zeros(n, dtype=bool)
+        row[rng.choice(n, size=n // 2 + 1, replace=False)] = True
+        rows.append(row)
+    rows += [rng.random(n) < density for density in (0.2, 0.5, 0.8)]
+    even = [i for i, q in enumerate(group.moduli) if q % 2 == 0]
+    subgroup = None
+    if even:  # the points with an even coordinate on an even axis
+        subgroup = group.coords_matrix[:, even[0]] % 2 == 0
+        rows.append(subgroup)
+    return np.array(rows)[rng.permutation(len(rows))], subgroup
+
+
+@pytest.mark.parametrize(
+    "moduli", [[1], [2], [7], [2, 4], [2, 3, 3]], ids=["Z1", "Z2", "Z7", "Z2xZ4", "Z2xZ3xZ3"]
+)
+def test_row_differences_match_pair_oracle(moduli):
+    g = bg.make_group(moduli)
+    rng = derive_rng(83)
+    for _ in range(3):
+        rows, subgroup = _mixed_rows(g, rng)
+        expected = row_differences(g, rows)
+        assert np.array_equal(bilinear._row_differences(g, rows), expected)
+        h = bg.make_group([len(rows)])
+        assert np.array_equal(d_hor(BiSet(g, h, rows)).matrix, expected)
+        assert np.array_equal(d_ver(BiSet(h, g, rows.T)).matrix.T, expected)
+    if subgroup is not None:  # exactly half of G, and S - S = S, not G
+        assert 2 * np.count_nonzero(subgroup) == g.order
+        assert np.array_equal(bilinear._row_differences(g, subgroup[None])[0], subgroup)
+
+
 def test_difference_rounding_margin_is_checked(monkeypatch):
     gx, gy = bg.make_group([4, 6]), bg.make_group([5])
     a = BiSet(gx, gy, derive_rng(79).random((5, 24)) < 0.3)
+    kernel = bilinear._convolution_counts
+    sent = []
+
+    def recording(group, rows):
+        sent.append(len(rows))
+        return kernel(group, rows)
+
+    monkeypatch.setattr(bilinear, "_convolution_counts", recording)
     expected = d_hor(a), d_ver(a)
+    assert len(sent) == 2 and min(sent) > 0  # counting leaves both passes rows to transform
     exact = groups._exact_counts  # the float counts enter the kernel's rounding here
     monkeypatch.setattr(groups, "_exact_counts", lambda counts: exact(counts + 0.2))
     assert (d_hor(a), d_ver(a)) == expected  # inside the margin: same sets
@@ -148,27 +195,31 @@ def test_difference_rounding_margin_is_checked(monkeypatch):
 
 
 def test_iterated_difference_stops_at_saturation(monkeypatch):
-    helper = bilinear._convolution_counts
+    kernel = bilinear._convolution_counts
     calls = []
 
-    def counting(*args):
-        calls.append(1)
-        return helper(*args)
+    def counting(group, rows):
+        sizes = np.count_nonzero(rows, axis=1)
+        # only the rows that counting leaves open reach the kernel
+        assert np.all((sizes > 0) & (2 * sizes <= group.order))
+        calls.append(rows.shape)
+        return kernel(group, rows)
 
     monkeypatch.setattr(bilinear, "_convolution_counts", counting)
     gx, gy = bg.make_group([4, 2]), bg.make_group([6])
     full = BiSet.full(gx, gy)
     assert iterated_difference(full, "hvvhvhh") == full
-    assert len(calls) == 0
+    assert calls == []
     mat = np.ones((6, 8), dtype=bool)
     mat[0, 0] = False  # row 0 is G minus a point; its differences are all of G
     assert iterated_difference(BiSet(gx, gy, mat), "hvvhvhh") == full
-    assert len(calls) == 1
+    assert calls == []  # every row holds more than half of G, so counting decides it
     row_mat = np.zeros((6, 8), dtype=bool)
     row_mat[0, :] = True  # G x {0} is fixed by both operators but never full
     row = BiSet(gx, gy, row_mat)
     assert iterated_difference(row, "hvvhvhh") == row
-    assert len(calls) == 1 + 7
+    # each 'h' has one full row and empty ones; each 'v' sends all 8 singleton columns
+    assert calls == [(8, 6)] * 3
 
 
 def test_is_freiman_linear():
