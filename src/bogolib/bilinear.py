@@ -552,7 +552,6 @@ def regularity_partition(
 
 _FINDER_MIN_AGREE = 3  # the map finder's defaults, also used by linear_cover
 _FINDER_DIRECTIONS = 64
-_PAIR_TABLE = 1 << 20  # entries of each difference table linear_cover keeps
 
 
 @dataclass(frozen=True)
@@ -586,17 +585,18 @@ def linear_cover(
     The estimate keeps the samples whose z and w lie in Y, then those whose
     y + z and y + w do, and dedupes the quads (y+z, z, y+w, w) with one 1-D
     ``np.unique`` on an int64 key.  The rows U_a - U_b and U'_a - U'_b of
-    the pairs (a, b) that occur come from tables kept across rounds (batched
-    exact real-FFT sumsets, ``groups._convolution_counts``): a
-    U_a - U_b row depends only on U, so it is computed the first round its
-    pair appears, and a U'_a - U'_b row is computed again only after a round
-    adds a map that covers a new value of U_a or U_b.  The two covered
-    differences are summed only for quads whose left side is not inside
-    either of them (both hold 0).  Each round's table f is one draw with an
-    array of bounds, the same stream as one draw per y.  The finder's line
-    table (``_line_table``) is built once for Y, the first round that fits;
-    each round fits its points from the table's columns (``_fit_lines``), as
-    ``exhaustive_hom_finder`` would with its default settings.
+    the pairs (a, b) that occur come from member pairs, with no transform and
+    nothing kept across rounds: a block's X_a - X_b rows (X = U or U') are
+    one gather from the differences of the characters U holds on Y,
+    scattered into a mask.  U's member lists are built once per call, and
+    U''s again only when a round adds a map.  The two covered differences
+    are summed (batched exact real-FFT sumsets, ``groups._convolution_counts``)
+    only for quads whose left side is not inside either of them (both hold
+    0).  Each round's table f is one draw with an array of bounds, the same
+    stream as one draw per y.  The finder's line table (``_line_table``) is
+    built once for Y, the first round that fits; each round fits its points
+    from the table's columns (``_fit_lines``), as ``exhaustive_hom_finder``
+    would with its default settings.
     """
     h = y_set.group
     y_idx = y_set.indices()
@@ -613,37 +613,36 @@ def linear_cover(
     covered[y_idx, 0] = True
     alpha = y_set.size / h.order
     threshold = alpha**4 / 2
-    neg = dual.negation_permutation
-    u_neg = u[:, neg]  # u_neg[y] is -U_y
-    rows_per_block = max(1, (1 << 18) // dual.order)
     lines = None  # the finder's line table for Y, built on first use
     sizes = u[y_idx].sum(axis=1)
     starts = np.cumsum(sizes) - sizes
     options = np.nonzero(u[y_idx])[1]  # U_y for each y of Y in turn, ascending
-    # per table: the sorted pair keys a |H| + b and their rows
-    kept = {
-        name: (np.zeros(0, dtype=np.int64), np.zeros((0, dual.order), dtype=bool))
-        for name in ("u", "covered")
-    }
+    # diff[i, j] = chars[i] - chars[j] over the characters U holds on Y
+    chars = np.flatnonzero(u[y_idx].any(axis=0))  # chars[0] is 0
+    diff = dual.add_indices(chars[:, None], dual.negation_permutation[chars][None, :])
+    width = int(sizes.max())
+    # a block of quads has at most 2 step pairs, so its gather (width^2 a
+    # pair) and its rows (|dual| a pair) stay within 2^18 entries
+    step = max(1, (1 << 17) // max(dual.order, width * width))
 
-    def difference_rows(name: str, pairs: np.ndarray) -> np.ndarray:
-        """Row p: X_a - X_b for the sorted pair keys ``pairs`` (X = U or U'),
-        from the kept table where it has them; new rows join the table while
-        it stays within ``_PAIR_TABLE`` entries."""
-        keys, table = kept[name]
-        known = np.isin(pairs, keys, assume_unique=True)
-        rows = np.empty((pairs.size, dual.order), dtype=bool)
-        rows[known] = table[np.searchsorted(keys, pairs[known])]
-        todo = pairs[~known]
-        if todo.size:
-            a, b = np.divmod(todo, h.order)
-            left, right = (u, u_neg) if name == "u" else (covered, covered[:, neg])
-            rows[~known] = _convolution_counts(dual, left[a], right[b]) > 0
-            if (keys.size + todo.size) * dual.order <= _PAIR_TABLE:
-                keys = np.concatenate([keys, todo])
-                order = np.argsort(keys)
-                kept[name] = keys[order], np.concatenate([table, rows[~known]])[order]
+    def members(mask: np.ndarray) -> np.ndarray:
+        """Row y: the positions in ``chars`` of the members of row y of
+        ``mask`` (U, or U' inside it), padded to ``width`` with the position
+        of 0.  Every X_y on Y holds 0, so a pad adds only the differences
+        x - 0 and 0 - x' that X_a - X_b already holds; rows off Y are never
+        read."""
+        sub = mask[:, chars]
+        first = np.argsort(~sub, axis=1, kind="stable")[:, :width]
+        return np.where(np.take_along_axis(sub, first, axis=1), first, 0)
+
+    def difference_rows(mem: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Row p: X_a[p] - X_b[p], from X's member lists ``mem``."""
+        rows = np.zeros((a.size, dual.order), dtype=bool)
+        rows[np.arange(a.size)[:, None, None], diff[mem[a][:, :, None], mem[b][:, None, :]]] = True
         return rows
+
+    u_members = members(u)
+    covered_members = members(covered)
 
     def condition_fraction(rng) -> float:
         ys, zs, ws = (rng.integers(0, h.order, size=samples) for _ in range(3))
@@ -664,18 +663,18 @@ def linear_cover(
             pair_of[:n_quads] * pairs.size + pair_of[n_quads:], return_counts=True
         )
         hits = 0
-        step = max(1, rows_per_block // 2)  # a block's pairs fit one table
         for start in range(0, quads.size, step):
             blk = quads[start : start + step]
             ids, slot = np.unique(
                 np.concatenate([blk // pairs.size, blk % pairs.size]), return_inverse=True
             )
             left, right = slot[: blk.size], slot[blk.size :]
-            cov = difference_rows("covered", pairs[ids])  # row p: U'_a - U'_b
+            a, b = np.divmod(pairs[ids], h.order)
+            cov = difference_rows(covered_members, a, b)  # row p: U'_a - U'_b
             # both covered differences hold 0, so their sum holds each of them
             # and only the rest of the left side needs the sumset:
             # (U_a - U_b) minus (U'_a - U'_b), on both sides
-            rest = difference_rows("u", pairs[ids]) & ~cov
+            rest = difference_rows(u_members, a, b) & ~cov
             need = rest[left] & rest[right]
             open_rows = np.flatnonzero(need.any(axis=1))
             if open_rows.size:
@@ -712,11 +711,7 @@ def linear_cover(
         gained = u[rows, cols] & ~covered[rows, cols]
         if np.any(gained):
             covered[rows[gained], cols[gained]] = True
-            # U'_a - U'_b is stale where U'_a or U'_b grew; the other rows stay
-            keys, table = kept["covered"]
-            a, b = np.divmod(keys, h.order)
-            fresh = ~np.isin(a, rows[gained]) & ~np.isin(b, rows[gained])
-            kept["covered"] = keys[fresh], table[fresh]
+            covered_members = members(covered)
             maps.append(cand)
     return CoverResult(tuple(maps), rounds, frac, False)
 

@@ -717,11 +717,14 @@ def _condition_oracle(y_set, value_sets, maps, seed, rounds, samples):
     return hits / samples, len(quads)
 
 
-def test_linear_cover_condition_matches_block_oracle(monkeypatch):
+def test_linear_cover_condition_matches_block_oracle():
     rng = derive_rng(103)
     shapes = [([12], [12]), ([16], [8]), ([4, 4], [16]), ([2, 8], [4, 3]), ([10], [10])]
-    # a Z64 x Z64 dual takes 64 rows per block, so its quads span several blocks
+    # a Z64 x Z64 dual takes 64 rows per block, so its quads span several
+    # blocks; in case 22 one U row is the whole dual (the widest member
+    # lists), and in case 23 every third row of Y holds only 0
     cases = [shapes[case % len(shapes)] for case in range(20)] + [([16], [64, 64])] * 2
+    cases += [([12], [12]), ([2, 8], [4, 3])]
     nonzero = blocks_crossed = 0
     for case, (h_moduli, g_moduli) in enumerate(cases):
         h, dual = bg.make_group(h_moduli), bg.make_group(g_moduli).dual
@@ -734,12 +737,13 @@ def test_linear_cover_condition_matches_block_oracle(monkeypatch):
             for _ in range(int(rng.integers(0, 4))):
                 vals.add(dual.element_from_index(int(rng.integers(0, dual.order))))
             value_sets[yi] = sorted(vals, key=lambda e: e.index)
+        if case == 22:
+            value_sets[y_idx[0]] = [dual.element_from_index(i) for i in range(dual.order)]
+        if case == 23:
+            value_sets.update((yi, [dual.zero]) for yi in y_idx[::3])
         y_set = GroupSubset.from_indices(h, y_idx)
         samples = (500, 2000, 4000)[case % 3] if dual.order < 4096 else 500
         rounds_cap = (0, 2, 6)[case % 3] if dual.order < 4096 else 1
-        # difference tables kept whole, never kept, or filled part of the way
-        table = (1 << 20, 0, 40 * dual.order, 1 << 20)[case % 4]
-        monkeypatch.setattr(bilinear, "_PAIR_TABLE", table)
         u = _value_mask(h, dual, value_sets)
         res = linear_cover(y_set, dual, u, rounds_cap=rounds_cap, seed=case, samples=samples)
         want, quads = _condition_oracle(y_set, value_sets, res.maps, case, res.rounds, samples)
@@ -897,7 +901,10 @@ def test_containment_reports_match_recorded_digests():
 _COVER_DIGEST = "9d0b69026f516f20fdb2f546e8eb693109b90bae37231ad93efd45946b6c3c40"
 
 
-def test_cover_results_match_recorded_digest(monkeypatch):
+def _record_covers(monkeypatch) -> list:
+    """Wrap linear_cover so that each CoverResult is appended to the returned
+    list as [rounds, condition_fraction, complete, each map's domain and
+    values]."""
     records = []
     real = bilinear.linear_cover
 
@@ -912,6 +919,11 @@ def test_cover_results_match_recorded_digest(monkeypatch):
         return res
 
     monkeypatch.setattr(bilinear, "linear_cover", recording)
+    return records
+
+
+def test_cover_results_match_recorded_digest(monkeypatch):
+    records = _record_covers(monkeypatch)
     for n in (24, 28, 32):
         g = bg.make_group([n])
         for word in ("hv", "vh", "hvh"):
@@ -921,6 +933,25 @@ def test_cover_results_match_recorded_digest(monkeypatch):
     assert len(records) == 18 and sum(len(r[3]) for r in records) > 18  # maps gained
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == _COVER_DIGEST
+
+
+# The same digest, one hv experiment each, on duals of order 256 and 64 (Z256
+# x Z256 at delta 0.02, seed 7, and Z64 x Z64 at delta 0.05, seed 2): there
+# the covering loop asks for tens of thousands of distinct difference rows.
+_LARGE_COVER_DIGESTS = {
+    (256, 0.02, 7): "0a056b39e4b52d4b11e2129083ac5f8f9226753ee7464f673acdd8757a65db32",
+    (64, 0.05, 2): "a91baadf6b6ccbce8e75b4d7df0533bfde33855687a04b68c8ec6c73cbaf2f9b",
+}
+
+
+def test_cover_results_on_large_duals_match_recorded_digests(monkeypatch):
+    records = _record_covers(monkeypatch)
+    for (n, delta, seed), digest in _LARGE_COVER_DIGESTS.items():
+        records.clear()
+        g = bg.make_group([n])
+        main_theorem_experiment(g, g, delta, seed, word="hv")
+        assert len(records) == 1 and len(records[0][3]) > 1  # maps gained
+        assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == digest, n
 
 
 def test_covering_stage_wins_a_pinned_experiment():
