@@ -65,8 +65,7 @@ print(f"projection map splits into {part.cell_count} cells with |D| = {part.refi
 # popular quadruple differences of an interval form a long symmetric
 # progression, and intersections of progressions refine to one
 ap = GroupSubset.from_indices(g, range(16))
-k = Fraction(ap.sumset(ap).size, ap.size)
-pop = popular_difference_progression(ap, k)
+pop = popular_difference_progression(ap)
 print(f"popular differences of [0,15]: symmetric progression of size {pop.size}")
 
 c1 = CosetProgression(g, g.element([0]), (Arm(g.element([1]), 0, 39),), GroupSubset.from_indices(g, [0]))

@@ -299,15 +299,19 @@ def qr_property_check(
 ) -> QRCheck:
     """Both regularity properties of a cell at radius rho_i.
 
-    delta is the median of |B(Gamma cup L(y); rho_i)| / |B(Gamma; rho_i)|
-    over the cell; property (i) asks a 1 - eta fraction of rows to deviate
-    by at most eta |G| from delta |B(Gamma)|, property (ii) the analogue
-    for pairs with delta^2.  Pair statistics are sampled above ``_PAIR_CUTOFF``.
-    The rows B(Gamma cup L(y); rho_i) are the cell's rows of the bilinear
-    Bohr variety, and |B(Gamma; rho_i)| is one ``bohr_mask``.
+    delta is the median m of |B(Gamma cup L(y); rho_i)| over the cell, over
+    b0 = |B(Gamma; rho_i)|; property (i) asks a 1 - eta fraction of rows to
+    deviate by at most eta |G| from delta b0 = m, property (ii) the analogue
+    for pairs with delta^2 b0.  Pair statistics are sampled above
+    ``_PAIR_CUTOFF``.  The rows are the cell's rows of the bilinear Bohr
+    variety, and b0 is one ``bohr_mask`` (b0 >= 1: 0 lies in every Bohr set).
+    In integers, with m2 = 2 m: a row fails when |2 size - m2| >
+    floor(2 eta |G|), a pair when |4 b0 inter - m2^2| > floor(4 b0 eta |G|),
+    and a property holds when at most floor(eta n) of its n rows or pairs
+    fail.  Each floor is taken in Python integers and clipped to its
+    statistic's range, so every comparison is exact in int64 for |G| <= 2^30.
     """
-    rho_i = Fraction(rho_i)
-    eta_f = float(eta)
+    rho_i, eta = Fraction(rho_i), Fraction(eta)
     ys = cell.enumerate().indices()
     if ys.size == 0:
         raise PreconditionError("empty cell")
@@ -315,27 +319,32 @@ def qr_property_check(
     row_masks = variety.enumerate().matrix[ys]
     b0 = int(bohr_mask(group_x, gamma, rho_i).sum())
     sizes = row_masks.sum(axis=1)
-    delta = float(np.median(sizes)) / b0 if b0 else 1.0
-    tol = eta_f * group_x.order + 1e-9
-    dev_i = np.abs(sizes - delta * b0)
-    fail_i = float(np.mean(dev_i > tol))
-    pass_i = fail_i <= eta_f + 1e-12
-    n_pairs = ys.size * ys.size
-    sampled = n_pairs > _PAIR_CUTOFF
+    m2 = int(2 * np.median(sizes))
+    order = group_x.order
+
+    def bound(scale: int, top: int) -> int:
+        # floor(eta scale) clipped to [-1, top], for a statistic in [0, top]
+        return max(-1, min(eta.numerator * scale // eta.denominator, top))
+
+    fails_i = np.abs(2 * sizes - m2) > bound(2 * order, 2 * order)
+    sampled = ys.size * ys.size > _PAIR_CUTOFF
     if not sampled:
         f = row_masks.astype(np.float64)
-        inter = f @ f.T
-        dev_ii = np.abs(inter - delta * delta * b0)
-        fail_ii = float(np.mean(dev_ii > tol))
+        inter = (f @ f.T).astype(np.int64)
     else:
         rng = derive_rng(0, 29)
         ia = rng.integers(0, ys.size, size=_PAIR_SAMPLES)
         ib = rng.integers(0, ys.size, size=_PAIR_SAMPLES)
         inter = (row_masks[ia] & row_masks[ib]).sum(axis=1)
-        dev_ii = np.abs(inter - delta * delta * b0)
-        fail_ii = float(np.mean(dev_ii > tol))
-    pass_ii = fail_ii <= eta_f + 1e-12
-    return QRCheck(delta, pass_i, pass_ii, fail_i, fail_ii, sampled)
+    fails_ii = np.abs(4 * b0 * inter - m2 * m2) > bound(4 * b0 * order, 4 * order * order)
+    return QRCheck(
+        m2 / 2 / b0,
+        int(fails_i.sum()) <= bound(fails_i.size, fails_i.size),
+        int(fails_ii.sum()) <= bound(fails_ii.size, fails_ii.size),
+        float(np.mean(fails_i)),
+        float(np.mean(fails_ii)),
+        sampled,
+    )
 
 
 # -- algebraic regularity partition ---------------------------------------------
@@ -924,7 +933,7 @@ def _column_arm(group: FiniteAbelianGroup, column: np.ndarray) -> Optional[tuple
     the column or k g = 0, less one; the first g (by index) with the largest
     m wins.  All multiples k g, k = 1..exponent, are one index array per
     block of generators (about ``_ARM_BLOCK`` coordinates); k = ord(g)
-    always stops.
+    always stops, so m < ord(g) and the arm 0, g, ..., m g is proper.
     """
     gens = np.flatnonzero(column)
     gens = gens[gens != 0]
@@ -991,16 +1000,14 @@ def main_theorem_experiment(
     if not full_ok:
         # rows of D that are all of G
         full_rows = GroupSubset(gy, np.all(d.matrix, axis=1))
-        if 0 in full_rows and full_rows.size > 0:
+        if 0 in full_rows:
             prog = grow_progression_inside(full_rows, rank_cap=2)
             consider(BilinearVariety(gx, (), Fraction(1, 2), prog, ()))
         # dense-row progression with a Bohr witness on the common rows
         col0 = d.column(gx.zero)
-        if 0 in col0 and col0.size >= 1:
+        if 0 in col0:
             prog = grow_progression_inside(col0, rank_cap=2)
-            common = np.ones(gx.order, dtype=bool)
-            for yi in prog.enumerate().indices():
-                common &= d.matrix[int(yi)]
+            common = d.matrix[prog.enumerate().indices()].all(axis=0)
             witness = _bohr_inside(gx, GroupSubset(gx, common))
             if witness is not None:
                 consider(
@@ -1050,8 +1057,7 @@ def main_theorem_experiment(
         if best_arm is not None:
             g, m = gy.element_from_index(best_arm[0]), best_arm[1]
             prog = CosetProgression(gy, gy.zero, (Arm(g, 0, m),), trivial_sub)
-            if prog.is_proper():
-                consider(BilinearVariety(gx, pin.frequencies, pin.radius, prog, ()))
+            consider(BilinearVariety(gx, pin.frequencies, pin.radius, prog, ()))
     # floor: the single pinned point (0, y0)
     zero_column = d.column(gx.zero).indices()
     if zero_column.size:

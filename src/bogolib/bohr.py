@@ -36,9 +36,8 @@ from .groups import (
     subgroup_generators,
 )
 from .lattices import box_preimages
-from .progressions import CosetProgression
+from .progressions import Arm, CosetProgression
 
-_INT64_GUARD = 1 << 62
 _MASK_BLOCK = 1 << 18  # entries per block of character distances
 
 
@@ -79,17 +78,16 @@ def within_radius(group: FiniteAbelianGroup, dist: np.ndarray, radius: Fraction)
     """The mask dist / e <= radius, e the exponent, for distances from
     ``char_distances`` or ``max_distance``.
 
-    The comparison ``dist * den <= num * e`` is exact: in int64 while both
-    sides stay below 2^62, in Python integers beyond.
+    Each distance is an integer of at most e // 2, so dist / e <= radius iff
+    dist <= floor(radius e).  That floor is taken once in Python integers
+    and capped at e // 2, so the comparison is exact in int64 for every
+    rational radius and every exponent below 2^63.
     """
     radius = Fraction(radius)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     e = group.exponent
-    num, den = radius.numerator, radius.denominator
-    if den * e < _INT64_GUARD and num * e < _INT64_GUARD:
-        return dist * den <= num * e
-    return (dist.astype(object) * den <= num * e).astype(bool)
+    return dist <= min(radius.numerator * e // radius.denominator, e // 2)
 
 
 def level_masks(
@@ -226,10 +224,13 @@ def weak_regular_radius_search(
     d(x) = max_gamma e ||gamma(x)|| (``max_distance``), the point
     x lies in B(r) iff d(x) <= r e iff d(x) <= floor(r e), so |B(r)| is the
     cumulative count of d up to floor(r e) and the annulus is
-    |B(rho + eta)| - |B(rho)|.  The grid is scored a block at a time in
-    integers over a common denominator, so floor(r e) and the closed
-    boundary stay exact: in int64 while the scaled values stay below 2^62,
-    in Python integers beyond.  The test oracle ``is_weakly_regular``
+    |B(rho + eta)| - |B(rho)|; it qualifies when it holds at most
+    floor(epsilon |G|) points.  All ceil(2/epsilon) + 1 grid radii are read
+    in one pass: each floor(r e) comes from the grid's integer numerators
+    over their common denominator, in Python integers, capped at e // 2,
+    and the epsilon bound is capped at |G|, so both sides of every
+    comparison are exact in int64 for all rational inputs and every group
+    of order below 2^63.  The test oracle ``is_weakly_regular``
     (``tests/oracles.py``) decides the same condition by enumeration.
     """
     rho_lo, rho_hi = Fraction(rho_lo), Fraction(rho_hi)
@@ -244,23 +245,18 @@ def weak_regular_radius_search(
     cum = np.cumsum(np.bincount(max_distance(group, frequencies), minlength=e // 2 + 1))
     den = math.lcm(rho_lo.denominator, step.denominator, eta.denominator)
     lo, dj, width = (v.numerator * (den // v.denominator) for v in (rho_lo, step, eta))
-    num_eps, den_eps = epsilon.numerator, epsilon.denominator
-    top = max(den, lo + steps * dj + max(width, 0)) * e
-    wide = top >= _INT64_GUARD or max(abs(num_eps), den_eps) * group.order >= _INT64_GUARD
-    dtype = object if wide else np.int64
 
-    def size(scaled: np.ndarray) -> np.ndarray:
-        # |B(scaled / den)| for each entry
-        return cum[np.minimum(scaled * e // den, e // 2).astype(np.int64)]
+    def sizes(start: int) -> np.ndarray:
+        # |B(r)| at r = (start + j dj) / den for every j, read at floor(r e)
+        half = e // 2
+        return cum[[min((start + j * dj) * e // den, half) for j in range(steps + 1)]]
 
-    for start in range(0, steps + 1, _MASK_BLOCK):
-        j = np.arange(start, min(start + _MASK_BLOCK, steps + 1)).astype(dtype)
-        inner = lo + j * dj
-        # the annulus is empty when eta < 0
-        ann = np.maximum(0, size(inner + width) - size(inner)).astype(dtype)
-        hits = np.flatnonzero(ann * den_eps <= num_eps * group.order)
-        if hits.size:
-            return rho_lo + (start + int(hits[0])) * step
+    # the annulus is empty when eta < 0
+    ann = np.maximum(0, sizes(lo + width) - sizes(lo))
+    bound = min(epsilon.numerator * group.order // epsilon.denominator, group.order)
+    hits = np.flatnonzero(ann <= bound)
+    if hits.size:
+        return rho_lo + int(hits[0]) * step
     raise NoWeaklyRegularRadiusError(
         "no weakly regular radius on grid; retry with a finer grid"
     )
@@ -271,7 +267,9 @@ def formula_coefficients(rho: Fraction, eta: Fraction, cutoff: int) -> np.ndarra
 
     c_0 = 2 rho + eta (the integral); for a != 0,
     c_a = sin(2 pi a (rho + eta/2)) sin(pi a eta) / (pi^2 a^2 eta).
-    Real, even and bounded by 1 in absolute value.
+    Real, even and bounded by 1 in absolute value; these are theorems, so a
+    coefficient outside the unit disc (past a 1e-9 rounding allowance) or
+    an odd part raises ``TheoremViolationError``.
     """
     rho_f, eta_f = float(rho), float(eta)
     if 2 * rho_f + eta_f > 1 + 1e-12:
@@ -284,6 +282,10 @@ def formula_coefficients(rho: Fraction, eta: Fraction, cutoff: int) -> np.ndarra
             / (np.pi**2 * a**2 * eta_f)
         )
     c[cutoff] = 2 * rho_f + eta_f
+    if np.any(np.abs(c) > 1 + 1e-9):
+        raise TheoremViolationError("coefficients escaped the unit disc")
+    if not np.allclose(c, c[::-1]):
+        raise TheoremViolationError("coefficients must be even in a")
     return c
 
 
@@ -295,42 +297,6 @@ def size_formula_cutoff(k: int, eta: Fraction, epsilon: Fraction) -> int:
 def spectrum_cutoff(k: int, eta: Fraction, epsilon: Fraction) -> int:
     """K = ceil(8 e k / (eta epsilon)) for large-spectrum certification."""
     return math.ceil(8 * math.e * k / float(Fraction(eta) * Fraction(epsilon)))
-
-
-@dataclass(frozen=True)
-class SizeFormulaParams:
-    """Parameter bundle for the size formula: cutoff and coefficients.
-
-    Coefficients are real, even, and sit in the unit disc; ``c_0`` equals
-    ``2 rho + eta``.
-    """
-
-    rho: Fraction
-    eta: Fraction
-    epsilon: Fraction
-    cutoff: int
-    coefficients: np.ndarray  # index a + cutoff, a in [-cutoff, cutoff]
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=np.float64)
-        if c.shape != (2 * self.cutoff + 1,):
-            raise ValueError("coefficient vector must cover [-K, K]")
-        if np.any(np.abs(c) > 1 + 1e-9):
-            raise TheoremViolationError("coefficients escaped the unit disc")
-        if not np.allclose(c, c[::-1]):
-            raise TheoremViolationError("coefficients must be even in a")
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-
-    @classmethod
-    def for_size_formula(
-        cls, k: int, rho: Fraction, eta: Fraction, epsilon: Fraction
-    ) -> "SizeFormulaParams":
-        cutoff = size_formula_cutoff(k, eta, epsilon)
-        return cls(
-            Fraction(rho), Fraction(eta), Fraction(epsilon), cutoff,
-            formula_coefficients(rho, eta, cutoff),
-        )
 
 
 def bohr_size_estimate(
@@ -347,6 +313,7 @@ def bohr_size_estimate(
     forward along a -> a gamma_i gives F_i(xi) = sum_{a gamma_i = xi} c_a
     (colliding multiples are summed, as the box counts them), and the sum
     is (F_1 * ... * F_k)(0), the mean over the dual of prod_i fftn(F_i).
+    K is ``size_formula_cutoff`` and the c_a are ``formula_coefficients``;
     ``lattices.annihilator_points`` lists the box itself.
 
     Under weak regularity of (Gamma, rho, eta, epsilon) the error is at
@@ -359,15 +326,16 @@ def bohr_size_estimate(
         return float(group.order)
     if Fraction(rho) + Fraction(eta) > Fraction(1, 2):
         raise PreconditionError("size estimate needs rho + eta <= 1/2")
-    params = SizeFormulaParams.for_size_formula(k, rho, eta, epsilon)
+    cutoff = size_formula_cutoff(k, eta, epsilon)
+    coefficients = formula_coefficients(rho, eta, cutoff)
     dual = group.dual
-    a = np.arange(-params.cutoff, params.cutoff + 1, dtype=np.int64)
+    a = np.arange(-cutoff, cutoff + 1, dtype=np.int64)
     spectrum = np.ones(dual.tensor_shape, dtype=np.complex128)
     for gamma in freqs:
         if gamma.group is not dual:
             raise GroupMismatchError("frequency outside the group's dual")
         image = dual.index_of_coords(a[:, None] * np.asarray(gamma.coords, dtype=np.int64))
-        pushed = np.bincount(image, weights=params.coefficients, minlength=dual.order)
+        pushed = np.bincount(image, weights=coefficients, minlength=dual.order)
         spectrum *= np.fft.fftn(pushed.reshape(dual.tensor_shape))
     return float(spectrum.mean().real * group.order)
 
@@ -502,9 +470,7 @@ def bohr_in_progression(progression: CosetProgression) -> BohrSet:
         shrunk = CosetProgression._derived(
             group,
             group.zero,
-            tuple(
-                CosetProgression.Arm(gen, -half, half) for gen, half in arms
-            ),
+            tuple(Arm(gen, -half, half) for gen, half in arms),
             progression.subgroup,
         )
         qmask = shrunk.enumerate()

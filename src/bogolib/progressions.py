@@ -63,8 +63,6 @@ class CosetProgression:
     arms: tuple[Arm, ...]
     subgroup: GroupSubset
 
-    Arm = Arm
-
     def __post_init__(self):
         self._check_parts()
         if not is_subgroup(self.subgroup):
@@ -781,27 +779,8 @@ def grow_progression_inside(
     return CosetProgression._derived(group, group.zero, tuple(arms), sub)
 
 
-def popular_difference_set(
-    subset: GroupSubset, doubling: Fraction
-) -> tuple[GroupSubset, np.ndarray]:
-    """Set of x with at least |A|^3/(64 K) quadruple representations, plus
-    the full count vector."""
-    doubling = Fraction(doubling)
-    if subset.size == 0:
-        raise PreconditionError("set must be nonempty")
-    if subset.sumset(subset).size > doubling * subset.size:
-        raise PreconditionError("doubling constant below the actual doubling")
-    counts = quadruple_count_all(subset.group, subset.mask)
-    threshold = Fraction(subset.size**3, 64) / doubling
-    popular = GroupSubset(subset.group, counts >= threshold)
-    if 0 not in popular:
-        raise TheoremViolationError("0 must always be a popular difference")
-    return popular, counts
-
-
 def popular_difference_progression(
     subset: GroupSubset,
-    doubling: Fraction,
     *,
     rank_cap: int = 3,
     use_stabilizer: bool = True,
@@ -809,11 +788,17 @@ def popular_difference_progression(
     """Symmetric proper progression of popular quadruple differences.
 
     Every returned element x satisfies ``count(x) >= |A|^3 / (64 K)`` where
-    K is the supplied doubling constant; the bound is enforced per element.
+    K = |A + A| / |A| is the doubling of A; the bound is enforced per
+    element, and 0 always meets it.
     """
-    doubling = Fraction(doubling)
-    popular, counts = popular_difference_set(subset, doubling)
+    if subset.size == 0:
+        raise PreconditionError("set must be nonempty")
+    doubling = Fraction(subset.sumset(subset).size, subset.size)
+    counts = quadruple_count_all(subset.group, subset.mask)
     threshold = Fraction(subset.size**3, 64) / doubling
+    popular = GroupSubset(subset.group, counts >= threshold)
+    if 0 not in popular:
+        raise TheoremViolationError("0 must always be a popular difference")
     order = sorted(
         (int(i) for i in popular.indices()),
         key=lambda i: (-int(counts[i]), i),
@@ -888,14 +873,13 @@ def intersect_refine(
     candidates: list[tuple[CosetProgression, int]] = []
 
     def popular_route(y_set: GroupSubset) -> None:
-        k_doub = Fraction(y_set.sumset(y_set).size, y_set.size)
-        pop = popular_difference_progression(y_set, k_doub)
+        pop = popular_difference_progression(y_set)
         triple = y_set.negate().sumset(y_set).sumset(y_set)
         ladder = [pop]
         if pop.subgroup.size > 1:
             # a pure-arm variant can shrink below the stabilizer granularity
             ladder.append(
-                popular_difference_progression(y_set, k_doub, use_stabilizer=False)
+                popular_difference_progression(y_set, use_stabilizer=False)
             )
         while any(arm.hi >= 1 for arm in ladder[-1].arms):
             prev = ladder[-1]

@@ -364,7 +364,7 @@ def check_quadruple_counting(seed: int) -> CheckResult:
         for (i, _), subset, row in zip(drawn, subsets, oracle):
             if i % 10 == 0:
                 k = Fraction(subset.sumset(subset).size, subset.size)
-                prog = popular_difference_progression(subset, k)
+                prog = popular_difference_progression(subset)
                 thr = Fraction(subset.size**3, 64) / k
                 # count < thr, exactly: thr's denominator is positive
                 below = row[prog.enumerate().indices()] * thr.denominator < thr.numerator

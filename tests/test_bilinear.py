@@ -301,9 +301,11 @@ def test_qr_check_against_direct_sizes():
 
 def _qr_check_oracle(cell, gamma, maps, rho_i, eta, group_x):
     """``qr_property_check`` from its own numerator loop, one per character
-    of Gamma and one per map, with the radius compared in Python integers."""
-    rho_i = Fraction(rho_i)
-    eta_f = float(eta)
+    of Gamma and one per map, with the radius compared in Python integers
+    and each property decided in ``Fraction``s: a row or pair fails when its
+    deviation exceeds eta |G|, and a property holds when the failing
+    fraction is at most eta."""
+    rho_i, eta = Fraction(rho_i), Fraction(eta)
     ys = cell.enumerate().indices()
     e = group_x.exponent
     base_num = np.zeros(group_x.order, dtype=np.int64)
@@ -317,22 +319,28 @@ def _qr_check_oracle(cell, gamma, maps, rho_i, eta, group_x):
     num, den = rho_i.numerator, rho_i.denominator
     b0 = int((base_num.astype(object) * den <= num * e).sum())
     row_masks = (row_num.astype(object) * den <= num * e).astype(bool)
-    sizes = row_masks.sum(axis=1)
-    delta = float(np.median(sizes)) / b0 if b0 else 1.0
-    tol = eta_f * group_x.order + 1e-9
-    fail_i = float(np.mean(np.abs(sizes - delta * b0) > tol))
+    sizes = np.sort(row_masks.sum(axis=1))
+    median = Fraction(int(sizes[(sizes.size - 1) // 2] + sizes[sizes.size // 2]), 2)
     sampled = ys.size * ys.size > bilinear._PAIR_CUTOFF
     if not sampled:
-        f = row_masks.astype(np.float64)
+        f = row_masks.astype(np.int64)
         inter = f @ f.T
     else:
         rng = derive_rng(0, 29)
         ia = rng.integers(0, ys.size, size=bilinear._PAIR_SAMPLES)
         ib = rng.integers(0, ys.size, size=bilinear._PAIR_SAMPLES)
         inter = (row_masks[ia] & row_masks[ib]).sum(axis=1)
-    fail_ii = float(np.mean(np.abs(inter - delta * delta * b0) > tol))
+
+    def fail_fraction(values, centre):
+        # the share of values further than eta |G| from centre
+        vals, counts = np.unique(values, return_counts=True)
+        far = [abs(v - centre) > eta * group_x.order for v in vals.tolist()]
+        return Fraction(int(counts[far].sum()), values.size)
+
+    fail_i = fail_fraction(sizes, median)
+    fail_ii = fail_fraction(inter, median * median / b0)
     return bilinear.QRCheck(
-        delta, fail_i <= eta_f + 1e-12, fail_ii <= eta_f + 1e-12, fail_i, fail_ii, sampled
+        float(median) / b0, fail_i <= eta, fail_ii <= eta, float(fail_i), float(fail_ii), sampled
     )
 
 
@@ -375,6 +383,15 @@ def test_qr_check_matches_numerator_loop_oracle():
         sampled += res.sampled
         wide += rho.denominator * e >= 1 << 62
     assert sampled and wide
+    # a tie in property (ii): on Z8 x Z8 with L(y) = 2y on [-2, 2], rho = 1/8
+    # and eta = 1/4, delta^2 b0 = 2 and 8 of the 25 pair intersections are 4,
+    # exactly eta |G| away, so they do not fail and the property holds
+    gx, gy = bg.make_group([8]), bg.make_group([8])
+    cell = CosetProgression.symmetric(gy, [(gy.element([1]), 2)])
+    lmap = linear_map_on_progression(cell, gx.dual, [gx.dual.element([2])])
+    res = qr_property_check(cell, [], [lmap], Fraction(1, 8), Fraction(1, 4), gx)
+    assert res == _qr_check_oracle(cell, [], [lmap], Fraction(1, 8), Fraction(1, 4), gx)
+    assert res.pass_ii and res.fail_fraction_ii == 1 / 25
 
 
 def test_regularity_trivial_cases():
@@ -1006,6 +1023,11 @@ def test_column_arm_matches_loop_oracle(monkeypatch):
         for block in (1 << 18, h.exponent * h.rank * (case % 2 + 1)):
             monkeypatch.setattr(bilinear, "_ARM_BLOCK", block)
             assert bilinear._column_arm(h, column) == want, case
+        if want is not None:
+            # m < ord(g), so the arm through 0 is proper
+            arm = Arm(h.element_from_index(want[0]), 0, want[1])
+            trivial = GroupSubset.from_indices(h, [0])
+            assert CosetProgression(h, h.zero, (arm,), trivial).is_proper(), case
         found += want is not None
     assert found >= 100
     z6, z12 = bg.make_group([6]), bg.make_group([12])

@@ -16,7 +16,6 @@ from bogolib.bohr import (
     pinned_bohr_set,
     subgroup_bohr_set,
     within_radius,
-    SizeFormulaParams,
     bohr_enumerate,
     bohr_in_progression,
     bohr_size_estimate,
@@ -25,6 +24,7 @@ from bogolib.bohr import (
     formula_coefficients,
     large_spectrum_certify,
     size_bounds,
+    size_formula_cutoff,
     verify_bohr_sum,
     weak_regular_radius_search,
 )
@@ -116,7 +116,7 @@ def test_distance_kernel_matches_scalar_oracle():
     """``char_distances``, ``max_distance``, ``level_masks`` and ``bohr_mask``
     against ``char_eval``/``torus_dist`` on every element of seeded groups,
     with no characters, exact levels, levels just off them and radii whose
-    comparison leaves int64."""
+    denominators times e pass 2^62."""
     rng = derive_rng(113)
     shapes = [[12], [5], [4, 6], [2, 2, 8], [3, 9], [7, 7]]
     wide = 0
@@ -359,8 +359,21 @@ def test_weak_regular_search_matches_grid_oracle():
         found += 1
         boundary += (got * e).denominator == 1
     assert raised >= 20 and found >= 100 and boundary >= 50, (raised, found, boundary)
-    # past 2^62 the grid is scored in Python integers: an offset of 1/3^40
-    # on rho, eta or epsilon tips floor(r e) or the epsilon |G| boundary
+    # epsilon = 1/1000 gives 2,001 grid radii.  On Z97 with eta = 1/97 every
+    # annulus holds one distance level until rho reaches the last level
+    # 48/97, so the first hit is j = 1980, and a grid ending below it has none
+    z97 = bg.make_group([97])
+    freqs = [z97.dual.element([1])]
+    eta, eps = Fraction(1, 97), Fraction(1, 1000)
+    for rho_hi, want in ((Fraction(1, 2), Fraction(1980, 4000)), (Fraction(2, 5), None)):
+        assert _grid_search_oracle(z97, freqs, Fraction(0), rho_hi, eta, eps) == want
+        if want is None:
+            with pytest.raises(NoWeaklyRegularRadiusError):
+                weak_regular_radius_search(z97, freqs, Fraction(0), rho_hi, eta, eps)
+        else:
+            assert weak_regular_radius_search(z97, freqs, Fraction(0), rho_hi, eta, eps) == want
+    # grids whose scaled values pass 2^62: an offset of 1/3^40 on rho, eta
+    # or epsilon tips floor(r e) or the epsilon |G| boundary
     tiny = Fraction(1, 3**40)
     wide = found = raised = tipped = 0
     for case in range(120):
@@ -414,9 +427,9 @@ def test_weak_regular_search_matches_grid_oracle():
 def _box_oracle(g, freqs, rho, eta, eps):
     """The size formula summed over the listed annihilator box points."""
     freqs = list(dict.fromkeys(freqs))
-    params = SizeFormulaParams.for_size_formula(len(freqs), rho, eta, eps)
-    pts = annihilator_points(freqs, params.cutoff)
-    prods = np.prod(params.coefficients[pts + params.cutoff], axis=1)
+    cutoff = size_formula_cutoff(len(freqs), eta, eps)
+    pts = annihilator_points(freqs, cutoff)
+    prods = np.prod(formula_coefficients(rho, eta, cutoff)[pts + cutoff], axis=1)
     return float(prods.sum() * g.order)
 
 

@@ -302,14 +302,13 @@ def test_injectivity_partition_injective_map():
 def test_popular_difference_examples():
     g8 = bg.make_group([8])
     h = subgroup_generated(g8, [g8.element([2])])
-    pop = popular_difference_progression(h, Fraction(1))
+    pop = popular_difference_progression(h)
     assert pop.enumerate() == h
     single = GroupSubset.from_indices(g8, [0])
-    assert popular_difference_progression(single, Fraction(1)).size == 1
+    assert popular_difference_progression(single).size == 1
     g100 = bg.make_group([100])
     ap = GroupSubset.from_indices(g100, range(16))
-    k = Fraction(ap.sumset(ap).size, ap.size)
-    pop = popular_difference_progression(ap, k)
+    pop = popular_difference_progression(ap)
     assert pop.is_symmetric and pop.is_proper() and pop.size > 1
 
 
@@ -322,18 +321,11 @@ def test_popular_difference_threshold_direct():
         size = int(rng.integers(2, min(16, g.order)))
         a = GroupSubset.from_indices(g, rng.choice(g.order, size=size, replace=False))
         k = Fraction(a.sumset(a).size, a.size)
-        pop = popular_difference_progression(a, k)
+        pop = popular_difference_progression(a)
         counts = quadruple_count_all(g, a.mask)
         thr = Fraction(a.size**3, 64) / k
         for idx in pop.enumerate().indices():
             assert counts[int(idx)] >= thr
-
-
-def test_popular_difference_doubling_gate():
-    g = bg.make_group([64])
-    a = GroupSubset.from_indices(g, [0, 1, 5, 30])
-    with pytest.raises(PreconditionError):
-        popular_difference_progression(a, Fraction(1))
 
 
 def _grow_by_trials(
