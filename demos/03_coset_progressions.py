@@ -45,7 +45,7 @@ kernel = subgroup_generated(h, [h.element([4])])
 # representatives as a value array over G, the image index of each element:
 # (a, b) -> 2a in Z8
 lift_of = h.index_of_coords(2 * gsrc.coords_matrix[:, :1])
-proj = partial_projectivity(gsrc, h, kernel, lift_of, 2)
+proj = partial_projectivity(gsrc, h, kernel, lift_of)
 print(
     f"lifted on |C| = {proj.progression.size} of |G| = {gsrc.order} "
     f"(guarantee >= |G|/|K| = {gsrc.order // kernel.size}), rank {proj.progression.rank}"
@@ -58,7 +58,7 @@ h4 = bg.make_group([4])
 sub = subgroup_generated(g42, [g42.element([0, 1])])
 dom = CosetProgression(g42, g42.zero, (Arm(g42.element([1, 0]), 0, 3),), sub)
 # values: the image index at every element of the domain's group, (a, b) -> a
-phi = FreimanMap(dom, h4, g42.coords_matrix[:, 0], 2)
+phi = FreimanMap(dom, h4, g42.coords_matrix[:, 0])
 part = injectivity_partition(phi, Fraction(1, 2))
 print(f"projection map splits into {part.cell_count} cells with |D| = {part.refinement.size}")
 

@@ -85,14 +85,6 @@ class BiSet:
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
-    def empty(cls, gx: FiniteAbelianGroup, gy: FiniteAbelianGroup) -> "BiSet":
-        return cls(gx, gy, np.zeros((gy.order, gx.order), dtype=bool))
-
-    @classmethod
-    def full(cls, gx: FiniteAbelianGroup, gy: FiniteAbelianGroup) -> "BiSet":
-        return cls(gx, gy, np.ones((gy.order, gx.order), dtype=bool))
-
-    @classmethod
     def from_flat_indices(cls, gx, gy, flat) -> "BiSet":
         flat = np.asarray(flat, dtype=np.int64).reshape(-1)
         if flat.size and flat.min() < 0:
@@ -115,22 +107,12 @@ class BiSet:
 
     __hash__ = None
 
-    def row(self, y) -> GroupSubset:
-        idx = y.index if isinstance(y, GroupElement) else int(y)
-        return GroupSubset(self.group_x, self.matrix[idx].copy())
-
     def column(self, x) -> GroupSubset:
         idx = x.index if isinstance(x, GroupElement) else int(x)
         return GroupSubset(self.group_y, self.matrix[:, idx].copy())
 
-    def transpose(self) -> "BiSet":
-        return BiSet(self.group_y, self.group_x, self.matrix.T.copy())
-
     def is_subset_of(self, other: "BiSet") -> bool:
         return not bool(np.any(self.matrix & ~other.matrix))
-
-    def contains(self, x: GroupElement, y: GroupElement) -> bool:
-        return bool(self.matrix[y.index, x.index])
 
 
 def _row_differences(group: FiniteAbelianGroup, rows: np.ndarray) -> np.ndarray:
@@ -195,7 +177,7 @@ def linear_map_on_progression(
     elements, coefficients, _ = progression.coordinates()
     values = np.full(progression.group.order, -1, dtype=np.int64)
     values[elements] = _combination_indices(dual, coefficients, arm_values)
-    return FreimanMap(progression, dual, values, order=2)
+    return FreimanMap(progression, dual, values)
 
 
 # -- bilinear Bohr varieties ---------------------------------------------------
@@ -738,8 +720,8 @@ def exhaustive_hom_finder(
     ``points`` is a value array over ``group`` (-1 where there is no sample).
     Scans directions v (bounded set), buckets the sample points into
     cosets of <v>, and for the best-populated line fits t(anchor + k v) =
-    t0 + k w by exhausting w over the dual.  Returns a recentred map on a
-    proper progression of length ceil(ord(v)/2), or None when nothing
+    t0 + k w by exhausting w over the dual.  Returns that affine map on the
+    proper progression anchor + [0, ceil(ord(v)/2)) v, or None when nothing
     reaches ``min_agree`` agreements.
 
     It is the line table of its points (``_line_table``) followed by the
@@ -852,7 +834,7 @@ def _fit_lines(
     values[group.index_of_coords(np.asarray(anchor.coords) + ks * v.coords)] = (
         dual.index_of_coords(dual_coords[t0] + ks * dual_coords[w])
     )
-    return FreimanMap(prog, dual, values, order=2)
+    return FreimanMap(prog, dual, values)
 
 
 # -- headline containment experiment ---------------------------------------------
@@ -1029,29 +1011,16 @@ def main_theorem_experiment(
                 yset = GroupSubset.from_indices(gy, dense_rows)
                 cover = linear_cover(yset, dual, u, rounds_cap=search_budget, seed=seed)
                 for fmap in cover.maps[1:]:
-                    dom = fmap.domain
-                    # recentre at 0, shifting values by the one at the
-                    # smallest domain index
-                    base_val = int(fmap.at(dom.enumerate().indices()[0]))
-                    recentred = dom.translate(-dom.base)
-                    idx = recentred.enumerate().indices()
-                    src = gy.add_indices(idx, np.full(idx.size, dom.base.index))
-                    values = np.full(gy.order, -1, dtype=np.int64)
-                    values[idx] = dual.add_indices(
-                        fmap.at(src),
-                        np.full(idx.size, dual.negation_permutation[base_val]),
-                    )
-                    lmap = FreimanMap(recentred, dual, values, order=2)
+                    # f(b + k v) = f(b) + k w on the finder's line b + [0, m) v:
+                    # f(b) joins Gamma and L(k v) = k w is linear on the
+                    # line moved to 0
+                    b, (arm,) = fmap.domain.base, fmap.domain.arms
+                    f_b = fmap(b)
+                    w = fmap(b + arm.generator) - f_b if arm.length > 1 else dual.zero
+                    centred = fmap.domain.translate(-b)
+                    lmap = linear_map_on_progression(centred, dual, [w])
                     for rho_c in (Fraction(1, 4), Fraction(1, 8)):
-                        consider(
-                            BilinearVariety(
-                                gx,
-                                (dual.element_from_index(base_val),),
-                                rho_c,
-                                recentred,
-                                (lmap,),
-                            )
-                        )
+                        consider(BilinearVariety(gx, (f_b,), rho_c, centred, (lmap,)))
         # column progression through 0 with pinned x = 0
         best_arm = _column_arm(gy, d.matrix[:, 0])
         if best_arm is not None:

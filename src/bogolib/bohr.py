@@ -29,7 +29,6 @@ from .fourier import spectrum
 from .groups import (
     Character,
     FiniteAbelianGroup,
-    GroupElement,
     GroupSubset,
     annihilator_subgroup,
     bounded_span,
@@ -126,11 +125,6 @@ class BohrSet:
                 raise GroupMismatchError("frequency outside the group's dual")
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "radius", Fraction(self.radius))
-
-    def contains(self, x: GroupElement) -> bool:
-        from .groups import char_eval, torus_dist
-
-        return all(torus_dist(char_eval(chi, x)) <= self.radius for chi in self.frequencies)
 
     @cached_property
     def _mask(self) -> np.ndarray:
@@ -267,13 +261,14 @@ def formula_coefficients(rho: Fraction, eta: Fraction, cutoff: int) -> np.ndarra
 
     c_0 = 2 rho + eta (the integral); for a != 0,
     c_a = sin(2 pi a (rho + eta/2)) sin(pi a eta) / (pi^2 a^2 eta).
-    Real, even and bounded by 1 in absolute value; these are theorems, so a
-    coefficient outside the unit disc (past a 1e-9 rounding allowance) or
-    an odd part raises ``TheoremViolationError``.
+    Needs 2 rho + eta <= 1, decided in ``Fraction``s (``PreconditionError``
+    otherwise).  Real, even and bounded by 1 in absolute value; these are
+    theorems, so a coefficient outside the unit disc (past a 1e-9 rounding
+    allowance) or an odd part raises ``TheoremViolationError``.
     """
-    rho_f, eta_f = float(rho), float(eta)
-    if 2 * rho_f + eta_f > 1 + 1e-12:
+    if 2 * Fraction(rho) + Fraction(eta) > 1:
         raise PreconditionError("need 2 rho + eta <= 1 for coefficients in the disc")
+    rho_f, eta_f = float(rho), float(eta)
     a = np.arange(-cutoff, cutoff + 1, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         c = (

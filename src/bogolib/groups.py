@@ -281,10 +281,6 @@ class GroupSubset:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def empty(cls, group: FiniteAbelianGroup) -> "GroupSubset":
-        return cls(group, np.zeros(group.order, dtype=bool))
-
-    @classmethod
     def full(cls, group: FiniteAbelianGroup) -> "GroupSubset":
         return cls(group, np.ones(group.order, dtype=bool))
 
@@ -297,10 +293,6 @@ class GroupSubset:
         mask[idx] = True
         return cls(group, mask)
 
-    @classmethod
-    def singleton(cls, x: GroupElement) -> "GroupSubset":
-        return cls.from_indices(x.group, [x.index])
-
     # -- basic protocol --------------------------------------------------
 
     def _check(self, other: "GroupSubset") -> None:
@@ -310,9 +302,6 @@ class GroupSubset:
     @property
     def size(self) -> int:
         return int(self.mask.sum())
-
-    def __len__(self) -> int:
-        return self.size
 
     def __contains__(self, x) -> bool:
         idx = x.index if isinstance(x, GroupElement) else int(x)
@@ -333,10 +322,6 @@ class GroupSubset:
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
 
-    def elements(self) -> Iterator[GroupElement]:
-        for i in self.indices():
-            yield self.group.element_from_index(int(i))
-
     def is_subset_of(self, other: "GroupSubset") -> bool:
         self._check(other)
         return not bool(np.any(self.mask & ~other.mask))
@@ -350,10 +335,6 @@ class GroupSubset:
     def __and__(self, other: "GroupSubset") -> "GroupSubset":
         self._check(other)
         return GroupSubset(self.group, self.mask & other.mask)
-
-    def setminus(self, other: "GroupSubset") -> "GroupSubset":
-        self._check(other)
-        return GroupSubset(self.group, self.mask & ~other.mask)
 
     def complement(self) -> "GroupSubset":
         return GroupSubset(self.group, ~self.mask)
@@ -376,9 +357,6 @@ class GroupSubset:
 
     def negate(self) -> "GroupSubset":
         return GroupSubset(self.group, self.mask[self.group.negation_permutation])
-
-    def __neg__(self) -> "GroupSubset":
-        return self.negate()
 
     def sumset(self, other: "GroupSubset") -> "GroupSubset":
         self._check(other)

@@ -112,23 +112,16 @@ class CosetProgression:
         return cls(x.group, x, (), GroupSubset.from_indices(x.group, [0]))
 
     @classmethod
-    def from_subgroup(cls, subgroup: GroupSubset) -> "CosetProgression":
-        return cls(subgroup.group, subgroup.group.zero, (), subgroup)
-
-    @classmethod
     def symmetric(
-        cls,
-        group: FiniteAbelianGroup,
-        arms: Sequence[tuple[GroupElement, int]],
-        subgroup: Optional[GroupSubset] = None,
+        cls, group: FiniteAbelianGroup, arms: Sequence[tuple[GroupElement, int]]
     ) -> "CosetProgression":
-        if subgroup is None:
-            subgroup = GroupSubset.from_indices(group, [0])
+        """0 + sum [-n_i, n_i] g_i over the pairs (g_i, n_i), with subgroup
+        part {0}."""
         return cls(
             group,
             group.zero,
             tuple(Arm(gen, -n, n) for gen, n in arms),
-            subgroup,
+            GroupSubset.from_indices(group, [0]),
         )
 
     # -- structure ---------------------------------------------------------
@@ -173,15 +166,16 @@ class CosetProgression:
         coefficient rows in ``itertools.product`` order, each once per
         subgroup element.
 
-        Only meaningful for proper progressions (raises on a collision).
+        Only meaningful for proper progressions (raises on a collision, read
+        off the cached enumeration: its size falls short of the formal size).
         """
+        if not self.is_proper():
+            raise PreconditionError("progression is not proper")
         sub_idx = self.subgroup.indices()
         coeffs = _coefficient_grid([range(arm.lo, arm.hi + 1) for arm in self.arms])
         gens = [arm.generator for arm in self.arms]
         offsets = _combination_indices(self.group, coeffs, gens, self.base)
         elements = self.group.add_indices(offsets[:, None], sub_idx).reshape(-1)
-        if np.unique(elements).size != elements.size:
-            raise PreconditionError("progression is not proper")
         return elements, np.repeat(coeffs, sub_idx.size, axis=0), np.tile(sub_idx, offsets.size)
 
 
@@ -366,7 +360,7 @@ def subgroup_basis(
 
 @dataclass(frozen=True, eq=False)
 class FreimanMap:
-    """Tabulated map on a coset progression, tagged with a Freiman order.
+    """Tabulated map on a coset progression.
 
     ``values`` is an int64 array over the domain's group: the codomain index
     of the image at every domain element, -1 everywhere else.
@@ -375,7 +369,6 @@ class FreimanMap:
     domain: CosetProgression
     codomain: FiniteAbelianGroup
     values: np.ndarray
-    order: int = 2
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.int64)
@@ -401,7 +394,7 @@ class FreimanMap:
         return int(np.unique(self.values[self.values >= 0]).size)
 
 
-def is_freiman_homomorphism(fmap: FreimanMap, s: Optional[int] = None) -> bool:
+def is_freiman_homomorphism(fmap: FreimanMap, s: int = 2) -> bool:
     """Respects all coincidences of s-fold sums on the domain, exactly.
 
     The s-fold sums of the graph {(x, phi(x))} are built one summand at a
@@ -409,7 +402,6 @@ def is_freiman_homomorphism(fmap: FreimanMap, s: Optional[int] = None) -> bool:
     at a time; phi is a Freiman s-homomorphism iff no sum x then carries two
     values v.
     """
-    s = fmap.order if s is None else s
     if s < 2:
         raise PreconditionError("Freiman order must be at least 2")
     dom = fmap.domain.enumerate().indices()
@@ -446,11 +438,10 @@ def partial_projectivity(
     codomain: FiniteAbelianGroup,
     kernel: GroupSubset,
     phi_rep: np.ndarray,
-    s: int = 2,
     *,
     domain: Optional[GroupSubset] = None,
 ) -> ProjectivityResult:
-    """Lift a homomorphism into a quotient to a Freiman s-homomorphism.
+    """Lift a homomorphism into a quotient to a Freiman 2-homomorphism.
 
     ``phi_rep`` is an int64 value array over ``group``, as in
     ``FreimanMap.values``: the codomain index of a representative at every
@@ -459,10 +450,10 @@ def partial_projectivity(
     downward, replacing ``h_i`` by ``k_i`` with ``n_i k_i = 0`` whenever
     ``n_i h_i`` already lies in the subgroup generated by the heavier
     torsion witnesses; each survivor doubles that subgroup, so at most
-    ``log2 |kernel|`` arms remain.  The lift table is one coefficient grid.
+    ``log2 |kernel|`` arms remain, each of length ``ceil(n_i / 2)``, so the
+    progression has at least ``|domain| / |kernel|`` points (checked
+    exactly).  The lift table is one coefficient grid.
     """
-    if s < 2:
-        raise PreconditionError("Freiman order must be at least 2")
     if kernel.group is not codomain:
         raise GroupMismatchError("kernel must live in the codomain")
     if not is_subgroup(kernel):
@@ -509,7 +500,7 @@ def partial_projectivity(
                 raise TheoremViolationError("rewritten torsion failed to vanish")
     heavy = tuple(i for i in range(r) if not (orders[i] * ks[i]).is_zero)
     light = [i for i in range(r) if i not in heavy]
-    arm_lengths = {i: -(-orders[i] // s) for i in heavy}  # ceil(n_i / s)
+    arm_lengths = {i: -(-orders[i] // 2) for i in heavy}  # ceil(n_i / 2)
     sub = subgroup_generated(group, [ys[i] for i in light])
     prog = CosetProgression(
         group,
@@ -525,17 +516,13 @@ def partial_projectivity(
         raise TheoremViolationError("lift table is inconsistent")
     table = np.full(group.order, -1, dtype=np.int64)
     table[x] = v
-    lift = FreimanMap(prog, codomain, table, order=s)
+    lift = FreimanMap(prog, codomain, table)
     if 2 ** len(heavy) > max(1, kernel.size):
         raise TheoremViolationError("rank exceeded log2 |kernel|")
     if not prog.is_proper():
         raise TheoremViolationError("lift progression is not proper")
     dom_size = group.order if domain is None else domain.size
-    if s == 2:
-        ok = prog.size * kernel.size >= dom_size
-    else:
-        ok = float(prog.size) * float(s) ** math.log2(max(1, kernel.size)) >= dom_size - 1e-9
-    if not ok:
+    if prog.size * kernel.size < dom_size:
         raise TheoremViolationError("progression below the guaranteed size")
     pts = np.flatnonzero(table >= 0)
     diffs = codomain.add_indices(phi_rep[pts], codomain.negation_permutation[table[pts]])
@@ -625,7 +612,7 @@ def injectivity_partition(
     psi_image = GroupSubset.from_indices(h, image_idx)
     nu_rep = np.full(h.order, -1, dtype=np.int64)
     nu_rep[image_idx] = k_idx[first]
-    proj = partial_projectivity(h, g, s_mask, nu_rep, s=2, domain=psi_image)
+    proj = partial_projectivity(h, g, s_mask, nu_rep, domain=psi_image)
     # theta is injective; its image is the desired progression D
     theta_vals = proj.lift.values[proj.lift.values >= 0]
     if np.unique(theta_vals).size != theta_vals.size:
@@ -669,7 +656,7 @@ def injectivity_partition(
             arms.append(Arm(arm.generator, 0, hi - lo))
         cells.append(CosetProgression(g, base, tuple(arms), trivial))
     m = len(cells)
-    if c.rank and float(m) > float((8 * r / alpha)) ** r + 1e-9:
+    if c.rank and m > (8 * r / alpha) ** r:
         raise TheoremViolationError("cell count exceeded (8 r / alpha)^r")
     # verify injectivity on every k + P_i + D
     d_idx = d_prog.enumerate().indices()
@@ -780,12 +767,10 @@ def grow_progression_inside(
 
 
 def popular_difference_progression(
-    subset: GroupSubset,
-    *,
-    rank_cap: int = 3,
-    use_stabilizer: bool = True,
+    subset: GroupSubset, *, use_stabilizer: bool = True
 ) -> CosetProgression:
-    """Symmetric proper progression of popular quadruple differences.
+    """Symmetric proper progression of popular quadruple differences, of
+    rank at most 3.
 
     Every returned element x satisfies ``count(x) >= |A|^3 / (64 K)`` where
     K = |A + A| / |A| is the doubling of A; the bound is enforced per
@@ -806,7 +791,7 @@ def popular_difference_progression(
     prog = grow_progression_inside(
         popular,
         candidate_order=order,
-        rank_cap=rank_cap,
+        rank_cap=3,
         use_stabilizer=use_stabilizer,
     )
     for idx in prog.enumerate().indices():

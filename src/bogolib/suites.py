@@ -410,7 +410,7 @@ def check_partial_projectivity(seed: int) -> CheckResult:
         phi[_combination_indices(g, grid, basis)] = _combination_indices(h, grid, reps)
         done += 1
         try:
-            res = partial_projectivity(g, h, kernel, phi, 2)
+            res = partial_projectivity(g, h, kernel, phi)
         except BogolibError:
             failures += 1
             continue

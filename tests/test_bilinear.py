@@ -36,9 +36,9 @@ from oracles import is_freiman_linear, row_differences
 
 def test_difference_operator_examples():
     gx, gy = bg.make_group([2]), bg.make_group([2])
-    empty = BiSet.empty(gx, gy)
+    empty = BiSet(gx, gy, np.zeros((gy.order, gx.order), bool))
     assert d_hor(empty) == empty and d_ver(empty) == empty
-    full = BiSet.full(gx, gy)
+    full = BiSet(gx, gy, np.ones((gy.order, gx.order), bool))
     assert d_hor(full) == full and d_ver(full) == full
     a = BiSet.from_flat_indices(gx, gy, [0, 1, 2])  # (0,0), (1,0), (0,1)
     assert sorted(np.flatnonzero(d_hor(a).matrix.reshape(-1))) == [0, 1, 2]
@@ -52,7 +52,8 @@ def test_transpose_duality():
         gy = bg.make_group([int(rng.integers(2, 8))])
         mat = rng.random((gy.order, gx.order)) < 0.4
         a = BiSet(gx, gy, mat)
-        assert d_ver(a) == d_hor(a.transpose()).transpose()
+        a_t = BiSet(gy, gx, a.matrix.T)
+        assert np.array_equal(d_ver(a).matrix.T, d_hor(a_t).matrix)
 
 
 def test_d_hor_rows_symmetric_with_zero():
@@ -61,7 +62,7 @@ def test_d_hor_rows_symmetric_with_zero():
     a = BiSet(gx, gy, rng.random((5, 12)) < 0.3)
     d = d_hor(a)
     for y in range(5):
-        row = d.row(y)
+        row = GroupSubset(gx, d.matrix[y])
         if row.size:
             assert 0 in row
             assert row == row.negate()
@@ -77,7 +78,7 @@ def test_iterated_difference_word():
     a = BiSet(gx, gy, rng.random((4, 4)) < 0.5)
     assert iterated_difference(a, "") == a
     assert iterated_difference(a, "hv") == d_hor(d_ver(a))  # rightmost first
-    full = BiSet.full(gx, gy)
+    full = BiSet(gx, gy, np.ones((gy.order, gx.order), bool))
     assert iterated_difference(full, "hvvhvhh") == full
     row_mat = np.zeros((4, 4), dtype=bool)
     row_mat[0, :] = True
@@ -207,7 +208,7 @@ def test_iterated_difference_stops_at_saturation(monkeypatch):
 
     monkeypatch.setattr(bilinear, "_convolution_counts", counting)
     gx, gy = bg.make_group([4, 2]), bg.make_group([6])
-    full = BiSet.full(gx, gy)
+    full = BiSet(gx, gy, np.ones((gy.order, gx.order), bool))
     assert iterated_difference(full, "hvvhvhh") == full
     assert calls == []
     mat = np.ones((6, 8), dtype=bool)
@@ -231,7 +232,7 @@ def test_is_freiman_linear():
     genuine = linear_map_on_progression(c, dual, [dual.element([3])])
     assert is_freiman_linear(genuine)
     const_values = np.where(c.enumerate().mask, dual.element([5]).index, -1)
-    const = FreimanMap(c, dual, const_values, 2)
+    const = FreimanMap(c, dual, const_values)
     assert not is_freiman_linear(const)  # L(0) must vanish
 
 
@@ -269,8 +270,8 @@ def test_variety_contained_in():
     gx, gy = bg.make_group([4]), bg.make_group([4])
     c = CosetProgression.singleton(gy.zero)
     v = BilinearVariety(gx, (), Fraction(1, 2), c, ())
-    assert variety_contained_in(v, BiSet.full(gx, gy))
-    assert not variety_contained_in(v, BiSet.empty(gx, gy))
+    assert variety_contained_in(v, BiSet(gx, gy, np.ones((gy.order, gx.order), bool)))
+    assert not variety_contained_in(v, BiSet(gx, gy, np.zeros((gy.order, gx.order), bool)))
 
 
 def test_qr_check_degenerate():
@@ -444,7 +445,8 @@ def test_linear_cover_trivial_and_linear():
         if matches >= 4:
             found_linear = True
     assert found_linear
-    empty = linear_cover(GroupSubset.empty(h), dual, zeros & False, rounds_cap=2, seed=0)
+    nowhere = GroupSubset(h, np.zeros(h.order, bool))
+    empty = linear_cover(nowhere, dual, zeros & False, rounds_cap=2, seed=0)
     assert empty.maps == () and empty.complete
     # U is a (|H|, |dual|) mask, and every U_y of Y holds 0
     with pytest.raises(PreconditionError):
@@ -468,12 +470,12 @@ def test_linear_cover_maps_are_freiman_linear_after_recentring():
         dom = m.domain
         base = dom.base
         recent = dom.translate(-base)
-        base_val = m(min(int(i) for i in dom.enumerate().indices()))
+        base_val = m(base)
         values = np.full(h.order, -1, dtype=np.int64)
         for idx in recent.enumerate().indices():
             src = base + h.element_from_index(int(idx))
             values[idx] = (m(src) - base_val).index
-        assert is_freiman_linear(FreimanMap(recent, dual, values, 2))
+        assert is_freiman_linear(FreimanMap(recent, dual, values))
 
 
 def test_hom_finder_linear_data():
@@ -618,7 +620,7 @@ def _hom_finder_oracle(group, dual, points, *, min_agree=3, direction_cap=64):
     values[group.index_of_coords(np.asarray(anchor.coords) + ks * v.coords)] = (
         dual.index_of_coords(dual_coords[t0] + ks * dual_coords[w])
     )
-    return FreimanMap(prog, dual, values, order=2)
+    return FreimanMap(prog, dual, values)
 
 
 def _finder_cases(rng):
@@ -982,6 +984,24 @@ def test_covering_stage_wins_a_pinned_experiment():
     assert out.variety.enumerate().is_subset_of(out.difference_set)
     bare = main_theorem_experiment(g, g, 0.1, 1, search_budget=0, word="vh")
     assert bare.variety.maps == () and bare.report["variety_size"] == 96
+
+
+def test_pinned_experiment_candidate_maps_are_freiman_linear(monkeypatch):
+    # every candidate variety of the pinned Z32 vh instance, accepted or not:
+    # a cover map's line b + [0, m) v moves to 0 with L(0) = 0, also where
+    # b is not the line's smallest index
+    tried = []
+
+    def record(variety, d):
+        tried.append(variety)
+        return variety_contained_in(variety, d)
+
+    monkeypatch.setattr(bilinear, "variety_contained_in", record)
+    g = bg.make_group([32])
+    main_theorem_experiment(g, g, 0.1, 1, search_budget=DEFAULT_BUDGET, word="vh")
+    maps = [m for v in tried for m in v.maps]
+    assert len(maps) == 12
+    assert all(is_freiman_linear(m) for m in maps)
 
 
 def _column_arm_oracle(group, column):

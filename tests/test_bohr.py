@@ -28,7 +28,7 @@ from bogolib.bohr import (
     verify_bohr_sum,
     weak_regular_radius_search,
 )
-from bogolib.errors import DensityShortfallError, NoWeaklyRegularRadiusError
+from bogolib.errors import DensityShortfallError, NoWeaklyRegularRadiusError, PreconditionError
 from bogolib.fourier import dft
 from bogolib.groups import GroupSubset, char_eval, subgroup_generated, torus_dist
 from bogolib.lattices import annihilator_points
@@ -72,6 +72,11 @@ def _bohr_mask_oracle(group, frequencies, radius):
     return mask
 
 
+def _bohr_contains(frequencies, radius, x):
+    """x in B(frequencies; radius), one character evaluation at a time."""
+    return all(torus_dist(char_eval(chi, x)) <= radius for chi in frequencies)
+
+
 def test_bohr_mask_matches_per_character_and():
     rng = derive_rng(89)
     shapes = [[97], [60], [4, 6, 5], [2, 2, 8], [3, 9], [64, 64]]
@@ -102,9 +107,8 @@ def test_bohr_mask_matches_per_character_and():
         assert np.array_equal(mask, _bohr_mask_oracle(g, freqs, radius))
         indices = np.asarray([chi.index for chi in freqs], dtype=np.int64)
         assert np.array_equal(bohr_mask(g, indices, radius), mask)
-        bohr = BohrSet(g, tuple(freqs), radius)
         for x in rng.integers(0, g.order, size=12):
-            assert mask[x] == bohr.contains(g.element_from_index(int(x)))
+            assert mask[x] == _bohr_contains(freqs, radius, g.element_from_index(int(x)))
         if k == 0:
             assert mask.all()
     assert blocks_crossed and fallbacks
@@ -275,6 +279,10 @@ def test_formula_coefficients_examples():
     assert abs(c[5]) < 1e-12  # c_1 vanishes since e(1/2) = e(-1/2)
     assert np.array_equal(c, c[::-1])  # even
     assert np.all(np.abs(c) <= 1 + 1e-12)
+    # 2 rho + eta <= 1 is decided exactly: 1e-13 past it, below any float
+    # slack of 1e-12, is refused
+    with pytest.raises(PreconditionError):
+        formula_coefficients(Fraction(1, 4), Fraction(1, 2) + Fraction(1, 10**13), 4)
 
 
 def test_formula_coefficients_match_quadrature():
@@ -564,7 +572,7 @@ def test_dense_difference_cover_random():
 def test_bohr_in_progression_examples():
     g8 = bg.make_group([8])
     evens = subgroup_generated(g8, [g8.element([2])])
-    b = bohr_in_progression(CosetProgression.from_subgroup(evens))
+    b = bohr_in_progression(CosetProgression(g8, g8.zero, (), evens))
     assert b.enumerate() == evens
     g64 = bg.make_group([64])
     c = CosetProgression.symmetric(g64, [(g64.element([1]), 15)])

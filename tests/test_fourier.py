@@ -128,7 +128,7 @@ def test_quadruple_count_batch_matches_single_masks():
 def test_spectrum_examples():
     g5 = bg.make_group([5])
     assert [c.index for c in spectrum(GroupSubset.full(g5), 0.5)] == [0]
-    assert spectrum(GroupSubset.empty(g5), 0.1) == []
+    assert spectrum(GroupSubset(g5, np.zeros(g5.order, bool)), 0.1) == []
     f = GroupSubset.from_indices(g5, [0, 1, 4])
     assert sorted(c.index for c in spectrum(f, 0.3)) == [0, 1, 4]
 

@@ -290,8 +290,9 @@ def test_translate_matches_roll():
         assert np.array_equal(got.mask, rolled), (g, x.coords)
         assert (subset + x) == got and (subset - (-x)) == got
     assert zero_axes >= 30, zero_axes
+    nowhere = GroupSubset(bg.make_group([4]), np.zeros(4, bool))
     with pytest.raises(bg.GroupMismatchError):
-        GroupSubset.empty(bg.make_group([4])).translate(bg.make_group([4]).element([1]))
+        nowhere.translate(bg.make_group([4]).element([1]))
 
 
 def test_basis_reexpression_bijection():
@@ -315,7 +316,6 @@ def test_subset_algebra():
     b = GroupSubset.from_indices(g, [2, 3])
     assert sorted((a | b).indices()) == [0, 1, 2, 3]
     assert sorted((a & b).indices()) == [2]
-    assert sorted(a.setminus(b).indices()) == [0, 1]
     assert sorted((a + g.element([2])).indices()) == [2, 3, 4]
     assert sorted(a.negate().indices()) == [0, 4, 5]
     assert sorted((a + b).indices()) == [2, 3, 4, 5]

@@ -7,10 +7,18 @@ dot-separated part of a string constant other than a docstring counts, so
 the benchmark's traced ``("module", "Class.method")`` pairs count).  Tests
 do not count: code that only tests call belongs beside the tests.  The
 check reads the sources with ``ast`` and imports nothing.
+
+Every public method of a public library class, properties and classmethods
+included, must likewise be named as an attribute (or a string part) outside
+its own body.  The check goes by name alone, so it cannot see dunders
+(``__len__`` runs through ``len``, ``__neg__`` through ``-``), nor a method
+whose name some other attribute carries: a name shared with another
+library method (``elements``, ``singleton``) or with numpy (``empty``,
+``full``, ``transpose``) counts as reached.
 """
 
 import ast
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,8 +83,52 @@ def unreached_definitions(library: Path, callers: list[Path]) -> list[str]:
     return sorted(unreached)
 
 
+def _attributes(node: ast.AST, docstrings: set[int]) -> Counter:
+    """How often each attribute name and string part occurs under ``node``."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if id(sub) not in docstrings:
+                out.update(sub.value.split("."))
+    return out
+
+
+def unreached_methods(library: Path, callers: list[Path]) -> list[str]:
+    """``module.Class.method`` of each public method of a public class in
+    ``library`` whose name nothing in ``callers`` carries as an attribute
+    or a string part outside the method's own body."""
+    total = Counter()
+    methods = []  # (module, class, method, attribute counts in its own body)
+    for folder in callers:
+        for path in sorted(folder.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            docstrings = _docstrings(tree)
+            total.update(_attributes(tree, docstrings))
+            if folder != library:
+                continue
+            for cls in tree.body:
+                if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                    continue
+                for fn in cls.body:
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        if not fn.name.startswith("_"):
+                            own = _attributes(fn, docstrings)
+                            methods.append((path.stem, cls.name, fn.name, own))
+    return sorted(
+        f"{module}.{cls}.{name}"
+        for module, cls, name, own in methods
+        if total[name] <= own[name]
+    )
+
+
 def test_every_public_definition_is_reached():
     assert unreached_definitions(LIBRARY, CALLERS) == []
+
+
+def test_every_public_method_is_reached():
+    assert unreached_methods(LIBRARY, CALLERS) == []
 
 
 def test_reach_guard_flags_self_and_docstring_references(tmp_path):
@@ -96,3 +148,26 @@ def test_reach_guard_flags_self_and_docstring_references(tmp_path):
     assert unreached_definitions(lib, [lib, demos]) == ["mod.lonely"]
     # without the demo, what only it reaches is flagged too
     assert unreached_definitions(lib, [lib]) == ["mod.ByString", "mod.by_import", "mod.lonely"]
+
+
+def test_method_reach_guard_flags_self_and_docstring_references(tmp_path):
+    lib, demos = tmp_path / "lib", tmp_path / "demos"
+    lib.mkdir()
+    demos.mkdir()
+    (lib / "mod.py").write_text(
+        "class Box:\n"
+        "    def lonely(self, n):\n        return self.lonely(n - 1) if n else 0\n\n"
+        "    def _private(self):\n        return 0\n\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    @property\n    def size(self):\n        return self.used()\n\n"
+        "    def used(self):\n        return 1\n\n"
+        "    def traced(self):\n        return 2\n\n\n"
+        "class _Hidden:\n    def loose(self):\n        return 3\n"
+    )
+    (demos / "run.py").write_text(
+        '"""Box.lonely"""\nfrom lib.mod import Box\nprint(Box().size)\n'
+        'TRACED = [("mod", "Box.traced")]\n'
+    )
+    assert unreached_methods(lib, [lib, demos]) == ["mod.Box.lonely"]
+    # without the demo, what only it reaches is flagged too
+    assert unreached_methods(lib, [lib]) == ["mod.Box.lonely", "mod.Box.size", "mod.Box.traced"]
