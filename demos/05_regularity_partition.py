@@ -53,6 +53,7 @@ for cell in res.cells:
         assert again.pass_i and again.pass_ii
 print("all certified cells re-pass qr_property_check from scratch")
 
-# at the coarser eta = 1/4 the same instance certifies without shrinking
+# at the coarser eta = 1/4 the same instance certifies after two shrinking
+# steps, in six cells
 res4 = regularity_partition(c, [], [divisor], Fraction(1, 4), Fraction(1, 4), 12, gx)
 print(f"same instance at eta=1/4: certified={res4.certified} in {len(res4.cells)} cell(s)")

@@ -60,8 +60,7 @@ from .progressions import (
 )
 from .rng import check_seed, derive_rng
 
-_PAIR_CUTOFF = 1 << 20  # pairs above which qr_property_check samples (a memory guard)
-_PAIR_SAMPLES = 10_000
+_PAIR_BLOCK = 1 << 18  # row-pair intersections per block of qr_property_check
 _RELATION_BOX = 4  # coefficient box of the relations regularity_partition extracts
 _RHO_GRID_CAP = 64  # radii tried per cell by regularity_partition
 
@@ -268,7 +267,6 @@ class QRCheck:
     pass_ii: bool
     fail_fraction_i: float
     fail_fraction_ii: float
-    sampled: bool
 
 
 def qr_property_check(
@@ -284,14 +282,15 @@ def qr_property_check(
     delta is the median m of |B(Gamma cup L(y); rho_i)| over the cell, over
     b0 = |B(Gamma; rho_i)|; property (i) asks a 1 - eta fraction of rows to
     deviate by at most eta |G| from delta b0 = m, property (ii) the analogue
-    for pairs with delta^2 b0.  Pair statistics are sampled above
-    ``_PAIR_CUTOFF``.  The rows are the cell's rows of the bilinear Bohr
-    variety, and b0 is one ``bohr_mask`` (b0 >= 1: 0 lies in every Bohr set).
-    In integers, with m2 = 2 m: a row fails when |2 size - m2| >
-    floor(2 eta |G|), a pair when |4 b0 inter - m2^2| > floor(4 b0 eta |G|),
-    and a property holds when at most floor(eta n) of its n rows or pairs
-    fail.  Each floor is taken in Python integers and clipped to its
-    statistic's range, so every comparison is exact in int64 for |G| <= 2^30.
+    for all n^2 ordered pairs of the cell's n rows, with delta^2 b0.  The
+    rows are the cell's rows of the bilinear Bohr variety, and b0 is one
+    ``bohr_mask`` (b0 >= 1: 0 lies in every Bohr set).  In integers, with
+    m2 = 2 m: a row fails when |2 size - m2| > floor(2 eta |G|), a pair when
+    |4 b0 inter - m2^2| > floor(4 b0 eta |G|), and a property holds when at
+    most floor(eta n) of its n rows or n^2 pairs fail.  Each floor is taken
+    in Python integers and clipped to its statistic's range, so every
+    comparison is exact in int64 for |G| <= 2^30.  Pairs are counted about
+    ``_PAIR_BLOCK`` at a time: O(n^2 |G|) time, and memory of one block.
     """
     rho_i, eta = Fraction(rho_i), Fraction(eta)
     ys = cell.enumerate().indices()
@@ -309,23 +308,25 @@ def qr_property_check(
         return max(-1, min(eta.numerator * scale // eta.denominator, top))
 
     fails_i = np.abs(2 * sizes - m2) > bound(2 * order, 2 * order)
-    sampled = ys.size * ys.size > _PAIR_CUTOFF
-    if not sampled:
-        f = row_masks.astype(np.float64)
-        inter = (f @ f.T).astype(np.int64)
-    else:
-        rng = derive_rng(0, 29)
-        ia = rng.integers(0, ys.size, size=_PAIR_SAMPLES)
-        ib = rng.integers(0, ys.size, size=_PAIR_SAMPLES)
-        inter = (row_masks[ia] & row_masks[ib]).sum(axis=1)
-    fails_ii = np.abs(4 * b0 * inter - m2 * m2) > bound(4 * b0 * order, 4 * order * order)
+    n = ys.size
+    pair_bound = bound(4 * b0 * order, 4 * order * order)
+    f = row_masks.astype(np.float64)
+    rows_per_block = max(1, _PAIR_BLOCK // n)
+    # one expression per block, so that no block's arrays outlive it (the
+    # float product holds exact integers)
+    fails_ii = sum(
+        int(np.count_nonzero(
+            np.abs(4 * b0 * (f[start : start + rows_per_block] @ f.T).astype(np.int64) - m2 * m2)
+            > pair_bound
+        ))
+        for start in range(0, n, rows_per_block)
+    )
     return QRCheck(
         m2 / 2 / b0,
-        int(fails_i.sum()) <= bound(fails_i.size, fails_i.size),
-        int(fails_ii.sum()) <= bound(fails_ii.size, fails_ii.size),
+        int(fails_i.sum()) <= bound(n, n),
+        fails_ii <= bound(n * n, n * n),
         float(np.mean(fails_i)),
-        float(np.mean(fails_ii)),
-        sampled,
+        fails_ii / (n * n),
     )
 
 
@@ -337,9 +338,7 @@ class RegularityCell:
     progression: CosetProgression
     rho: Fraction
     delta: float
-    eta_achieved: float
     certified: bool
-    sampled: bool
 
 
 @dataclass(frozen=True)
@@ -351,43 +350,30 @@ class RegularityResult:
 
 
 def _rho_candidates(rho: Fraction, eta: Fraction) -> list[Fraction]:
-    """Grid rho - j eta^2 rho / 1000 for j in [0, 500 eta^-2], <= _RHO_GRID_CAP points."""
-    rho, eta = Fraction(rho), Fraction(eta)
+    """Grid rho - j eta^2 rho / 1000 at ``_RHO_GRID_CAP`` evenly spread j in
+    [0, j_max], j_max = ceil(500 eta^-2).  For 0 < eta <= 1, j_max >= 500,
+    so the j = j_max t // (cap - 1) are distinct and ascending."""
     j_max = math.ceil(500 / (eta * eta))
-    if j_max + 1 <= _RHO_GRID_CAP:
-        js = list(range(j_max + 1))
-    else:
-        js = sorted({j_max * t // (_RHO_GRID_CAP - 1) for t in range(_RHO_GRID_CAP)})
-    return [rho - j * eta * eta * rho / 1000 for j in js]
+    return [
+        rho - (j_max * t // (_RHO_GRID_CAP - 1)) * eta * eta * rho / 1000
+        for t in range(_RHO_GRID_CAP)
+    ]
 
 
-@dataclass
-class _QState:
-    """Shrinking progression Q_s tracked through strides over C's arms."""
-
-    strides: list[int]
-    halves: list[int]
-    subgroup: GroupSubset  # the subgroup part of a verified progression
-
-    def progression(self, c: CosetProgression) -> CosetProgression:
-        arms = tuple(
-            Arm(s * arm.generator, -m, m)
-            for arm, s, m in zip(c.arms, self.strides, self.halves)
-        )
-        return CosetProgression._derived(c.group, c.group.zero, arms, self.subgroup)
-
-
-def _grid_cells(c: CosetProgression, q: _QState) -> list[CosetProgression]:
+def _grid_cells(
+    c: CosetProgression, strides: Sequence[int], q: CosetProgression
+) -> list[CosetProgression]:
     """Partition C compatibly with translates of the half-shrunk Q_s.
 
-    Arm positions split by residue modulo the stride and then into blocks
-    of at most max(1, M_j) stride steps, so each cell minus itself lands
-    inside Q_s; the subgroup part splits into cosets of H_s.
+    Q_s has arms (s_j v_j, -M_j, M_j) over C's generators v_j and subgroup
+    part H_s.  Arm positions split by residue modulo the stride s_j and then
+    into blocks of at most max(1, M_j) stride steps, so each cell minus
+    itself lands inside Q_s; the subgroup part splits into cosets of H_s.
     """
     group = c.group
     per_arm: list[list[tuple[int, int, int]]] = []  # (start, stride, count)
-    for arm, s, m in zip(c.arms, q.strides, q.halves):
-        width = max(1, m)
+    for arm, s, q_arm in zip(c.arms, strides, q.arms):
+        width = max(1, q_arm.hi)
         options = []
         span = arm.hi - arm.lo
         for rem in range(min(s, span + 1)):
@@ -461,8 +447,9 @@ def regularity_partition(
     """Partition C into cells that pass both quasirandomness properties.
 
     Loop: certify cells at some grid radius; on failure extract a new
-    vanishing coefficient vector of the maps, shrink Q_s through its
-    Freiman-subgroup and repartition.  The relation lattice grows strictly
+    vanishing coefficient vector of the maps, shrink Q_s (at first C itself)
+    to the progression extracted from its Freiman-subgroup, and repartition.
+    eta must lie in (0, 1].  The relation lattice grows strictly
     inside the box [-b, b]^r, b = ``_RELATION_BOX``, so the step count obeys
     the chain-monitor budget; cells still failing at the cap are flagged
     rather than forced.
@@ -470,54 +457,34 @@ def regularity_partition(
     if not c.is_symmetric or not c.is_proper():
         raise PreconditionError("C must be a proper symmetric coset progression")
     rho, eta = Fraction(rho), Fraction(eta)
+    if not 0 < eta <= 1:
+        raise PreconditionError("eta must be in (0, 1]")
     candidates = _rho_candidates(rho, eta)
-    q = _QState([1] * c.rank, [arm.hi for arm in c.arms], c.subgroup)
+    # Q_s = qprog has arms (strides[j] v_j, -M_j, M_j) over C's generators v_j
+    strides = [1] * c.rank
+    qprog = c
     lattice = IntegerLattice(len(maps))
     budget = chain_monitor(max(1, len(maps)), _RELATION_BOX)
     steps = 0
     single_first = True
     while True:
-        partition = [c] if single_first else _grid_cells(c, q)
+        partition = [c] if single_first else _grid_cells(c, strides, qprog)
         cells: list[RegularityCell] = []
-        all_pass = True
         for cell in partition:
-            chosen: Optional[RegularityCell] = None
-            last: Optional[QRCheck] = None
             for rho_c in candidates:
                 res = qr_property_check(cell, gamma, maps, rho_c, eta, group_x)
-                last = res
                 if res.pass_i and res.pass_ii:
-                    chosen = RegularityCell(
-                        cell,
-                        rho_c,
-                        res.delta,
-                        max(res.fail_fraction_i, res.fail_fraction_ii),
-                        True,
-                        res.sampled,
-                    )
                     break
-            if chosen is None:
-                all_pass = False
-                cells.append(
-                    RegularityCell(
-                        cell,
-                        candidates[0],
-                        last.delta,
-                        max(last.fail_fraction_i, last.fail_fraction_ii),
-                        False,
-                        last.sampled,
-                    )
-                )
-            else:
-                cells.append(chosen)
-        if all_pass:
+            certified = res.pass_i and res.pass_ii
+            rho_c = rho_c if certified else candidates[0]  # a flagged cell keeps rho
+            cells.append(RegularityCell(cell, rho_c, res.delta, certified))
+        if all(cell.certified for cell in cells):
             return RegularityResult(tuple(cells), True, steps, lattice)
         if single_first:
             single_first = False
             continue
         if steps >= step_cap or steps >= budget:
             return RegularityResult(tuple(cells), False, steps, lattice)
-        qprog = q.progression(c)
         lam = _extract_relation(qprog, maps, lattice, _RELATION_BOX)
         if lam is None:
             return RegularityResult(tuple(cells), False, steps, lattice)
@@ -529,11 +496,8 @@ def regularity_partition(
         fset = GroupSubset.from_indices(c.group, zs[vanish])
         alpha = Fraction(fset.size, qprog.size)
         ext = extract_subprogression(fset, qprog, alpha)
-        q = _QState(
-            [s * ell for s, ell in zip(q.strides, ext.ells)],
-            [arm.hi for arm in ext.progression.arms],
-            ext.progression.subgroup,
-        )
+        strides = [s * ell for s, ell in zip(strides, ext.ells)]
+        qprog = ext.progression
         lattice = lattice.with_row(lam)
         steps += 1
 

@@ -127,10 +127,6 @@ def hermite_coefficients(
     return coeffs_h
 
 
-def in_row_lattice(vec: Sequence[int], rows: Sequence[Sequence[int]]) -> bool:
-    return solve_row_lattice(vec, rows) is not None
-
-
 def det_int(mat: Sequence[Sequence[int]]) -> int:
     """Exact determinant via fraction-free Bareiss elimination."""
     a = _as_matrix(mat)

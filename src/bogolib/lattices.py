@@ -122,11 +122,11 @@ def annihilator_points(elements: Sequence[GroupElement], radius: int) -> np.ndar
 
 
 def in_z_span(vec: Sequence[int], generators: Sequence[Sequence[int]]) -> bool:
-    """Exact membership of an integer vector in the Z-span of generators."""
-    vec = [int(v) for v in vec]
-    if not any(vec):
-        return True
-    return intmat.in_row_lattice(vec, [list(g) for g in generators])
+    """Exact membership of an integer vector in the Z-span of generators,
+    read off their Hermite form."""
+    return not any(vec) or intmat.hermite_coefficients(
+        vec, intmat.row_hermite(generators)[0]
+    ) is not None
 
 
 def _rank(rows: list[list[int]]) -> int:

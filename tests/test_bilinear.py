@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bogolib as bg
-from bogolib import bilinear, fourier, groups
+from bogolib import bilinear, fourier, groups, suites
 from bogolib.bilinear import (
     BilinearVariety,
     BiSet,
@@ -322,15 +322,8 @@ def _qr_check_oracle(cell, gamma, maps, rho_i, eta, group_x):
     row_masks = (row_num.astype(object) * den <= num * e).astype(bool)
     sizes = np.sort(row_masks.sum(axis=1))
     median = Fraction(int(sizes[(sizes.size - 1) // 2] + sizes[sizes.size // 2]), 2)
-    sampled = ys.size * ys.size > bilinear._PAIR_CUTOFF
-    if not sampled:
-        f = row_masks.astype(np.int64)
-        inter = f @ f.T
-    else:
-        rng = derive_rng(0, 29)
-        ia = rng.integers(0, ys.size, size=bilinear._PAIR_SAMPLES)
-        ib = rng.integers(0, ys.size, size=bilinear._PAIR_SAMPLES)
-        inter = (row_masks[ia] & row_masks[ib]).sum(axis=1)
+    f = row_masks.astype(np.int64)
+    inter = (f @ f.T).reshape(-1)  # every ordered pair
 
     def fail_fraction(values, centre):
         # the share of values further than eta |G| from centre
@@ -341,14 +334,14 @@ def _qr_check_oracle(cell, gamma, maps, rho_i, eta, group_x):
     fail_i = fail_fraction(sizes, median)
     fail_ii = fail_fraction(inter, median * median / b0)
     return bilinear.QRCheck(
-        float(median) / b0, fail_i <= eta, fail_ii <= eta, float(fail_i), float(fail_ii), sampled
+        float(median) / b0, fail_i <= eta, fail_ii <= eta, float(fail_i), float(fail_ii)
     )
 
 
 def test_qr_check_matches_numerator_loop_oracle():
     rng = derive_rng(131)
     shapes = [([16], [16]), ([12], [4, 6]), ([2, 8], [9]), ([27], [3, 9]), ([8], [2200])]
-    sampled = wide = 0
+    big = wide = 0
     for case in range(40):
         gx_shape, gy_shape = shapes[case % len(shapes)]
         gx, gy = bg.make_group(gx_shape), bg.make_group(gy_shape)
@@ -381,9 +374,9 @@ def test_qr_check_matches_numerator_loop_oracle():
         eta = Fraction(1, int(rng.choice([2, 4, 8])))
         res = qr_property_check(cell, gamma, maps, rho, eta, gx)
         assert res == _qr_check_oracle(cell, gamma, maps, rho, eta, gx)
-        sampled += res.sampled
+        big += cell.size > 1 << 10  # more than 2^20 pairs, all counted
         wide += rho.denominator * e >= 1 << 62
-    assert sampled and wide
+    assert big == 8 and wide
     # a tie in property (ii): on Z8 x Z8 with L(y) = 2y on [-2, 2], rho = 1/8
     # and eta = 1/4, delta^2 b0 = 2 and 8 of the 25 pair intersections are 4,
     # exactly eta |G| away, so they do not fail and the property holds
@@ -393,6 +386,47 @@ def test_qr_check_matches_numerator_loop_oracle():
     res = qr_property_check(cell, [], [lmap], Fraction(1, 8), Fraction(1, 4), gx)
     assert res == _qr_check_oracle(cell, [], [lmap], Fraction(1, 8), Fraction(1, 4), gx)
     assert res.pass_ii and res.fail_fraction_ii == 1 / 25
+
+
+def test_qr_check_counts_every_pair():
+    # Z8 x Z2200, C = [-530, 530], L(y) = 2y, rho = 1/4, eta = 9/29: 31.29% of
+    # the 1061^2 ordered pairs fail property (ii), above eta = 31.03%; 10,000
+    # sampled pairs read 30.94% and certified the cell
+    gx, gy = bg.make_group([8]), bg.make_group([2200])
+    cell = CosetProgression.symmetric(gy, [(gy.element([1]), 530)])
+    lmap = linear_map_on_progression(cell, gx.dual, [gx.dual.element([2])])
+    rho, eta = Fraction(1, 4), Fraction(9, 29)
+    res = qr_property_check(cell, [], [lmap], rho, eta, gx)
+    assert res.pass_i and res.pass_ii is False
+    assert res == _qr_check_oracle(cell, [], [lmap], rho, eta, gx)
+    assert res.fail_fraction_ii > eta
+
+
+def test_qr_check_memory_is_one_block():
+    import tracemalloc
+
+    # 1061^2 intersections unblocked take over 16 MiB as float64 and int64
+    gx, gy = bg.make_group([8]), bg.make_group([2200])
+    cell = CosetProgression.symmetric(gy, [(gy.element([1]), 530)])
+    lmap = linear_map_on_progression(cell, gx.dual, [gx.dual.element([2])])
+    args = (cell, [], [lmap], Fraction(1, 4), Fraction(9, 29), gx)
+    qr_property_check(*args)  # warm: the cell's and the dual's cached tables
+    tracemalloc.start()
+    try:
+        qr_property_check(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+def test_regularity_rejects_eta_outside_unit_interval():
+    gx, gy = bg.make_group([64]), bg.make_group([64])
+    c = CosetProgression.symmetric(gy, [(gy.element([1]), 25)])
+    lmap = linear_map_on_progression(c, gx.dual, [gx.dual.element([16])])
+    for eta in (Fraction(0), Fraction(2)):
+        with pytest.raises(PreconditionError):
+            regularity_partition(c, [], [lmap], Fraction(1, 4), eta, 12, gx)
 
 
 def test_regularity_trivial_cases():
@@ -973,6 +1007,59 @@ def test_cover_results_on_large_duals_match_recorded_digests(monkeypatch):
         assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == digest, n
 
 
+# SHA-256 of every RegularityResult (steps, certified, the relation rows, and
+# each cell's enumerated indices, rho, delta and certified) from demo 05's
+# three calls, the Z64 gcd instance at eta = 1/8 and 1/4, and criterion 10 at
+# seeds 0-2.
+_REGULARITY_DIGEST = "789adff7d7e8e7ace861e238832d4f9a7e2d8e766b324f6ef946d1a70cd527ae"
+
+
+def test_regularity_results_match_recorded_digest(monkeypatch):
+    records = []
+    real = bilinear.regularity_partition
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        records.append([
+            res.steps,
+            res.certified,
+            [list(row) for row in res.relation_lattice.rows],
+            [
+                [
+                    cell.progression.enumerate().indices().tolist(),
+                    str(cell.rho),
+                    cell.delta.hex(),
+                    cell.certified,
+                ]
+                for cell in res.cells
+            ],
+        ])
+        return res
+
+    monkeypatch.setattr(suites, "regularity_partition", recording)
+    gx, gy = bg.make_group([64]), bg.make_group([64])
+    c = CosetProgression.symmetric(gy, [(gy.element([1]), 25)])
+    rho = Fraction(1, 4)
+    for value, eta, step_cap in (
+        # demo 05's three calls
+        (7, Fraction(1, 4), 12),
+        (16, Fraction(1, 8), 20),
+        (16, Fraction(1, 4), 12),
+        # test_regularity_gcd_instance_engages_loop's two
+        (16, Fraction(1, 8), 20),
+        (16, Fraction(1, 4), 20),
+    ):
+        lmap = linear_map_on_progression(c, gx.dual, [gx.dual.element([value])])
+        recording(c, [], [lmap], rho, eta, step_cap, gx)
+    for seed in (0, 1, 2):
+        suites.check_regularity(seed)
+    assert len(records) == 65
+    assert [r[0] for r in records[:5]] == [0, 3, 2, 3, 2]
+    assert max(r[0] for r in records[5:]) == 2  # criterion 10 at seed 2 steps
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == _REGULARITY_DIGEST
+
+
 def test_covering_stage_wins_a_pinned_experiment():
     # Z32 x Z32, word vh, delta 0.1, seed 1: the largest verified variety
     # is the covering stage's, one map over 144 cells; without the stage the
@@ -1124,6 +1211,7 @@ def test_regularity_gcd_instance_engages_loop():
                 cell.progression, [], [lmap], cell.rho, Fraction(1, 8), gx
             )
             assert again.pass_i and again.pass_ii
-    # at the coarser eta = 1/4 the same instance certifies outright
+    # at the coarser eta = 1/4 the same instance certifies after two steps,
+    # in six cells
     res4 = regularity_partition(c, [], [lmap], Fraction(1, 4), Fraction(1, 4), 20, gx)
     assert res4.certified

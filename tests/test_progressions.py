@@ -9,7 +9,7 @@ import pytest
 
 import bogolib as bg
 from bogolib import progressions
-from bogolib.bilinear import _grid_cells, _QState
+from bogolib.bilinear import _grid_cells
 from bogolib.errors import GroupMismatchError, PreconditionError
 from bogolib.groups import GroupSubset, is_subgroup, subgroup_generated
 from bogolib.progressions import (
@@ -451,9 +451,9 @@ def test_derived_progressions_share_the_verified_subgroup():
     assert shifted.subgroup is sub
     assert shifted.enumerate() == CosetProgression(g, t, c.arms, sub).enumerate()
     assert _cell_progression(c, (1,), (2,)).subgroup is sub
-    q = _QState([2], [1], sub)
-    assert q.progression(c).subgroup is sub
-    cells = _grid_cells(c, q)
+    # Q_s at stride 2: arm (2 v, -1, 1) over C's generator v
+    q = CosetProgression._derived(g, g.zero, (Arm(2 * c.arms[0].generator, -1, 1),), sub)
+    cells = _grid_cells(c, [2], q)
     assert cells and all(cell.subgroup is sub for cell in cells)
 
 
@@ -470,8 +470,6 @@ def test_derived_progressions_reject_foreign_parts():
         CosetProgression._derived(g, g.zero, (Arm(other.element([1, 0]), -1, 1),), sub)
     with pytest.raises(GroupMismatchError):
         CosetProgression._derived(g, g.zero, (), GroupSubset.from_indices(other, [0]))
-    with pytest.raises(GroupMismatchError):
-        _QState([1], [1], GroupSubset.from_indices(other, [0])).progression(c)
     with pytest.raises(ValueError):
         CosetProgression._derived(g, g.zero, (Arm(g.element([1, 0]), 1, 0),), sub)
 
