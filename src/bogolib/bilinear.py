@@ -505,8 +505,7 @@ def regularity_partition(
 # -- the linear covering loop ----------------------------------------------------
 
 
-_FINDER_MIN_AGREE = 3  # the map finder's defaults, also used by linear_cover
-_FINDER_DIRECTIONS = 64
+_HOM_CAP = 4096  # homomorphisms exhaustive_hom_finder enumerates at most
 
 
 @dataclass(frozen=True)
@@ -526,14 +525,16 @@ def linear_cover(
     *,
     samples: int = 10_000,
 ) -> CoverResult:
-    """Cover bounded character sets U_y by values of few Freiman maps.
+    """Cover bounded character sets U_y by values of few homomorphisms.
 
     Iterates while the triple condition
     ``(U_{y+z} - U_z) cap (U_{y+w} - U_w) not subset (U'_{y+z} - U'_z) + (U'_{y+w} - U'_w)``
-    holds on an estimated alpha^4/2 fraction of (y, z, w); each round draws
-    a random table f(y) in U_y and asks the homomorphism finder for a map
-    agreeing with it on uncovered values.  Maps that cover nothing new are
-    discarded; the zero map is always present.  U is the boolean
+    holds on an estimated alpha^4/2 fraction of (y, z, w); each round adds
+    the homomorphism H -> dual of ``exhaustive_hom_finder`` whose values
+    cover the most uncovered points of U on Y, the first on a tie.  The
+    finder's maps depend only on Y and U, so they are built once per call,
+    and the loop stops at the first round in which no map covers anything
+    new.  The zero map is always present.  U is the boolean
     (|H|, |dual|) mask with row y the value set U_y of y in Y (each holding
     the zero character 0), and the covered sets U' are a mask alike.
 
@@ -547,11 +548,7 @@ def linear_cover(
     U''s again only when a round adds a map.  The two covered differences
     are summed (batched exact real-FFT sumsets, ``groups._convolution_counts``)
     only for quads whose left side is not inside either of them (both hold
-    0).  Each round's table f is one draw with an array of bounds, the same
-    stream as one draw per y.  The finder's line table (``_line_table``) is
-    built once for Y, the first round that fits; each round fits its points
-    from the table's columns (``_fit_lines``), as ``exhaustive_hom_finder``
-    would with its default settings.
+    0).
     """
     h = y_set.group
     y_idx = y_set.indices()
@@ -568,14 +565,10 @@ def linear_cover(
     covered[y_idx, 0] = True
     alpha = y_set.size / h.order
     threshold = alpha**4 / 2
-    lines = None  # the finder's line table for Y, built on first use
-    sizes = u[y_idx].sum(axis=1)
-    starts = np.cumsum(sizes) - sizes
-    options = np.nonzero(u[y_idx])[1]  # U_y for each y of Y in turn, ascending
     # diff[i, j] = chars[i] - chars[j] over the characters U holds on Y
     chars = np.flatnonzero(u[y_idx].any(axis=0))  # chars[0] is 0
     diff = dual.add_indices(chars[:, None], dual.negation_permutation[chars][None, :])
-    width = int(sizes.max())
+    width = int(u[y_idx].sum(axis=1).max())
     # a block of quads has at most 2 step pairs, so its gather (width^2 a
     # pair) and its rows (|dual| a pair) stay within 2^18 entries
     step = max(1, (1 << 17) // max(dual.order, width * width))
@@ -640,165 +633,50 @@ def linear_cover(
 
     rounds = 0
     frac = 1.0
+    tables = exhaustive_hom_finder(y_set, dual, u)
+    on_y = tables[:, y_idx]
+    in_u = u[y_idx, on_y]  # in_u[j, i]: map j's value at the i-th point of Y is in U
     for rounds in range(rounds_cap + 1):
         frac = condition_fraction(derive_rng(seed, 1000 + rounds))
         if frac < threshold:
             return CoverResult(tuple(maps), rounds, frac, True)
         if rounds == rounds_cap:
             break
-        # one uniform draw from each U_y in turn, the same stream as a draw
-        # per y; a covered pick leaves y without a point (-1)
-        picks = options[starts + derive_rng(seed, 2000 + rounds).integers(0, sizes)]
-        points = np.where(covered[y_idx, picks], -1, picks)  # a value per point of Y
-        sel = np.flatnonzero(points >= 0)  # positions in Y of this round's points
-        if sel.size == 0:
-            continue
-        if lines is None:
-            lines = _line_table(h, y_idx, _FINDER_DIRECTIONS)
-        directions, reps, k_of = lines
-        cand = _fit_lines(
-            h, dual, directions, reps[:, sel], k_of[:, sel], points[sel], _FINDER_MIN_AGREE
-        )
-        if cand is None:
-            continue
-        vals = cand.values[y_idx]
-        rows, cols = y_idx[vals >= 0], vals[vals >= 0]
-        gained = u[rows, cols] & ~covered[rows, cols]
-        if np.any(gained):
-            covered[rows[gained], cols[gained]] = True
-            covered_members = members(covered)
-            maps.append(cand)
+        gains = np.count_nonzero(in_u & ~covered[y_idx, on_y], axis=1)
+        if not gains.any():
+            break
+        best = int(gains.argmax())
+        covered[y_idx, on_y[best]] |= in_u[best]
+        covered_members = members(covered)
+        maps.append(FreimanMap(zero_map.domain, dual, tables[best]))
     return CoverResult(tuple(maps), rounds, frac, False)
 
 
 def exhaustive_hom_finder(
-    group: FiniteAbelianGroup,
-    dual: FiniteAbelianGroup,
-    points: np.ndarray,
-    *,
-    min_agree: int = _FINDER_MIN_AGREE,
-    direction_cap: int = _FINDER_DIRECTIONS,
-) -> Optional[FreimanMap]:
-    """Desk-scale Freiman-map finder: affine fits along cyclic lines.
+    y_set: GroupSubset, dual: FiniteAbelianGroup, u: np.ndarray
+) -> np.ndarray:
+    """Value tables over H of the homomorphisms L: H -> dual that U allows
+    on H's unit vectors, one row per map.
 
-    ``points`` is a value array over ``group`` (-1 where there is no sample).
-    Scans directions v (bounded set), buckets the sample points into
-    cosets of <v>, and for the best-populated line fits t(anchor + k v) =
-    t0 + k w by exhausting w over the dual.  Returns that affine map on the
-    proper progression anchor + [0, ceil(ord(v)/2)) v, or None when nothing
-    reaches ``min_agree`` agreements.
-
-    It is the line table of its points (``_line_table``) followed by the
-    fit (``_fit_lines``); ``linear_cover`` builds the table once for all of
-    Y and fits each round's points from its columns.
+    L is fixed by w_i = L(e_i) on the unit vectors e_i of H, and with m_i
+    the modulus of e_i it is a homomorphism exactly when m_i w_i = 0.  w_i
+    ranges over those characters of U_{e_i} when e_i lies in Y (U as in
+    ``linear_cover``), and over all of them otherwise, in ascending index,
+    the last unit vector fastest.  Row j holds L_j(y) = sum_i y_i w_i at
+    every y, from one ``index_of_coords`` product.  When the choices
+    multiply to more than ``_HOM_CAP`` maps, no row is returned.
     """
-    pts_idx = np.flatnonzero(points >= 0)
-    if pts_idx.size == 0:
-        return None
-    directions, reps, k_of = _line_table(group, pts_idx, direction_cap)
-    return _fit_lines(group, dual, directions, reps, k_of, points[pts_idx], min_agree)
-
-
-def _line_table(
-    group: FiniteAbelianGroup, ys: np.ndarray, direction_cap: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The finder's directions and the lines of the points ``ys`` along them.
-
-    Directions: the unit vectors, then the indices 1..direction_cap.  For
-    direction d and point j, ``reps[d, j]`` is the line representative of
-    y_j, the smallest index of y_j - k v_d over k below the exponent, and
-    ``k_of[d, j]`` the first such k: past ord(v) the shifts repeat and
-    argmin keeps the first minimum, so k < ord(v).  A block of directions
-    keeps its temporaries near 2^18 entries, or one direction's worth when
-    that is larger.
-    """
-    units = [
-        group.element(tuple(1 if j == i else 0 for j in range(group.rank))).index
-        for i in range(group.rank)
-    ]
-    directions = units + [
-        idx for idx in range(1, min(group.order, direction_cap + 1)) if idx not in units
-    ]
-    directions = np.asarray([idx for idx in directions if idx != 0], dtype=np.int64)
-    ks = np.arange(group.exponent)
-    coords = group.coords_matrix[ys]
-    reps = np.empty((directions.size, ys.size), dtype=np.int64)
-    k_of = np.empty_like(reps)
-    block = max(1, (1 << 18) // max(1, ks.size * ys.size * group.rank))
-    for start in range(0, directions.size, block):
-        vs = directions[start : start + block]
-        v_coords = group.coords_matrix[vs][:, None, None]
-        # shifts[d, k, j] = y_j - k v_d; its minimum over k is y_j's line
-        shifts = group.index_of_coords(coords[None, None] - ks[:, None, None] * v_coords)
-        reps[start : start + block] = shifts.min(axis=1)
-        k_of[start : start + block] = shifts.argmin(axis=1)
-    return directions, reps, k_of
-
-
-def _fit_lines(
-    group: FiniteAbelianGroup,
-    dual: FiniteAbelianGroup,
-    directions: np.ndarray,
-    reps: np.ndarray,
-    k_of: np.ndarray,
-    values: np.ndarray,
-    min_agree: int,
-) -> Optional[FreimanMap]:
-    """The finder's fit from a line table (``_line_table``) and the value
-    of each of its points.
-
-    Every direction of a block is scored at once.  Each direction's line is
-    the most populated (``bincount``; the smallest representative on ties),
-    anchored at its point of smallest k, and every (direction, w) agreement
-    is counted together.  Ties keep the first w, then the first direction
-    reaching the maximum.  A block's temporaries stay near 2^18 entries, or
-    one direction's worth when that is larger.
-    """
-    n = values.size
-    dual_coords = dual.coords_matrix
-    block = max(1, (1 << 18) // (group.order + n * dual.order * dual.rank))
-    best = None  # (agreement, v, line_rep, k0, t0, w)
-    for start in range(0, directions.size, block):
-        vs = directions[start : start + block]
-        rep, k_blk = reps[start : start + block], k_of[start : start + block]
-        rows = np.arange(vs.size)
-        line_size = np.bincount(
-            (rows[:, None] * group.order + rep).reshape(-1), minlength=vs.size * group.order
-        ).reshape(vs.size, group.order)
-        line_rep = line_size.argmax(axis=1)
-        on_line = rep == line_rep[:, None]
-        anchor = np.where(on_line, k_blk, group.exponent).argmin(axis=1)
-        k0, t0 = k_blk[rows, anchor], values[anchor]
-        steps = k_blk - k0[:, None]
-        # agree[d, w] = #{j on line d : t0 + (k_j - k0) w == value_j}, where
-        # t0 + s w == value iff s w == value - t0; the multiples s w come from
-        # one table over the distinct steps s
-        target = dual.add_indices(values[None, :], dual.negation_permutation[t0][:, None])
-        uniq, inv = np.unique(steps, return_inverse=True)
-        mult = dual.index_of_coords(uniq[:, None, None] * dual_coords[None])
-        hit = mult[inv.reshape(steps.shape)] == target[:, :, None]
-        agree = (hit & on_line[:, :, None]).sum(axis=1)
-        w = agree.argmax(axis=1)
-        top = agree[rows, w]  # at most the line's size, so short lines never pass
-        d = int(top.argmax())
-        if best is None or top[d] > best[0]:
-            v = group.element_from_index(int(vs[d]))
-            best = (int(top[d]), v, int(line_rep[d]), int(k0[d]), int(t0[d]), int(w[d]))
-    if best is None or best[0] < min_agree:
-        return None
-    _, v, line_rep, k0, t0, w = best
-    length = -(-v.order // 2)  # no wraparound: differences stay decodable
-    anchor = group.element_from_index(line_rep) + k0 * v
-    # {0} is a subgroup, so the constructor's is_subgroup convolution is skipped
-    prog = CosetProgression._derived(
-        group, anchor, (Arm(v, 0, length - 1),), GroupSubset.from_indices(group, [0])
-    )
-    ks = np.arange(length)[:, None]
-    values = np.full(group.order, -1, dtype=np.int64)
-    values[group.index_of_coords(np.asarray(anchor.coords) + ks * v.coords)] = (
-        dual.index_of_coords(dual_coords[t0] + ks * dual_coords[w])
-    )
-    return FreimanMap(prog, dual, values)
+    h = y_set.group
+    units = h.index_of_coords(np.eye(h.rank, dtype=np.int64))
+    choices = []
+    for e, m in zip(units, h.moduli):
+        ok = dual.index_of_coords(m * dual.coords_matrix) == 0
+        choices.append(np.flatnonzero(ok & u[e] if y_set.mask[e] else ok))
+    if math.prod(c.size for c in choices) > _HOM_CAP:
+        return np.zeros((0, h.order), dtype=np.int64)
+    w = np.stack(np.meshgrid(*choices, indexing="ij"), axis=-1).reshape(-1, h.rank)
+    # (maps, |H|, dual rank) coordinates of sum_i y_i w_i
+    return dual.index_of_coords(h.coords_matrix @ dual.coords_matrix[w])
 
 
 # -- headline containment experiment ---------------------------------------------
@@ -909,8 +787,8 @@ def main_theorem_experiment(
     must lie in [0, 2^64) (``rng.check_seed``).
 
     The search ladder: the full product, progressions over full or dense
-    rows with a Bohr witness on the common row-set, covering maps fitted to
-    the per-row Bogolyubov spectra, then a column progression through 0 and
+    rows with a Bohr witness on the common row-set, varieties from the cover
+    of the per-row Bogolyubov spectra, then a column progression through 0 and
     the pinned single point (0, y0) as floor, y0 the first point of D's
     zero column; when that column is empty no variety fits, since every
     Bohr row contains x = 0.  Every candidate is gated by the
@@ -919,7 +797,13 @@ def main_theorem_experiment(
     The dense rows come from one pass over the row sums, and their
     Bogolyubov spectra from one batched call (``fourier._bogolyubov_spectra``);
     each row's value set is the zero character and at most seven nonzero
-    frequencies, one row of the mask U that ``linear_cover`` takes.  The
+    frequencies, one row of the mask U that ``linear_cover`` takes.  Each
+    homomorphism the cover finds, each pair of them, and Gamma = {chi} for
+    each nonzero chi that U holds gives a candidate at rho = 1/4 and 1/8:
+    C is ``grow_progression_inside`` of the rows y whose level set
+    B(Gamma cup L(y); rho) fits D_y, row 0 among them.  A candidate whose
+    fitting rows hold no more points than the best variety so far is
+    skipped; it could not win, since the first of equal sizes does.  The
     column arm scores every element of the zero column at once
     (``_column_arm``).
     """
@@ -961,7 +845,7 @@ def main_theorem_experiment(
                         gx, witness.frequencies, witness.radius, prog, ()
                     )
                 )
-        # covering maps fitted to per-row Bogolyubov spectra
+        # varieties from the cover of the per-row Bogolyubov spectra
         if search_budget > 0:
             row_sizes = a.matrix.sum(axis=1)
             dense_rows = np.flatnonzero((row_sizes * 2 >= delta * gx.order) & (row_sizes > 0))
@@ -974,17 +858,38 @@ def main_theorem_experiment(
             if dense_rows.size:
                 yset = GroupSubset.from_indices(gy, dense_rows)
                 cover = linear_cover(yset, dual, u, rounds_cap=search_budget, seed=seed)
-                for fmap in cover.maps[1:]:
-                    # f(b + k v) = f(b) + k w on the finder's line b + [0, m) v:
-                    # f(b) joins Gamma and L(k v) = k w is linear on the
-                    # line moved to 0
-                    b, (arm,) = fmap.domain.base, fmap.domain.arms
-                    f_b = fmap(b)
-                    w = fmap(b + arm.generator) - f_b if arm.length > 1 else dual.zero
-                    centred = fmap.domain.translate(-b)
-                    lmap = linear_map_on_progression(centred, dual, [w])
-                    for rho_c in (Fraction(1, 4), Fraction(1, 8)):
-                        consider(BilinearVariety(gx, (f_b,), rho_c, centred, (lmap,)))
+                found = cover.maps[1:]
+                held = np.flatnonzero(u[dense_rows].any(axis=0))[1:]  # nonzero
+                # a source's rows take a map's value, or one held character
+                # on every row; chars[at[j, y]] is source j's character at y
+                chars, at = np.unique(
+                    np.concatenate([m.values for m in found] + [np.repeat(held, gy.order)]),
+                    return_inverse=True,
+                )
+                at = at.reshape(-1, gy.order)
+                k = len(found)
+                sources = (
+                    [(j,) for j in range(k)]
+                    + list(itertools.combinations(range(k), 2))
+                    + [(j,) for j in range(k, len(at))]
+                )
+                radii = (Fraction(1, 4), Fraction(1, 8))
+                levels = [level_masks(gx, chars, rho_c) for rho_c in radii]
+                outside = ~d.matrix
+                for src in sources:
+                    maps = tuple(found[j] for j in src if j < k)
+                    gamma = tuple(dual.element_from_index(int(held[j - k])) for j in src if j >= k)
+                    for rho_c, level in zip(radii, levels):
+                        # each row's level set over all of H; C grows
+                        # through 0 inside the rows where it fits D
+                        rows = np.logical_and.reduce([level[at[j]] for j in src])
+                        fits = ~np.any(rows & outside, axis=1)
+                        # C holds only fitting rows, so their sum bounds
+                        # |V|; at most the best so far, V cannot win
+                        top = max((v.size for v in candidates), default=0)
+                        if fits[0] and np.count_nonzero(rows[fits]) > top:
+                            prog = grow_progression_inside(GroupSubset(gy, fits), rank_cap=2)
+                            consider(BilinearVariety(gx, gamma, rho_c, prog, maps))
         # column progression through 0 with pinned x = 0
         best_arm = _column_arm(gy, d.matrix[:, 0])
         if best_arm is not None:

@@ -8,8 +8,9 @@ from typing import Sequence
 
 import numpy as np
 
+from bogolib.bilinear import BiSet
 from bogolib.bohr import bohr_mask
-from bogolib.groups import Character, FiniteAbelianGroup, GroupSubset
+from bogolib.groups import Character, FiniteAbelianGroup, GroupSubset, make_group
 from bogolib.progressions import FreimanMap
 
 _LINEAR_BLOCK = 1 << 20  # pair entries per block of the Freiman-linearity check
@@ -41,6 +42,19 @@ def is_freiman_linear(fmap: FreimanMap) -> bool:
         if np.any(lookup[diffs[inside]] != want):
             return False
     return True
+
+
+def planted_zero_set(moduli: Sequence[int], forms: int, seed: int) -> BiSet:
+    """The common zero set in G x G, G = Z_q^n with q = moduli[0], of
+    ``forms`` seeded random bilinear forms x . M_i y (mod q).  Row y is the
+    subgroup of x annihilated by the characters M_i y, so both difference
+    operators fix the set."""
+    g = make_group(moduli)
+    q = moduli[0]
+    m = np.random.default_rng([seed, forms, g.order]).integers(0, q, size=(forms, g.rank, g.rank))
+    c = g.coords_matrix
+    values = np.einsum("xa,iab,yb->iyx", c, m, c) % q
+    return BiSet(g, g, ~np.any(values, axis=0))
 
 
 def annulus_size(

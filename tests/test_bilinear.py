@@ -1,9 +1,13 @@
 """Bilinear sets, varieties, regularity, covering loop, experiment."""
 
 import hashlib
+import itertools
 import json
-from collections import Counter
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +35,10 @@ from bogolib.errors import PreconditionError
 from bogolib.groups import GroupSubset
 from bogolib.progressions import Arm, CosetProgression, FreimanMap
 from bogolib.rng import derive_rng
-from oracles import is_freiman_linear, row_differences
+from oracles import is_freiman_linear, planted_zero_set, row_differences
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import run as perfbench_run  # noqa: E402
 
 
 def test_difference_operator_examples():
@@ -494,237 +501,98 @@ def test_linear_cover_trivial_and_linear():
     assert linear_cover(GroupSubset.from_indices(h, [0, 1]), dual, lacking).complete
 
 
-def test_linear_cover_maps_are_freiman_linear_after_recentring():
-    h = bg.make_group([16])
-    dual = bg.make_group([16]).dual
-    y = GroupSubset.full(h)
-    u = _value_mask(h, dual, {i: [dual.element([0]), dual.element([3 * i])] for i in range(16)})
-    res = linear_cover(y, dual, u, rounds_cap=8, seed=5)
-    for m in res.maps:
-        dom = m.domain
-        base = dom.base
-        recent = dom.translate(-base)
-        base_val = m(base)
-        values = np.full(h.order, -1, dtype=np.int64)
-        for idx in recent.enumerate().indices():
-            src = base + h.element_from_index(int(idx))
-            values[idx] = (m(src) - base_val).index
-        assert is_freiman_linear(FreimanMap(recent, dual, values))
-
-
-def test_hom_finder_linear_data():
-    h = bg.make_group([16])
-    dual = bg.make_group([16]).dual
-    pts = np.full(16, -1, dtype=np.int64)
-    pts[::2] = [dual.element([5 * i]).index for i in range(0, 16, 2)]
-    m = exhaustive_hom_finder(h, dual, pts)
-    assert m is not None
-    agree = int(np.sum((pts >= 0) & (m.values == pts)))
-    assert agree >= 3
-
-
-def _brute_best_agreement(group, dual, points, min_agree=3):
-    """Best affine fit t(anchor + k v) = t0 + k w over every direction v and
-    every w, on the best-populated <v>-line anchored at its smallest k, in
-    GroupElement arithmetic; 0 when no line holds min_agree points."""
-    best = 0
-    for v in group.elements():
-        if v.is_zero:
+def _brute_homomorphisms(y_set, dual, value_sets):
+    """Every homomorphism L: H -> dual whose value at each unit vector e of
+    H lies in U_e when e is in Y, as a value table: every tuple of values on
+    the unit vectors, extended by L(y) = sum_i y_i L(e_i) and kept when
+    L(a + b) = L(a) + L(b) for all a, b, in GroupElement arithmetic.
+    Tuples run over the dual in index order, the last unit vector fastest."""
+    h = y_set.group
+    units = [h.element(tuple(int(i == j) for j in range(h.rank))) for i in range(h.rank)]
+    elems = list(h.elements())
+    tables = []
+    for ws in itertools.product(list(dual.elements()), repeat=h.rank):
+        if any(e.index in y_set and w.index not in value_sets[e.index] for e, w in zip(units, ws)):
             continue
-        line_of = {}
-        for p in points:
-            y = group.element_from_index(p)
-            line_of[p] = min(((y - k * v).index, k) for k in range(v.order))
-        counts = Counter(rep for rep, _ in line_of.values())
-        top = max(counts.values())
-        line = min(rep for rep, c in counts.items() if c == top)
-        on_line = sorted((k, p) for p, (rep, k) in line_of.items() if rep == line)
-        if len(on_line) < min_agree:
-            continue
-        k0, p0 = on_line[0]
-        t0 = points[p0]
-        for w in dual.elements():
-            agree = sum(1 for k, p in on_line if t0 + (k - k0) * w == points[p])
-            best = max(best, agree)
-    return best
-
-
-def test_hom_finder_agreement_matches_bruteforce():
-    rng = derive_rng(79)
-    shapes = [[8], [9], [12], [16], [4, 2], [2, 6], [2, 2, 2], [4, 4], [3, 3]]
-    found = 0
-    for case in range(120):
-        group = bg.make_group(shapes[case % len(shapes)])
-        dual = bg.make_group(shapes[int(rng.integers(0, len(shapes)))]).dual
-        size = int(rng.integers(3, group.order + 1))
-        idx = sorted(int(i) for i in rng.choice(group.order, size=size, replace=False))
-        if case % 2:
-            # planted affine data along a random direction, plus noise
-            v = group.element_from_index(int(rng.integers(1, group.order)))
-            w = dual.element_from_index(int(rng.integers(0, dual.order)))
-            points = {(k * v).index: k * w for k in range(v.order)}
-            for i in idx[: size // 3]:
-                points[i] = dual.element_from_index(int(rng.integers(0, dual.order)))
-        else:
-            points = {
-                i: dual.element_from_index(int(rng.integers(0, dual.order))) for i in idx
-            }
-        values = np.full(group.order, -1, dtype=np.int64)
-        for i, val in points.items():
-            values[i] = val.index
-        m = exhaustive_hom_finder(group, dual, values)
-        want = _brute_best_agreement(group, dual, points)
-        if want < 3:
-            assert m is None
-            continue
-        found += 1
-        # read the fitted line back from the map and recount its agreement
-        anchor, (arm,) = m.domain.base, m.domain.arms
-        v, t0 = arm.generator, m(anchor)
-
-        def agreement(w):
-            return sum(
-                1
-                for k in range(v.order)
-                if (anchor + k * v).index in points
-                and points[(anchor + k * v).index] == t0 + k * w
-            )
-
-        assert max(agreement(w) for w in dual.elements()) == want
-        if arm.hi >= 1:
-            assert agreement(m(anchor + v) - t0) == want
-    assert found >= 60
-
-
-def _hom_finder_oracle(group, dual, points, *, min_agree=3, direction_cap=64):
-    """The finder one direction at a time: for each direction v, its shifts
-    y - k v for k < ord(v), the best-populated line by np.unique, and the
-    agreement of every w on that line."""
-    pts_idx = np.flatnonzero(points >= 0)
-    if pts_idx.size == 0:
-        return None
-    pts_val = points[pts_idx]
-    pts_coords = group.coords_matrix[pts_idx]
-    dual_coords = dual.coords_matrix
-    units = [
-        group.element(tuple(1 if j == i else 0 for j in range(group.rank))).index
-        for i in range(group.rank)
-    ]
-    directions = units + [
-        idx for idx in range(1, min(group.order, direction_cap + 1)) if idx not in units
-    ]
-    best = None
-    for v_idx in directions:
-        v = group.element_from_index(v_idx)
-        if v.is_zero:
-            continue
-        ks = np.arange(v.order)
-        shifts = group.index_of_coords(
-            pts_coords[None, :, :] - ks[:, None, None] * np.asarray(v.coords)
-        )
-        reps = shifts.min(axis=0)
-        k_of = shifts.argmin(axis=0)
-        uniq, counts = np.unique(reps, return_counts=True)
-        line_rep = int(uniq[np.argmax(counts)])
-        on_line = np.flatnonzero(reps == line_rep)
-        if on_line.size < min_agree:
-            continue
-        anchor_pos = on_line[np.argmin(k_of[on_line])]
-        k0 = int(k_of[anchor_pos])
-        t0 = int(pts_val[anchor_pos])
-        steps = k_of[on_line] - k0
-        pred = dual.index_of_coords(
-            dual_coords[t0] + steps[:, None, None] * dual_coords[None, :, :]
-        )
-        agree_per_w = (pred == pts_val[on_line][:, None]).sum(axis=0)
-        w = int(np.argmax(agree_per_w))
-        agree = int(agree_per_w[w])
-        if best is None or agree > best[0]:
-            best = (agree, v, line_rep, k0, t0, w)
-    if best is None or best[0] < min_agree:
-        return None
-    _, v, line_rep, k0, t0, w = best
-    length = -(-v.order // 2)
-    anchor = group.element_from_index(line_rep) + k0 * v
-    prog = CosetProgression(
-        group, anchor, (Arm(v, 0, length - 1),), GroupSubset.from_indices(group, [0])
-    )
-    ks = np.arange(length)[:, None]
-    values = np.full(group.order, -1, dtype=np.int64)
-    values[group.index_of_coords(np.asarray(anchor.coords) + ks * v.coords)] = (
-        dual.index_of_coords(dual_coords[t0] + ks * dual_coords[w])
-    )
-    return FreimanMap(prog, dual, values)
+        table = [sum((c * w for c, w in zip(y.coords, ws)), dual.zero) for y in elems]
+        if all(table[(a + b).index] == table[a.index] + table[b.index] for a in elems for b in elems):
+            tables.append([val.index for val in table])
+    return tables
 
 
 def _finder_cases(rng):
-    """Seeded point sets: random values, planted lines with noise, two planted
-    lines of equal length (tied lines), lines sampled at even steps into a
-    dual of even exponent (tied w), and sets too small or too spread out to
-    reach min_agree."""
-    shapes = [[8], [12], [16], [4, 2], [2, 6], [2, 2, 2], [4, 4], [3, 3], [2, 3, 4], [6, 10]]
-    duals = [[8], [9], [12], [4, 2], [2, 6], [6, 4], [3, 3], [16]]
-    for case in range(200):
-        group = bg.make_group(shapes[case % len(shapes)])
-        dual = bg.make_group(duals[int(rng.integers(0, len(duals)))]).dual
-        kind = case % 5
-        values = np.full(group.order, -1, dtype=np.int64)
-        if kind == 0:
-            size = int(rng.integers(1, group.order + 1))
-            idx = rng.choice(group.order, size=size, replace=False)
-            values[idx] = rng.integers(0, dual.order, size=size)
-        elif kind in (1, 2, 3):
-            lines = 2 if kind == 2 else 1
-            for _ in range(lines):
-                v = group.element_from_index(int(rng.integers(1, group.order)))
-                base = group.element_from_index(int(rng.integers(0, group.order)))
-                t0 = dual.element_from_index(int(rng.integers(0, dual.order)))
-                w = dual.element_from_index(int(rng.integers(0, dual.order)))
-                stride = 2 if kind == 3 else 1
-                for k in range(0, v.order, stride):
-                    values[(base + k * v).index] = (t0 + k * w).index
-            noise = rng.choice(group.order, size=group.order // 4, replace=False)
-            if kind == 1:
-                values[noise] = rng.integers(0, dual.order, size=noise.size)
-        else:
-            # at most two points on any line through a few random directions
-            size = int(rng.integers(1, 3))
-            idx = rng.choice(group.order, size=size, replace=False)
-            values[idx] = rng.integers(0, dual.order, size=size)
-        yield group, dual, values
-    # many blocks of directions: 64 directions of Z256 against a Z256 dual
-    group = bg.make_group([256])
-    for _ in range(3):
-        values = np.full(256, -1, dtype=np.int64)
-        idx = rng.choice(256, size=100, replace=False)
-        values[idx] = rng.integers(0, 256, size=100)
-        values[np.arange(0, 256, 8)] = (np.arange(32) * 5) % 256
-        yield group, group.dual, values
+    """(H, dual of G, Y, U_y as index sets): a tie between two planted maps
+    on Z12, then seeded cases on cyclic and non-cyclic H with Y holding some
+    unit vectors and missing others, each U_y holding 0, a planted
+    homomorphism's value and noise."""
+    h = bg.make_group([12])
+    yield h, h.dual, GroupSubset.full(h), {y: {0, 5 * y % 12, 7 * y % 12} for y in range(12)}
+    shapes = []
+    for h_moduli, g_moduli in (([12], [12]), ([4, 2], [2, 6]), ([2, 2, 2], [2, 4]), ([3, 3], [9]), ([6], [4, 3])):
+        h, dual = bg.make_group(h_moduli), bg.make_group(g_moduli).dual
+        shapes.append((h, dual, _brute_homomorphisms(GroupSubset.from_indices(h, []), dual, {})))
+    for case in range(15):
+        h, dual, homs = shapes[case % len(shapes)]
+        y_idx = rng.choice(h.order, size=int(rng.integers(h.order // 2, h.order + 1)), replace=False)
+        y_set = GroupSubset.from_indices(h, y_idx)
+        planted = homs[int(rng.integers(0, len(homs)))]
+        value_sets = {
+            int(y): {0, planted[y], *rng.integers(0, dual.order, size=2).tolist()} for y in y_idx
+        }
+        yield h, dual, y_set, value_sets
 
 
-def _same_map(got, want):
-    if want is None:
-        return got is None
-    return (
-        got is not None
-        and got.domain.base == want.domain.base
-        and got.domain.arms == want.domain.arms
-        and np.array_equal(got.values, want.values)
-    )
+def test_hom_finder_and_cover_rounds_match_bruteforce():
+    rng = derive_rng(109)
+    ties = early_stops = inside = outside = 0
+    for case, (h, dual, y_set, value_sets) in enumerate(_finder_cases(rng)):
+        want = _brute_homomorphisms(y_set, dual, value_sets)
+        u = _value_mask(h, dual, {y: [dual.element_from_index(v) for v in vals] for y, vals in value_sets.items()})
+        assert exhaustive_hom_finder(y_set, dual, u).tolist() == want, case
+        units = [int(e) for e in h.index_of_coords(np.eye(h.rank, dtype=np.int64))]
+        inside += sum(e in y_set for e in units)
+        outside += sum(e not in y_set for e in units)
+        # each round adds the first map with the most uncovered points of U
+        res = linear_cover(y_set, dual, u, rounds_cap=4, seed=case, samples=2000)
+        covered = {y: {0} for y in value_sets}
+
+        def gains():
+            return [
+                sum(1 for y, vals in value_sets.items() if t[y] in vals - covered[y])
+                for t in want
+            ]
+
+        for fmap in res.maps[1:]:
+            g = gains()
+            assert max(g) > 0 and fmap.values.tolist() == want[g.index(max(g))], case
+            ties += g.count(max(g)) > 1
+            for y in value_sets:
+                covered[y] |= {fmap.values[y]} & value_sets[y]
+        if not res.complete and res.rounds < 4:
+            assert not any(gains()), case
+            early_stops += 1
+    assert ties and early_stops and inside and outside
 
 
-def test_hom_finder_matches_per_direction_oracle():
-    rng = derive_rng(101)
-    found = missing = 0
-    for case, (group, dual, values) in enumerate(_finder_cases(rng)):
-        min_agree = (3, 2, 4)[case % 3]
-        cap = (64, 5)[case % 2]
-        got = exhaustive_hom_finder(group, dual, values, min_agree=min_agree, direction_cap=cap)
-        want = _hom_finder_oracle(group, dual, values, min_agree=min_agree, direction_cap=cap)
-        assert _same_map(got, want), case
-        found += want is not None
-        missing += want is None
-    assert found >= 80 and missing >= 40
+def test_hom_finder_returns_nothing_above_the_cap(monkeypatch):
+    # Z2^4 into the dual of Z2^4 with no unit vector in Y: every one of the
+    # 16 characters is allowed at each of the four, 16^4 > _HOM_CAP maps
+    h = bg.make_group([2, 2, 2, 2])
+    dual = h.dual
+    y_set = GroupSubset.from_indices(h, [0, 3, 5, 15])
+    u = np.zeros((16, 16), dtype=bool)
+    u[:, 0] = True
+    assert 16**4 > bilinear._HOM_CAP
+    assert exhaustive_hom_finder(y_set, dual, u).shape == (0, 16)
+    # at the cap the maps are returned; one below it, none
+    small = bg.make_group([2, 2])
+    y_small = GroupSubset.from_indices(small, [0])
+    want = _brute_homomorphisms(y_small, small.dual, {})
+    assert len(want) == 16
+    monkeypatch.setattr(bilinear, "_HOM_CAP", 16)
+    assert exhaustive_hom_finder(y_small, small.dual, u[:4, :4]).tolist() == want
+    monkeypatch.setattr(bilinear, "_HOM_CAP", 15)
+    assert exhaustive_hom_finder(y_small, small.dual, u[:4, :4]).shape == (0, 4)
 
 
 def _condition_oracle(y_set, value_sets, maps, seed, rounds, samples):
@@ -930,10 +798,10 @@ _REPORT_DIGESTS = {
     ("Z24", "hv"): "646ee64fa36b0a24af81bb3b5d39472c7057d6488500a6db0524b54e7d50a45b",
     ("Z24", "vh"): "7570e1e3765d55c848fef1e4fd1e1dfcbab4e65e147bb5a21c4fa3f6d5081d41",
     ("Z24", "hvh"): "1acc4f49e53c7a0369b8d6afc1675cc96ee6478f3fa1f253c20b0e85b5e1cbf7",
-    ("Z28", "hv"): "48a3f136910640cfbca27fe5a824af276e28075843bab33b0a5c6a80d7884385",
+    ("Z28", "hv"): "5b39d972f2738c22046c0f12b1b88481cdc70da016eb88be10a66e9963c52110",
     ("Z28", "vh"): "9637871f682ca3000079cf5708c000ea2ba7ec22cc60be9d71c7d7aae9c30363",
     ("Z28", "hvh"): "fba29096cec49689c2361b24e59fcaf02e70f7786742ab344e4ef4199e41186c",
-    ("Z32", "hv"): "8a05fd8d09bb12e1e63140b47ea53f410c250fc428e17cc4b02706b7039df81c",
+    ("Z32", "hv"): "c9a00e03eda35a9d3791890f514580cd1919b618e706e748fb9314a498bda3e7",
     ("Z32", "vh"): "06247dc02bdf88a6849eba212a09b22dd5f0f0239754fd9e69c8846114da97b9",
     ("Z32", "hvh"): "300a02c92d161060b356485912e1bcd0c9d5b247f3a49d18adeea85b6863b790",
 }
@@ -949,9 +817,9 @@ def test_containment_reports_match_recorded_digests():
 
 # SHA-256 of every CoverResult (rounds, condition_fraction, complete, each
 # map's domain and values) that the nine Z24/Z28/Z32 x hv/vh/hvh containment
-# experiments at delta = 0.02, seeds 0-1, produce: covering maps win none of
-# these experiments, so the report digests cannot see the covering stage.
-_COVER_DIGEST = "9d0b69026f516f20fdb2f546e8eb693109b90bae37231ad93efd45946b6c3c40"
+# experiments at delta = 0.02, seeds 0-1, produce: covering maps win 9 of
+# these 18 experiments, and a report shows only the winner's map count.
+_COVER_DIGEST = "35be3fc2248d30adbb2d397cc6a152e82462c0f71791b4842c66b765fa209eb6"
 
 
 def _record_covers(monkeypatch) -> list:
@@ -992,8 +860,8 @@ def test_cover_results_match_recorded_digest(monkeypatch):
 # x Z256 at delta 0.02, seed 7, and Z64 x Z64 at delta 0.05, seed 2): there
 # the covering loop asks for tens of thousands of distinct difference rows.
 _LARGE_COVER_DIGESTS = {
-    (256, 0.02, 7): "0a056b39e4b52d4b11e2129083ac5f8f9226753ee7464f673acdd8757a65db32",
-    (64, 0.05, 2): "a91baadf6b6ccbce8e75b4d7df0533bfde33855687a04b68c8ec6c73cbaf2f9b",
+    (256, 0.02, 7): "ebe768e561175b49d40054758c1119948a2e0787870f71f54e4397c1274452a8",
+    (64, 0.05, 2): "2617fd44855e4d5f9d0a481145d29fe13c28dba1d17e435649112fa977fa0cb3",
 }
 
 
@@ -1062,11 +930,12 @@ def test_regularity_results_match_recorded_digest(monkeypatch):
 
 def test_covering_stage_wins_a_pinned_experiment():
     # Z32 x Z32, word vh, delta 0.1, seed 1: the largest verified variety
-    # is the covering stage's, one map over 144 cells; without the stage the
-    # ladder's best holds 96
+    # is the covering stage's, B(chi; 1/8) over 279 cells for a character
+    # chi of the per-row spectra; without the stage the ladder's best holds 96
     g = bg.make_group([32])
     out = main_theorem_experiment(g, g, 0.1, 1, search_budget=DEFAULT_BUDGET, word="vh")
-    assert len(out.variety.maps) == 1 and out.report["variety_size"] == 144
+    assert len(out.variety.gamma) == 1 and out.variety.maps == ()
+    assert out.report["variety_size"] == 279
     assert variety_membership_bruteforce(out.variety) == out.variety.enumerate()
     assert out.variety.enumerate().is_subset_of(out.difference_set)
     bare = main_theorem_experiment(g, g, 0.1, 1, search_budget=0, word="vh")
@@ -1075,8 +944,7 @@ def test_covering_stage_wins_a_pinned_experiment():
 
 def test_pinned_experiment_candidate_maps_are_freiman_linear(monkeypatch):
     # every candidate variety of the pinned Z32 vh instance, accepted or not:
-    # a cover map's line b + [0, m) v moves to 0 with L(0) = 0, also where
-    # b is not the line's smallest index
+    # a cover map is a homomorphism of H, so it is Freiman-linear on every C
     tried = []
 
     def record(variety, d):
@@ -1087,8 +955,74 @@ def test_pinned_experiment_candidate_maps_are_freiman_linear(monkeypatch):
     g = bg.make_group([32])
     main_theorem_experiment(g, g, 0.1, 1, search_budget=DEFAULT_BUDGET, word="vh")
     maps = [m for v in tried for m in v.maps]
-    assert len(maps) == 12
+    assert len(maps) == 50
     assert all(is_freiman_linear(m) for m in maps)
+
+
+_PLANTED = [
+    ([2, 2, 2, 2], 1),
+    ([2, 2, 2, 2, 2], 1),
+    ([3, 3, 3], 1),
+    ([2, 2, 2, 2, 2], 2),
+    ([3, 3, 3], 2),
+    ([4, 4], 1),
+    ([4, 4], 2),
+]
+
+
+def test_planted_zero_sets_are_recovered(monkeypatch):
+    # A is the zero set of one or two bilinear forms on Z_q^n, fed to the
+    # experiment in place of its sample at delta = |A| / |G|^2; D = A, and
+    # the cover's homomorphisms rebuild all of A on 18 of 21 instances.  In
+    # the misses the maps found span one combination of the forms: on Z3^3
+    # (two forms, seeds 0 and 2) the second map is a multiple of the first,
+    # and on Z4 x Z4 (two forms, seed 1) the cover is complete after one map
+    recovered = 0
+    for moduli, forms in _PLANTED:
+        for seed in (0, 1, 2):
+            a = planted_zero_set(moduli, forms, seed)
+            monkeypatch.setattr(bilinear, "sample_biset", lambda *args, a=a: a)
+            g = a.group_x
+            out = main_theorem_experiment(g, g, a.size / g.order**2, seed, word="hv")
+            assert out.difference_set == a, (moduli, forms, seed)
+            recovered += out.report["variety_size"] == a.size
+    assert recovered == 18
+
+
+# variety_size of the 45 contain-sparse benchmark experiments at seed 1,
+# recorded before the cover fitted exact homomorphisms (1,239 cells)
+_SPARSE_SIZES_BEFORE = [3] + [24] * 14 + [28] * 15 + [32] * 15
+
+
+def test_cover_varieties_do_not_shrink_on_the_benchmark_batch():
+    batch = perfbench_run.batch_inputs("contain-sparse", 1)
+    assert len(batch) == len(_SPARSE_SIZES_BEFORE)
+    for (n, word, delta, seed), before in zip(batch, _SPARSE_SIZES_BEFORE):
+        g = bg.make_group([n])
+        out = main_theorem_experiment(g, g, delta, seed, word=word)
+        assert out.report["variety_size"] >= before, (n, word, seed)
+    g = bg.make_group([32])
+    assert main_theorem_experiment(g, g, 0.1, 1, word="vh").report["variety_size"] >= 144
+
+
+def test_experiments_leave_numpy_ma_unimported():
+    # the first plain np.unique of a process imports numpy.ma (about 13 ms
+    # and 1.6 MiB), which the benchmark's set-up time and peak RSS would show
+    n, word, delta, seed = perfbench_run.batch_inputs("contain-sparse", 1)[0]
+    code = (
+        "import sys\n"
+        "import bogolib as bg\n"
+        "from bogolib.bilinear import main_theorem_experiment as run\n"
+        f"g = bg.make_group([{n}])\n"
+        f"run(g, g, {delta!r}, {seed}, word={word!r})\n"
+        "g = bg.make_group([32])\n"
+        "run(g, g, 0.1, 1, word='vh')\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(bg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def _column_arm_oracle(group, column):
