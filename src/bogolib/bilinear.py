@@ -265,7 +265,6 @@ class QRCheck:
     delta: float
     pass_i: bool
     pass_ii: bool
-    fail_fraction_i: float
     fail_fraction_ii: float
 
 
@@ -325,7 +324,6 @@ def qr_property_check(
         m2 / 2 / b0,
         int(fails_i.sum()) <= bound(n, n),
         fails_ii <= bound(n * n, n * n),
-        float(np.mean(fails_i)),
         fails_ii / (n * n),
     )
 
@@ -473,11 +471,13 @@ def regularity_partition(
         for cell in partition:
             for rho_c in candidates:
                 res = qr_property_check(cell, gamma, maps, rho_c, eta, group_x)
+                if rho_c == rho:  # a flagged cell keeps rho, and its delta there
+                    flagged = RegularityCell(cell, rho, res.delta, False)
                 if res.pass_i and res.pass_ii:
+                    cells.append(RegularityCell(cell, rho_c, res.delta, True))
                     break
-            certified = res.pass_i and res.pass_ii
-            rho_c = rho_c if certified else candidates[0]  # a flagged cell keeps rho
-            cells.append(RegularityCell(cell, rho_c, res.delta, certified))
+            else:
+                cells.append(flagged)
         if all(cell.certified for cell in cells):
             return RegularityResult(tuple(cells), True, steps, lattice)
         if single_first:
@@ -512,43 +512,21 @@ _HOM_CAP = 4096  # homomorphisms exhaustive_hom_finder enumerates at most
 class CoverResult:
     maps: tuple[FreimanMap, ...]
     rounds: int
-    condition_fraction: float
-    complete: bool
 
 
 def linear_cover(
-    y_set: GroupSubset,
-    dual: FiniteAbelianGroup,
-    u: np.ndarray,
-    rounds_cap: int = 16,
-    seed: int = 0,
-    *,
-    samples: int = 10_000,
+    y_set: GroupSubset, dual: FiniteAbelianGroup, u: np.ndarray, rounds_cap: int
 ) -> CoverResult:
     """Cover bounded character sets U_y by values of few homomorphisms.
 
-    Iterates while the triple condition
-    ``(U_{y+z} - U_z) cap (U_{y+w} - U_w) not subset (U'_{y+z} - U'_z) + (U'_{y+w} - U'_w)``
-    holds on an estimated alpha^4/2 fraction of (y, z, w); each round adds
-    the homomorphism H -> dual of ``exhaustive_hom_finder`` whose values
-    cover the most uncovered points of U on Y, the first on a tie.  The
-    finder's maps depend only on Y and U, so they are built once per call,
-    and the loop stops at the first round in which no map covers anything
-    new.  The zero map is always present.  U is the boolean
-    (|H|, |dual|) mask with row y the value set U_y of y in Y (each holding
-    the zero character 0), and the covered sets U' are a mask alike.
-
-    The estimate keeps the samples whose z and w lie in Y, then those whose
-    y + z and y + w do, and dedupes the quads (y+z, z, y+w, w) with one 1-D
-    ``np.unique`` on an int64 key.  The rows U_a - U_b and U'_a - U'_b of
-    the pairs (a, b) that occur come from member pairs, with no transform and
-    nothing kept across rounds: a block's X_a - X_b rows (X = U or U') are
-    one gather from the differences of the characters U holds on Y,
-    scattered into a mask.  U's member lists are built once per call, and
-    U''s again only when a round adds a map.  The two covered differences
-    are summed (batched exact real-FFT sumsets, ``groups._convolution_counts``)
-    only for quads whose left side is not inside either of them (both hold
-    0).
+    Each round adds the homomorphism H -> dual of ``exhaustive_hom_finder``
+    whose values cover the most uncovered points of U on Y, the first on a
+    tie.  The loop stops after ``rounds_cap`` rounds, or at the first round
+    in which no map covers anything new; ``rounds`` counts the maps added.
+    The finder's maps depend only on Y and U, so they are built once per
+    call.  The zero map is always present.  U is the boolean (|H|, |dual|)
+    mask with row y the value set U_y of y in Y (each holding the zero
+    character 0).
     """
     h = y_set.group
     y_idx = y_set.indices()
@@ -556,100 +534,24 @@ def linear_cover(
     if u.shape != (h.order, dual.order) or not u[y_idx, 0].all():
         raise PreconditionError("U must be an (|H|, |dual|) mask with 0 in every U_y")
     if y_idx.size == 0:
-        return CoverResult((), 0, 0.0, True)
+        return CoverResult((), 0)
     zero_map = FreimanMap(
         CosetProgression.whole_group(h), dual, np.zeros(h.order, dtype=np.int64)
     )
     maps: list[FreimanMap] = [zero_map]
     covered = np.zeros_like(u)
     covered[y_idx, 0] = True
-    alpha = y_set.size / h.order
-    threshold = alpha**4 / 2
-    # diff[i, j] = chars[i] - chars[j] over the characters U holds on Y
-    chars = np.flatnonzero(u[y_idx].any(axis=0))  # chars[0] is 0
-    diff = dual.add_indices(chars[:, None], dual.negation_permutation[chars][None, :])
-    width = int(u[y_idx].sum(axis=1).max())
-    # a block of quads has at most 2 step pairs, so its gather (width^2 a
-    # pair) and its rows (|dual| a pair) stay within 2^18 entries
-    step = max(1, (1 << 17) // max(dual.order, width * width))
-
-    def members(mask: np.ndarray) -> np.ndarray:
-        """Row y: the positions in ``chars`` of the members of row y of
-        ``mask`` (U, or U' inside it), padded to ``width`` with the position
-        of 0.  Every X_y on Y holds 0, so a pad adds only the differences
-        x - 0 and 0 - x' that X_a - X_b already holds; rows off Y are never
-        read."""
-        sub = mask[:, chars]
-        first = np.argsort(~sub, axis=1, kind="stable")[:, :width]
-        return np.where(np.take_along_axis(sub, first, axis=1), first, 0)
-
-    def difference_rows(mem: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row p: X_a[p] - X_b[p], from X's member lists ``mem``."""
-        rows = np.zeros((a.size, dual.order), dtype=bool)
-        rows[np.arange(a.size)[:, None, None], diff[mem[a][:, :, None], mem[b][:, None, :]]] = True
-        return rows
-
-    u_members = members(u)
-    covered_members = members(covered)
-
-    def condition_fraction(rng) -> float:
-        ys, zs, ws = (rng.integers(0, h.order, size=samples) for _ in range(3))
-        in_y = np.flatnonzero(y_set.mask[zs] & y_set.mask[ws])
-        ys, zs, ws = ys[in_y], zs[in_y], ws[in_y]
-        yz, yw = h.add_indices(ys, zs), h.add_indices(ys, ws)
-        keep = y_set.mask[yz] & y_set.mask[yw]
-        # a sample's pairs (y+z, z) and (y+w, w) are keyed a |H| + b and
-        # ranked; its quad is keyed by the two ranks, so one 1-D unique tests
-        # each distinct (y+z, z, y+w, w) once, weighted by its count
-        n_quads = int(keep.sum())
-        pairs, pair_of = np.unique(
-            np.concatenate([yz[keep], yw[keep]]) * h.order
-            + np.concatenate([zs[keep], ws[keep]]),
-            return_inverse=True,
-        )
-        quads, weight = np.unique(
-            pair_of[:n_quads] * pairs.size + pair_of[n_quads:], return_counts=True
-        )
-        hits = 0
-        for start in range(0, quads.size, step):
-            blk = quads[start : start + step]
-            ids, slot = np.unique(
-                np.concatenate([blk // pairs.size, blk % pairs.size]), return_inverse=True
-            )
-            left, right = slot[: blk.size], slot[blk.size :]
-            a, b = np.divmod(pairs[ids], h.order)
-            cov = difference_rows(covered_members, a, b)  # row p: U'_a - U'_b
-            # both covered differences hold 0, so their sum holds each of them
-            # and only the rest of the left side needs the sumset:
-            # (U_a - U_b) minus (U'_a - U'_b), on both sides
-            rest = difference_rows(u_members, a, b) & ~cov
-            need = rest[left] & rest[right]
-            open_rows = np.flatnonzero(need.any(axis=1))
-            if open_rows.size:
-                rhs = _convolution_counts(dual, cov[left[open_rows]], cov[right[open_rows]])
-                missed = np.any(need[open_rows] & (rhs == 0), axis=1)
-                hits += int(weight[start : start + step][open_rows[missed]].sum())
-        return hits / samples
-
-    rounds = 0
-    frac = 1.0
     tables = exhaustive_hom_finder(y_set, dual, u)
     on_y = tables[:, y_idx]
     in_u = u[y_idx, on_y]  # in_u[j, i]: map j's value at the i-th point of Y is in U
-    for rounds in range(rounds_cap + 1):
-        frac = condition_fraction(derive_rng(seed, 1000 + rounds))
-        if frac < threshold:
-            return CoverResult(tuple(maps), rounds, frac, True)
-        if rounds == rounds_cap:
-            break
+    for _ in range(rounds_cap):
         gains = np.count_nonzero(in_u & ~covered[y_idx, on_y], axis=1)
         if not gains.any():
             break
         best = int(gains.argmax())
         covered[y_idx, on_y[best]] |= in_u[best]
-        covered_members = members(covered)
         maps.append(FreimanMap(zero_map.domain, dual, tables[best]))
-    return CoverResult(tuple(maps), rounds, frac, False)
+    return CoverResult(tuple(maps), len(maps) - 1)
 
 
 def exhaustive_hom_finder(
@@ -797,9 +699,11 @@ def main_theorem_experiment(
     The dense rows come from one pass over the row sums, and their
     Bogolyubov spectra from one batched call (``fourier._bogolyubov_spectra``);
     each row's value set is the zero character and at most seven nonzero
-    frequencies, one row of the mask U that ``linear_cover`` takes.  Each
-    homomorphism the cover finds, each pair of them, and Gamma = {chi} for
-    each nonzero chi that U holds gives a candidate at rho = 1/4 and 1/8:
+    frequencies, one row of the mask U that ``linear_cover`` takes.  The
+    cover adds at most ``search_budget`` homomorphisms, and fewer when a
+    round's best map covers no new point of U.  Each homomorphism the cover
+    finds, each pair of them, and Gamma = {chi} for each nonzero chi that U
+    holds gives a candidate at rho = 1/4 and 1/8:
     C is ``grow_progression_inside`` of the rows y whose level set
     B(Gamma cup L(y); rho) fits D_y, row 0 among them.  A candidate whose
     fitting rows hold no more points than the best variety so far is
@@ -857,7 +761,7 @@ def main_theorem_experiment(
                 u[yi, hits[hits != 0][:7]] = True
             if dense_rows.size:
                 yset = GroupSubset.from_indices(gy, dense_rows)
-                cover = linear_cover(yset, dual, u, rounds_cap=search_budget, seed=seed)
+                cover = linear_cover(yset, dual, u, rounds_cap=search_budget)
                 found = cover.maps[1:]
                 held = np.flatnonzero(u[dense_rows].any(axis=0))[1:]  # nonzero
                 # a source's rows take a map's value, or one held character

@@ -18,7 +18,7 @@ DEMO_DIGESTS = {
     "02_bohr_sets.py": "3a9d77332946fbcf79f14c853f7619af3ae461491dc56430405cae72ba13afcc",
     "03_coset_progressions.py": "0aa8d6e24b8bde1292e2daa7ff54517ba905c4b623d2cb682da1aa41fad62829",
     "04_lattice_spanning.py": "574d59ee1283944daa50dc3af3f220493d614f5b6608e546be462aeb9eaaecb4",
-    "05_regularity_partition.py": "0efbed4accc1b33bd0215bf00f5a6f101ea6d0dddbaeb9fc64ba5d90c35289a3",
+    "05_regularity_partition.py": "f88c2a67b525cb2f91a86d67f12005c31bce18b04f2eb927300787ddb98f8f48",
     "06_difference_containment.py": "21e15296fcc558ccfc95f352c34c0aff37c7478ede0fcb3a92c4222ceb15c8f1",
 }
 
