@@ -676,6 +676,92 @@ def _column_arm(group: FiniteAbelianGroup, column: np.ndarray) -> Optional[tuple
     return best
 
 
+_SOURCE_BLOCK = 1 << 18  # level-set entries per block of scored cover sources
+_COVER_RADII = (Fraction(1, 4), Fraction(1, 8))
+
+
+def _score_sources(
+    level: np.ndarray, at: np.ndarray, pairs: np.ndarray, outside: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fitting rows and their point count for every cover source at one radius.
+
+    Source s takes at each y the level set ``level[at[a, y]] & level[at[b,
+    y]]``, (a, b) = pairs[s]; a single map or character repeats its row.
+    Row y fits when its set misses ``outside`` (the complement of D, one
+    row per y).  Returns fits, (sources, |H|), and count, (sources,), the
+    points of the fitting rows, from a block of sources at a time (about
+    ``_SOURCE_BLOCK`` entries).
+    """
+    fits = np.empty((len(pairs), outside.shape[0]), dtype=bool)
+    count = np.empty(len(pairs), dtype=np.int64)
+    block = max(1, _SOURCE_BLOCK // outside.size)
+    for start in range(0, len(pairs), block):
+        a, b = pairs[start : start + block].T
+        rows = level[at[a]] & level[at[b]]
+        ok = ~(rows & outside).any(axis=2)
+        fits[start : start + block] = ok
+        count[start : start + block] = np.where(ok, np.count_nonzero(rows, axis=2), 0).sum(axis=1)
+    return fits, count
+
+
+def _cover_varieties(
+    gx: FiniteAbelianGroup,
+    d: BiSet,
+    found: Sequence[FreimanMap],
+    held: np.ndarray,
+    top: int,
+) -> list[BilinearVariety]:
+    """The covering stage's verified candidates, in the order they are tried.
+
+    Sources: each found map, each pair of them, and Gamma = {chi} for each
+    held character chi (dual indices); each is tried at rho = 1/4, then
+    1/8.  C is ``grow_progression_inside`` of the rows y whose level set
+    B(Gamma cup L(y); rho) fits D, row 0 among them.  Every source is scored
+    in one ``_score_sources`` pass per radius before any candidate is built.
+    C holds only fitting rows, so their point count bounds |V|; a source
+    whose count is at most ``top``, the best size so far, is skipped, since
+    the first of equal sizes wins.  C is grown once per distinct set of
+    fitting rows, and every candidate is gated by ``variety_contained_in``.
+    """
+    gy, dual = d.group_y, gx.dual
+    k = len(found)
+    # chars[at[j, y]] is source row j's character at y: a map's value, or
+    # one held character on every row
+    chars, at = np.unique(
+        np.concatenate([m.values for m in found] + [np.repeat(held, gy.order)]),
+        return_inverse=True,
+    )
+    at = at.reshape(-1, gy.order)
+    sources = (
+        [(j,) for j in range(k)]
+        + list(itertools.combinations(range(k), 2))
+        + [(j,) for j in range(k, len(at))]
+    )
+    pairs = np.asarray([(src[0], src[-1]) for src in sources], dtype=np.int64).reshape(-1, 2)
+    outside = ~d.matrix
+    scores = [
+        _score_sources(level_masks(gx, chars, rho), at, pairs, outside) for rho in _COVER_RADII
+    ]
+    grown: dict[bytes, CosetProgression] = {}
+    out: list[BilinearVariety] = []
+    passing = np.stack([fits[:, 0] & (count > top) for fits, count in scores], axis=1)
+    for s, r in np.argwhere(passing):
+        fits, count = scores[r][0][s], scores[r][1][s]
+        if count <= top:
+            continue
+        key = fits.tobytes()
+        if key not in grown:
+            grown[key] = grow_progression_inside(GroupSubset(gy, fits), rank_cap=2)
+        src = sources[s]
+        maps = tuple(found[j] for j in src if j < k)
+        gamma = tuple(dual.element_from_index(int(held[j - k])) for j in src if j >= k)
+        v = BilinearVariety(gx, gamma, _COVER_RADII[r], grown[key], maps)
+        if variety_contained_in(v, d):
+            out.append(v)
+            top = max(top, v.size)
+    return out
+
+
 def main_theorem_experiment(
     gx: FiniteAbelianGroup,
     gy: FiniteAbelianGroup,
@@ -703,11 +789,11 @@ def main_theorem_experiment(
     cover adds at most ``search_budget`` homomorphisms, and fewer when a
     round's best map covers no new point of U.  Each homomorphism the cover
     finds, each pair of them, and Gamma = {chi} for each nonzero chi that U
-    holds gives a candidate at rho = 1/4 and 1/8:
-    C is ``grow_progression_inside`` of the rows y whose level set
-    B(Gamma cup L(y); rho) fits D_y, row 0 among them.  A candidate whose
-    fitting rows hold no more points than the best variety so far is
-    skipped; it could not win, since the first of equal sizes does.  The
+    holds is a source of candidates at rho = 1/4 and 1/8
+    (``_cover_varieties``): every source is scored in one pass per radius,
+    a source whose fitting rows hold no more points than the best variety
+    so far is skipped (it could not win, since the first of equal sizes
+    does), and C is grown once per distinct set of fitting rows.  The
     column arm scores every element of the zero column at once
     (``_column_arm``).
     """
@@ -762,38 +848,9 @@ def main_theorem_experiment(
             if dense_rows.size:
                 yset = GroupSubset.from_indices(gy, dense_rows)
                 cover = linear_cover(yset, dual, u, rounds_cap=search_budget)
-                found = cover.maps[1:]
                 held = np.flatnonzero(u[dense_rows].any(axis=0))[1:]  # nonzero
-                # a source's rows take a map's value, or one held character
-                # on every row; chars[at[j, y]] is source j's character at y
-                chars, at = np.unique(
-                    np.concatenate([m.values for m in found] + [np.repeat(held, gy.order)]),
-                    return_inverse=True,
-                )
-                at = at.reshape(-1, gy.order)
-                k = len(found)
-                sources = (
-                    [(j,) for j in range(k)]
-                    + list(itertools.combinations(range(k), 2))
-                    + [(j,) for j in range(k, len(at))]
-                )
-                radii = (Fraction(1, 4), Fraction(1, 8))
-                levels = [level_masks(gx, chars, rho_c) for rho_c in radii]
-                outside = ~d.matrix
-                for src in sources:
-                    maps = tuple(found[j] for j in src if j < k)
-                    gamma = tuple(dual.element_from_index(int(held[j - k])) for j in src if j >= k)
-                    for rho_c, level in zip(radii, levels):
-                        # each row's level set over all of H; C grows
-                        # through 0 inside the rows where it fits D
-                        rows = np.logical_and.reduce([level[at[j]] for j in src])
-                        fits = ~np.any(rows & outside, axis=1)
-                        # C holds only fitting rows, so their sum bounds
-                        # |V|; at most the best so far, V cannot win
-                        top = max((v.size for v in candidates), default=0)
-                        if fits[0] and np.count_nonzero(rows[fits]) > top:
-                            prog = grow_progression_inside(GroupSubset(gy, fits), rank_cap=2)
-                            consider(BilinearVariety(gx, gamma, rho_c, prog, maps))
+                top = max((v.size for v in candidates), default=0)
+                candidates += _cover_varieties(gx, d, cover.maps[1:], held, top)
         # column progression through 0 with pinned x = 0
         best_arm = _column_arm(gy, d.matrix[:, 0])
         if best_arm is not None:

@@ -29,6 +29,7 @@ from .groups import (
 )
 
 TOLERANCE = 1e-9
+_SPECTRA_BLOCK = 1 << 18  # entries per block of _bogolyubov_spectra's rows
 
 
 def dft(group: FiniteAbelianGroup, masks: np.ndarray) -> np.ndarray:
@@ -80,28 +81,35 @@ def _bogolyubov_spectra(group: FiniteAbelianGroup, rows: np.ndarray) -> list[np.
     B(Gamma; 1/4) inside 2A - 2A for every threshold below alpha^(3/2): the
     trivial character alone gives alpha^4, each kept character adds a term of
     nonnegative real part on B(Gamma; 1/4), and the excluded ones add at most
-    t^2 alpha in absolute value.  Every row is still checked exactly, one
-    ``bohr_mask`` call against 2A - 2A, and a failure raises
+    t^2 alpha in absolute value.  Every row is still checked exactly, its
+    ``bohr_mask`` against 2A - 2A, and a failure raises
     ``TheoremViolationError``.  A block of rows (about 2^18 entries) takes
-    two batched exact real-FFT counts for A - A and 2A - 2A and one
-    batched ``dft`` for the coefficients.
+    two batched exact real-FFT counts for A - A and 2A - 2A and one batched
+    ``dft`` for the coefficients; rows of the block with the same Gamma
+    share one ``bohr_mask`` call.
     """
     from .bohr import bohr_mask  # local import to avoid a cycle
 
     quarter = Fraction(1, 4)
     out: list[np.ndarray] = []
-    block = max(1, (1 << 18) // group.order)
+    block = max(1, _SPECTRA_BLOCK // group.order)
     for start in range(0, rows.shape[0], block):
         blk = rows[start : start + block]
         diff = _convolution_counts(group, blk) > 0
         target = _convolution_counts(group, diff, diff) > 0
         coeffs = np.abs(dft(group, blk))
-        for r in range(blk.shape[0]):
-            alpha = Fraction(int(blk[r].sum()), group.order)
-            hits = np.flatnonzero(coeffs[r] >= float(alpha * alpha / 2) - TOLERANCE)
-            if np.any(bohr_mask(group, hits, quarter) & ~target[r]):
+        # alpha^2/2 = |A|^2 / (2 |G|^2): both integers are exact in float64,
+        # so the one division is the correctly rounded threshold
+        threshold = blk.sum(axis=1) ** 2 / (2 * group.order**2)
+        hit = coeffs >= threshold[:, None] - TOLERANCE
+        inside: dict[bytes, np.ndarray] = {}  # one Bohr set per distinct Gamma
+        for r, h in enumerate(hit):
+            key = h.tobytes()
+            if key not in inside:
+                inside[key] = bohr_mask(group, np.flatnonzero(h), quarter)
+            if np.any(inside[key] & ~target[r]):
                 raise TheoremViolationError("Bogolyubov Bohr set escaped 2A - 2A")
-            out.append(hits)
+            out.append(np.flatnonzero(h))
     return out
 
 

@@ -546,9 +546,16 @@ def subgroup_generated(
 
 
 def is_subgroup(subset: GroupSubset) -> bool:
-    """Nonempty and closed under subtraction (checked via one convolution)."""
-    if subset.size == 0 or not subset.mask[0]:
+    """Nonempty and closed under subtraction.
+
+    A set holding 0 of size 1 or |G| is {0} or all of G, a subgroup by
+    counting; any other set takes one convolution, S - S = S.
+    """
+    size = subset.size
+    if size == 0 or not subset.mask[0]:
         return False
+    if size in (1, subset.group.order):
+        return True
     return subset.diffset(subset) == subset
 
 

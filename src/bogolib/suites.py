@@ -269,7 +269,9 @@ def check_dense_difference(seed: int) -> CheckResult:
         removable = int(b.size / 4 ** (k_eff + 1))
         idx = b.indices()
         drop = rng.choice(idx, size=min(removable, idx.size), replace=False)
-        a = GroupSubset.from_indices(g, np.setdiff1d(idx, drop))
+        kept = b.mask.copy()
+        kept[drop] = False
+        a = GroupSubset(g, kept)
         try:
             dense_difference_cover(a, freqs, rho)
         except BogolibError:

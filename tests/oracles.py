@@ -3,15 +3,16 @@ checked against.  None of them runs in the library's own jobs."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from bogolib.bilinear import BiSet
-from bogolib.bohr import bohr_mask
+from bogolib.bilinear import BilinearVariety, BiSet, variety_contained_in
+from bogolib.bohr import bohr_mask, level_masks
 from bogolib.groups import Character, FiniteAbelianGroup, GroupSubset, make_group
-from bogolib.progressions import FreimanMap
+from bogolib.progressions import FreimanMap, grow_progression_inside
 
 _LINEAR_BLOCK = 1 << 20  # pair entries per block of the Freiman-linearity check
 
@@ -42,6 +43,47 @@ def is_freiman_linear(fmap: FreimanMap) -> bool:
         if np.any(lookup[diffs[inside]] != want):
             return False
     return True
+
+
+def cover_varieties_loop(
+    gx: FiniteAbelianGroup,
+    d: BiSet,
+    found: Sequence[FreimanMap],
+    held: np.ndarray,
+    top: int,
+) -> tuple[np.ndarray, np.ndarray, list[BilinearVariety]]:
+    """``bilinear._cover_varieties`` one source and radius at a time: each
+    source's level sets straight from its map's values or its character,
+    its fitting rows and their point count, and, when row 0 fits and the
+    count beats the best size so far, C grown afresh and the candidate
+    verified.  Returns fits, (radii, sources, |H|), counts, (radii,
+    sources), and the verified candidates in the order they are tried."""
+    gy, dual = d.group_y, gx.dual
+    k = len(found)
+    tables = [m.values for m in found] + [np.full(gy.order, c) for c in held]
+    sources = (
+        [(j,) for j in range(k)]
+        + list(itertools.combinations(range(k), 2))
+        + [(j,) for j in range(k, len(tables))]
+    )
+    radii = (Fraction(1, 4), Fraction(1, 8))
+    fits = np.zeros((len(radii), len(sources), gy.order), dtype=bool)
+    counts = np.zeros((len(radii), len(sources)), dtype=np.int64)
+    accepted: list[BilinearVariety] = []
+    for s, src in enumerate(sources):
+        maps = tuple(found[j] for j in src if j < k)
+        gamma = tuple(dual.element_from_index(int(held[j - k])) for j in src if j >= k)
+        for r, rho in enumerate(radii):
+            rows = np.logical_and.reduce([level_masks(gx, tables[j], rho) for j in src])
+            fits[r, s] = ~np.any(rows & ~d.matrix, axis=1)
+            counts[r, s] = np.count_nonzero(rows[fits[r, s]])
+            best = max([top] + [v.size for v in accepted])
+            if fits[r, s, 0] and counts[r, s] > best:
+                prog = grow_progression_inside(GroupSubset(gy, fits[r, s]), rank_cap=2)
+                v = BilinearVariety(gx, gamma, rho, prog, maps)
+                if variety_contained_in(v, d):
+                    accepted.append(v)
+    return fits, counts, accepted
 
 
 def planted_zero_set(moduli: Sequence[int], forms: int, seed: int) -> BiSet:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import bogolib as bg
-from bogolib import bilinear, fourier, groups, suites
+from bogolib import bilinear, fourier, groups, progressions, suites
 from bogolib.bilinear import (
     BilinearVariety,
     BiSet,
@@ -35,7 +35,7 @@ from bogolib.errors import PreconditionError
 from bogolib.groups import GroupSubset
 from bogolib.progressions import Arm, CosetProgression, FreimanMap
 from bogolib.rng import derive_rng
-from oracles import is_freiman_linear, planted_zero_set, row_differences
+from oracles import cover_varieties_loop, is_freiman_linear, planted_zero_set, row_differences
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import run as perfbench_run  # noqa: E402
@@ -611,7 +611,7 @@ def test_convolution_rounding_margin_is_checked(monkeypatch):
     y_set = GroupSubset.full(h)
     z24 = bg.make_group([24])
 
-    def cover():  # its kernel call: the subgroup check of the zero map's domain
+    def cover():
         res = linear_cover(y_set, dual, _value_mask(h, dual, value_sets), rounds_cap=3)
         return res.rounds, [m.values.tolist() for m in res.maps]
 
@@ -626,12 +626,24 @@ def test_convolution_rounding_margin_is_checked(monkeypatch):
     runs = (
         lambda: a.sumset(b),
         lambda: groups._convolution_counts(g, a.mask, b.mask).tolist(),
-        cover,
         spectra,
         experiment,
         lambda: fourier.quadruple_count_all(a.group, a.mask).tolist(),
     )
     expected = [run() for run in runs]
+    # the cover makes no kernel call: the subgroup check of its zero map's
+    # domain, all of H, is decided by counting
+    kernel_calls = []
+
+    def counted(*args, real=groups._convolution_counts):
+        kernel_calls.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        for module in (groups, bilinear, progressions):
+            patch.setattr(module, "_convolution_counts", counted)
+        cover_result = cover()
+    assert kernel_calls == [] and cover_result[0] >= 1
     exact = groups._exact_counts  # both kernels' float counts enter their rounding here
 
     def shifted(offset):
@@ -640,6 +652,7 @@ def test_convolution_rounding_margin_is_checked(monkeypatch):
     for offset, fails in ((0.2, False), (0.3, True)):
         for module in (groups, fourier):
             monkeypatch.setattr(module, "_exact_counts", shifted(offset))
+        assert cover() == cover_result
         if not fails:  # inside the margin: the same sets, counts and reports
             assert [run() for run in runs] == expected
             continue
@@ -826,6 +839,60 @@ def test_pinned_experiment_candidate_maps_are_freiman_linear(monkeypatch):
     assert all(is_freiman_linear(m) for m in maps)
 
 
+def test_cover_scoring_matches_per_source_oracle(monkeypatch):
+    # the batched scores of every source and radius, the verified candidates
+    # and the experiment's winner equal the one-source-at-a-time loop's, on
+    # the contain-sparse batch at seed 1, Z2xZ4xZ4 and Z4xZ8 instances that
+    # the covering stage wins, and the Z256 instance of the large cover
+    # digests; then again with one source per scoring block
+    sparse = perfbench_run.batch_inputs("contain-sparse", 1)
+    instances = [([n], w, delta, seed) for n, w, delta, seed in sparse] + [
+        ([2, 4, 4], "vh", 0.1, 1),
+        ([4, 8], "hv", 0.1, 0),
+        ([256], "hv", 0.02, 7),
+    ]
+    real_cover, real_score = bilinear._cover_varieties, bilinear._score_sources
+    calls, scores = [], []
+
+    def recording_cover(*args):
+        scores.clear()
+        out = real_cover(*args)
+        calls.append((args, list(scores), out))
+        return out
+
+    def recording_score(*args):
+        scores.append(real_score(*args))
+        return scores[-1]
+
+    def reports():
+        out = []
+        for moduli, word, delta, seed in instances:
+            g = bg.make_group(moduli)
+            report = main_theorem_experiment(g, g, delta, seed, word=word).report
+            out.append({k: v for k, v in report.items() if k != "elapsed_ms"})
+        return out
+
+    monkeypatch.setattr(bilinear, "_score_sources", recording_score)
+    for block in (bilinear._SOURCE_BLOCK, 1):
+        monkeypatch.setattr(bilinear, "_SOURCE_BLOCK", block)
+        monkeypatch.setattr(bilinear, "_cover_varieties", recording_cover)
+        calls.clear()
+        batched = reports()
+        assert len(calls) == len(instances)
+        winners = 0
+        for args, got, accepted in calls:
+            fits, counts, want = cover_varieties_loop(*args)
+            assert np.array_equal(np.stack([f for f, _ in got]), fits)
+            assert np.array_equal(np.stack([c for _, c in got]), counts)
+            assert [v.describe() for v in accepted] == [v.describe() for v in want]
+            winners += bool(want) and max(v.size for v in want) > args[4]
+        assert winners == 29  # of 48 stages, these find a variety above the earlier rungs
+        monkeypatch.setattr(
+            bilinear, "_cover_varieties", lambda *args: cover_varieties_loop(*args)[2]
+        )
+        assert reports() == batched
+
+
 _PLANTED = [
     ([2, 2, 2, 2], 1),
     ([2, 2, 2, 2, 2], 1),
@@ -888,11 +955,14 @@ def test_experiments_leave_numpy_ma_unimported():
         "g = bg.make_group([32])\n"
         "run(g, g, 0.1, 1, word='vh')\n"
         "print('numpy.ma' in sys.modules)\n"
+        "from bogolib.suites import run_suite\n"
+        "run_suite('all', 1)\n"
+        "print('numpy.ma' in sys.modules)\n"
     )
     src = str(Path(bg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
 
 
 def _column_arm_oracle(group, column):

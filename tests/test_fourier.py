@@ -183,14 +183,19 @@ def test_bogolyubov_spectra_match_per_row_oracle(monkeypatch):
         rows[0, 5] = True  # a single point: every character is hit
         rows[1] = True
         oracle = [_bogolyubov_oracle(GroupSubset(g, row)) for row in rows]
-        # the whole batch, then one row at a time
+        # the whole batch, the batch one row per block, then one row at a time
         got = fourier._bogolyubov_spectra(g, rows)
+        assert all(np.array_equal(h, want) for h, want in zip(got, oracle))
+        with monkeypatch.context() as m:
+            m.setattr(fourier, "_SPECTRA_BLOCK", 1)
+            got = fourier._bogolyubov_spectra(g, rows)
         assert all(np.array_equal(h, want) for h, want in zip(got, oracle))
         singles = [fourier._bogolyubov_spectra(g, row[None])[0] for row in rows]
         assert all(np.array_equal(h, want) for h, want in zip(singles, oracle))
         one = bogolyubov_bohr_in_2A2A(GroupSubset(g, rows[2]))
         assert [chi.index for chi in one.frequencies] == oracle[2].tolist()
-        # a Bohr set that escapes 2A - 2A is caught by the exact check
+        # a Bohr set that escapes 2A - 2A is caught by the exact check: with
+        # every Bohr set all of G, row 1 is G and passes, row 0 escapes
         diff = GroupSubset(g, rows[0]).diffset(GroupSubset(g, rows[0]))
         assert diff.sumset(diff).size < g.order
         with monkeypatch.context() as m:
@@ -198,4 +203,25 @@ def test_bogolyubov_spectra_match_per_row_oracle(monkeypatch):
             with pytest.raises(TheoremViolationError):
                 fourier._bogolyubov_spectra(g, rows[:1])
             with pytest.raises(TheoremViolationError):
+                fourier._bogolyubov_spectra(g, rows[1::-1])
+            m.setattr(fourier, "_SPECTRA_BLOCK", 1)
+            with pytest.raises(TheoremViolationError):
+                fourier._bogolyubov_spectra(g, rows[1::-1])
+            with pytest.raises(TheoremViolationError):
                 bogolyubov_bohr_in_2A2A(GroupSubset(g, rows[0]))
+    # rows that share Gamma share one Bohr set, and each is still checked:
+    # in Z24, {0, 1, 2, 6} and {0} both hit every character, the first has
+    # 2A - 2A = G and passes, the second escapes
+    g = bg.make_group([24])
+    shared = np.zeros((2, 24), dtype=bool)
+    shared[0, [0, 1, 2, 6]] = shared[1, 0] = True
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(bohr, "bohr_mask", lambda *a: calls.append(a[1:]) or bohr_mask(*a))
+        got = fourier._bogolyubov_spectra(g, shared)
+    assert [h.tolist() for h in got] == [list(range(24))] * 2
+    assert [(c.tolist(), rho) for c, rho in calls] == [(list(range(24)), Fraction(1, 4))]
+    with monkeypatch.context() as m:
+        m.setattr(bohr, "bohr_mask", lambda grp, *_: np.ones(grp.order, dtype=bool))
+        with pytest.raises(TheoremViolationError):
+            fourier._bogolyubov_spectra(g, shared)
