@@ -24,17 +24,17 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .bohr import (
     BohrSet,
-    bohr_mask,
     char_distances,
-    level_masks,
+    max_distance,
     pinned_bohr_set,
     subgroup_bohr_set,
+    within_radius,
 )
 from .errors import (
     GroupMismatchError,
@@ -182,6 +182,23 @@ def linear_map_on_progression(
 # -- bilinear Bohr varieties ---------------------------------------------------
 
 
+def _check_maps(group_x: FiniteAbelianGroup, group_y: FiniteAbelianGroup, maps) -> None:
+    if any(m.codomain is not group_x.dual or m.domain.group is not group_y for m in maps):
+        raise GroupMismatchError("variety maps must run from H into the dual of G")
+
+
+def _distance_table(gx, gamma, maps, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma's row ``max_distance(gx, gamma)`` and the int64 table of rows ys,
+    one shared row when there are no maps: entry (i, x) is the max over Gamma
+    and L_1(y_i)..L_r(y_i) of e ||chi(x)||, e the exponent, thresholded by ``within_radius``."""
+    base = max_distance(gx, gamma)
+    table = base[None]
+    for fmap in maps:
+        uniq, inverse = np.unique(fmap.at(ys), return_inverse=True)
+        table = np.maximum(table, char_distances(gx, uniq)[inverse])
+    return base, table
+
+
 @dataclass(frozen=True, eq=False)
 class BilinearVariety:
     """Pairs (x, y): y in C and x in B(Gamma cup {L_1(y)..L_r(y)}; rho)."""
@@ -194,20 +211,14 @@ class BilinearVariety:
 
     def __post_init__(self):
         object.__setattr__(self, "rho", Fraction(self.rho))
-        for fmap in self.maps:
-            if fmap.codomain is not self.group_x.dual:
-                raise GroupMismatchError("variety maps must target the dual of G")
+        _check_maps(self.group_x, self.progression.group, self.maps)
 
     @cached_property
     def _biset(self) -> BiSet:
-        gx = self.group_x
-        gy = self.progression.group
+        gx, gy = self.group_x, self.progression.group
         ys = self.progression.enumerate().indices()
         mat = np.zeros((gy.order, gx.order), dtype=bool)
-        mat[ys] = bohr_mask(gx, self.gamma, self.rho)
-        for fmap in self.maps:
-            uniq, inverse = np.unique(fmap.at(ys), return_inverse=True)
-            mat[ys] &= level_masks(gx, uniq, self.rho)[inverse]
+        mat[ys] = within_radius(gx, _distance_table(gx, self.gamma, self.maps, ys)[1], self.rho)
         return BiSet(gx, gy, mat)
 
     def enumerate(self) -> BiSet:
@@ -265,7 +276,44 @@ class QRCheck:
     delta: float
     pass_i: bool
     pass_ii: bool
-    fail_fraction_ii: float
+
+
+def _cell_checks(
+    cell: CosetProgression, gamma, maps, radii: Iterable[Fraction], eta: Fraction, group_x
+) -> Iterator[tuple[Fraction, QRCheck]]:
+    """(rho, ``qr_property_check`` at rho) for each radius in turn, read off
+    the cell's one ``_distance_table`` only when the caller asks for it."""
+    ys = cell.enumerate().indices()
+    if ys.size == 0:
+        raise PreconditionError("empty cell")
+    n, order = ys.size, group_x.order
+    base, table = _distance_table(group_x, gamma, maps, ys)
+    table = np.broadcast_to(table, (n, order))
+
+    def bound(scale: int, top: int) -> int:
+        # floor(eta scale) clipped to [-1, top], for a statistic in [0, top]
+        return max(-1, min(eta.numerator * scale // eta.denominator, top))
+
+    row_bound, cap_i, cap_ii = bound(2 * order, 2 * order), bound(n, n), bound(n * n, n * n)
+    block = max(1, _PAIR_BLOCK // n)  # rows per block of pairs
+    for rho in radii:
+        row_masks = within_radius(group_x, table, rho)
+        b0 = int(np.count_nonzero(within_radius(group_x, base, rho)))
+        sizes = np.count_nonzero(row_masks, axis=1)
+        m2 = int(np.sort(sizes)[[(n - 1) // 2, n // 2]].sum())  # twice the median
+        fails_i = np.abs(2 * sizes - m2) > row_bound
+        pair_bound = bound(4 * b0 * order, 4 * order * order)
+        f = row_masks.astype(np.float64)
+        # one expression per block, so that no block's arrays outlive it (the
+        # float product holds exact integers)
+        fails_ii = sum(
+            int(np.count_nonzero(
+                np.abs(4 * b0 * (f[start : start + block] @ f.T).astype(np.int64) - m2 * m2)
+                > pair_bound
+            ))
+            for start in range(0, n, block)
+        )
+        yield rho, QRCheck(m2 / 2 / b0, int(fails_i.sum()) <= cap_i, fails_ii <= cap_ii)
 
 
 def qr_property_check(
@@ -282,50 +330,17 @@ def qr_property_check(
     b0 = |B(Gamma; rho_i)|; property (i) asks a 1 - eta fraction of rows to
     deviate by at most eta |G| from delta b0 = m, property (ii) the analogue
     for all n^2 ordered pairs of the cell's n rows, with delta^2 b0.  The
-    rows are the cell's rows of the bilinear Bohr variety, and b0 is one
-    ``bohr_mask`` (b0 >= 1: 0 lies in every Bohr set).  In integers, with
-    m2 = 2 m: a row fails when |2 size - m2| > floor(2 eta |G|), a pair when
-    |4 b0 inter - m2^2| > floor(4 b0 eta |G|), and a property holds when at
-    most floor(eta n) of its n rows or n^2 pairs fail.  Each floor is taken
-    in Python integers and clipped to its statistic's range, so every
+    rows and b0 are thresholds of the cell's ``_distance_table`` (b0 >= 1:
+    0 lies in every Bohr set).  In integers, with m2 = 2 m the sum of the two
+    middle sizes: a row fails when |2 size - m2| > floor(2 eta |G|), a pair
+    when |4 b0 inter - m2^2| > floor(4 b0 eta |G|), and a property holds when
+    at most floor(eta n) of its n rows or n^2 pairs fail.  Each floor is
+    taken in Python integers and clipped to its statistic's range, so every
     comparison is exact in int64 for |G| <= 2^30.  Pairs are counted about
     ``_PAIR_BLOCK`` at a time: O(n^2 |G|) time, and memory of one block.
     """
-    rho_i, eta = Fraction(rho_i), Fraction(eta)
-    ys = cell.enumerate().indices()
-    if ys.size == 0:
-        raise PreconditionError("empty cell")
-    variety = BilinearVariety(group_x, tuple(gamma), rho_i, cell, tuple(maps))
-    row_masks = variety.enumerate().matrix[ys]
-    b0 = int(bohr_mask(group_x, gamma, rho_i).sum())
-    sizes = row_masks.sum(axis=1)
-    m2 = int(2 * np.median(sizes))
-    order = group_x.order
-
-    def bound(scale: int, top: int) -> int:
-        # floor(eta scale) clipped to [-1, top], for a statistic in [0, top]
-        return max(-1, min(eta.numerator * scale // eta.denominator, top))
-
-    fails_i = np.abs(2 * sizes - m2) > bound(2 * order, 2 * order)
-    n = ys.size
-    pair_bound = bound(4 * b0 * order, 4 * order * order)
-    f = row_masks.astype(np.float64)
-    rows_per_block = max(1, _PAIR_BLOCK // n)
-    # one expression per block, so that no block's arrays outlive it (the
-    # float product holds exact integers)
-    fails_ii = sum(
-        int(np.count_nonzero(
-            np.abs(4 * b0 * (f[start : start + rows_per_block] @ f.T).astype(np.int64) - m2 * m2)
-            > pair_bound
-        ))
-        for start in range(0, n, rows_per_block)
-    )
-    return QRCheck(
-        m2 / 2 / b0,
-        int(fails_i.sum()) <= bound(n, n),
-        fails_ii <= bound(n * n, n * n),
-        fails_ii / (n * n),
-    )
+    _check_maps(group_x, cell.group, maps)
+    return next(_cell_checks(cell, gamma, maps, [Fraction(rho_i)], Fraction(eta), group_x))[1]
 
 
 # -- algebraic regularity partition ---------------------------------------------
@@ -347,15 +362,12 @@ class RegularityResult:
     relation_lattice: IntegerLattice
 
 
-def _rho_candidates(rho: Fraction, eta: Fraction) -> list[Fraction]:
+def _rho_candidates(rho: Fraction, eta: Fraction) -> Iterator[Fraction]:
     """Grid rho - j eta^2 rho / 1000 at ``_RHO_GRID_CAP`` evenly spread j in
-    [0, j_max], j_max = ceil(500 eta^-2).  For 0 < eta <= 1, j_max >= 500,
-    so the j = j_max t // (cap - 1) are distinct and ascending."""
-    j_max = math.ceil(500 / (eta * eta))
-    return [
-        rho - (j_max * t // (_RHO_GRID_CAP - 1)) * eta * eta * rho / 1000
-        for t in range(_RHO_GRID_CAP)
-    ]
+    [0, j_max], j_max = ceil(500 eta^-2), yielded lazily.  For 0 < eta <= 1,
+    j_max >= 500, so the j = j_max t // (cap - 1) are distinct and ascending."""
+    j_max, step = math.ceil(500 / (eta * eta)), eta * eta * rho / 1000
+    return (rho - (j_max * t // (_RHO_GRID_CAP - 1)) * step for t in range(_RHO_GRID_CAP))
 
 
 def _grid_cells(
@@ -447,20 +459,21 @@ def regularity_partition(
     Loop: certify cells at some grid radius; on failure extract a new
     vanishing coefficient vector of the maps, shrink Q_s (at first C itself)
     to the progression extracted from its Freiman-subgroup, and repartition.
-    eta must lie in (0, 1].  The relation lattice grows strictly
-    inside the box [-b, b]^r, b = ``_RELATION_BOX``, so the step count obeys
-    the chain-monitor budget; cells still failing at the cap are flagged
-    rather than forced.
+    eta must lie in (0, 1].  A cell's checks read the ``_rho_candidates``
+    grid off one ``_distance_table`` and stop at the first radius that
+    passes; a cell passing at none keeps rho and its delta there.  The
+    relation lattice grows strictly inside the box [-b, b]^r, b =
+    ``_RELATION_BOX``, so the step count obeys the chain-monitor budget;
+    cells still failing at the cap are flagged rather than forced.
     """
     if not c.is_symmetric or not c.is_proper():
         raise PreconditionError("C must be a proper symmetric coset progression")
     rho, eta = Fraction(rho), Fraction(eta)
     if not 0 < eta <= 1:
         raise PreconditionError("eta must be in (0, 1]")
-    candidates = _rho_candidates(rho, eta)
+    _check_maps(group_x, c.group, maps)
     # Q_s = qprog has arms (strides[j] v_j, -M_j, M_j) over C's generators v_j
-    strides = [1] * c.rank
-    qprog = c
+    strides, qprog = [1] * c.rank, c
     lattice = IntegerLattice(len(maps))
     budget = chain_monitor(max(1, len(maps)), _RELATION_BOX)
     steps = 0
@@ -469,8 +482,8 @@ def regularity_partition(
         partition = [c] if single_first else _grid_cells(c, strides, qprog)
         cells: list[RegularityCell] = []
         for cell in partition:
-            for rho_c in candidates:
-                res = qr_property_check(cell, gamma, maps, rho_c, eta, group_x)
+            checks = _cell_checks(cell, gamma, maps, _rho_candidates(rho, eta), eta, group_x)
+            for rho_c, res in checks:
                 if rho_c == rho:  # a flagged cell keeps rho, and its delta there
                     flagged = RegularityCell(cell, rho, res.delta, False)
                 if res.pass_i and res.pass_ii:
@@ -483,9 +496,8 @@ def regularity_partition(
         if single_first:
             single_first = False
             continue
-        if steps >= step_cap or steps >= budget:
-            return RegularityResult(tuple(cells), False, steps, lattice)
-        lam = _extract_relation(qprog, maps, lattice, _RELATION_BOX)
+        capped = steps >= step_cap or steps >= budget
+        lam = None if capped else _extract_relation(qprog, maps, lattice, _RELATION_BOX)
         if lam is None:
             return RegularityResult(tuple(cells), False, steps, lattice)
         # Freiman-subgroup of Q_s where the relation vanishes
@@ -494,8 +506,7 @@ def regularity_partition(
         acc = sum(coef * dual.coords_matrix[m.at(zs)] for coef, m in zip(lam, maps))
         vanish = np.all(acc % np.asarray(dual.moduli) == 0, axis=1)
         fset = GroupSubset.from_indices(c.group, zs[vanish])
-        alpha = Fraction(fset.size, qprog.size)
-        ext = extract_subprogression(fset, qprog, alpha)
+        ext = extract_subprogression(fset, qprog, Fraction(fset.size, qprog.size))
         strides = [s * ell for s, ell in zip(strides, ext.ells)]
         qprog = ext.progression
         lattice = lattice.with_row(lam)
@@ -739,8 +750,9 @@ def _cover_varieties(
     )
     pairs = np.asarray([(src[0], src[-1]) for src in sources], dtype=np.int64).reshape(-1, 2)
     outside = ~d.matrix
-    scores = [
-        _score_sources(level_masks(gx, chars, rho), at, pairs, outside) for rho in _COVER_RADII
+    scores = [  # a fresh distance table per radius, so that none is held across both
+        _score_sources(within_radius(gx, char_distances(gx, chars), rho), at, pairs, outside)
+        for rho in _COVER_RADII
     ]
     grown: dict[bytes, CosetProgression] = {}
     out: list[BilinearVariety] = []

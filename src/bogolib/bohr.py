@@ -89,13 +89,6 @@ def within_radius(group: FiniteAbelianGroup, dist: np.ndarray, radius: Fraction)
     return dist <= min(radius.numerator * e // radius.denominator, e // 2)
 
 
-def level_masks(
-    group: FiniteAbelianGroup, chars: np.ndarray, radius: Fraction
-) -> np.ndarray:
-    """Row i: the mask of {x : ||chi_i(x)|| <= radius}, chi_i = dual index chars[i]."""
-    return within_radius(group, char_distances(group, chars), radius)
-
-
 def bohr_mask(
     group: FiniteAbelianGroup,
     frequencies: "Sequence[Character] | np.ndarray",

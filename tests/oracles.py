@@ -4,15 +4,30 @@ checked against.  None of them runs in the library's own jobs."""
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from bogolib.bilinear import BilinearVariety, BiSet, variety_contained_in
-from bogolib.bohr import bohr_mask, level_masks
+from bogolib import bilinear
+from bogolib.bilinear import (
+    BilinearVariety,
+    BiSet,
+    RegularityCell,
+    RegularityResult,
+    qr_property_check,
+    variety_contained_in,
+)
+from bogolib.bohr import bohr_mask, char_distances, within_radius
 from bogolib.groups import Character, FiniteAbelianGroup, GroupSubset, make_group
-from bogolib.progressions import FreimanMap, grow_progression_inside
+from bogolib.lattices import IntegerLattice, chain_monitor
+from bogolib.progressions import (
+    CosetProgression,
+    FreimanMap,
+    extract_subprogression,
+    grow_progression_inside,
+)
 
 _LINEAR_BLOCK = 1 << 20  # pair entries per block of the Freiman-linearity check
 
@@ -74,7 +89,9 @@ def cover_varieties_loop(
         maps = tuple(found[j] for j in src if j < k)
         gamma = tuple(dual.element_from_index(int(held[j - k])) for j in src if j >= k)
         for r, rho in enumerate(radii):
-            rows = np.logical_and.reduce([level_masks(gx, tables[j], rho) for j in src])
+            rows = np.logical_and.reduce(
+                [within_radius(gx, char_distances(gx, tables[j]), rho) for j in src]
+            )
             fits[r, s] = ~np.any(rows & ~d.matrix, axis=1)
             counts[r, s] = np.count_nonzero(rows[fits[r, s]])
             best = max([top] + [v.size for v in accepted])
@@ -84,6 +101,67 @@ def cover_varieties_loop(
                 if variety_contained_in(v, d):
                     accepted.append(v)
     return fits, counts, accepted
+
+
+def rho_grid(rho: Fraction, eta: Fraction) -> list[Fraction]:
+    """The radii ``regularity_partition`` tries, as one list:
+    rho - j eta^2 rho / 1000 at 64 evenly spread j in [0, ceil(500 eta^-2)]."""
+    j_max = math.ceil(500 / (eta * eta))
+    return [rho - (j_max * t // 63) * eta * eta * rho / 1000 for t in range(64)]
+
+
+def regularity_partition_loop(
+    c: CosetProgression,
+    gamma: Sequence[Character],
+    maps: Sequence[FreimanMap],
+    rho: Fraction,
+    eta: Fraction,
+    step_cap: int,
+    group_x: FiniteAbelianGroup,
+) -> RegularityResult:
+    """``bilinear.regularity_partition`` with every cell tried at each radius
+    of ``rho_grid`` by its own from-scratch ``qr_property_check``; the same
+    loop of cells, relations and shrinking steps."""
+    rho, eta = Fraction(rho), Fraction(eta)
+    candidates = rho_grid(rho, eta)
+    strides, qprog = [1] * c.rank, c
+    lattice = IntegerLattice(len(maps))
+    budget = chain_monitor(max(1, len(maps)), bilinear._RELATION_BOX)
+    steps = 0
+    single_first = True
+    while True:
+        partition = [c] if single_first else bilinear._grid_cells(c, strides, qprog)
+        cells: list[RegularityCell] = []
+        for cell in partition:
+            for rho_c in candidates:
+                res = qr_property_check(cell, gamma, maps, rho_c, eta, group_x)
+                if rho_c == rho:
+                    flagged = RegularityCell(cell, rho, res.delta, False)
+                if res.pass_i and res.pass_ii:
+                    cells.append(RegularityCell(cell, rho_c, res.delta, True))
+                    break
+            else:
+                cells.append(flagged)
+        if all(cell.certified for cell in cells):
+            return RegularityResult(tuple(cells), True, steps, lattice)
+        if single_first:
+            single_first = False
+            continue
+        if steps >= step_cap or steps >= budget:
+            return RegularityResult(tuple(cells), False, steps, lattice)
+        lam = bilinear._extract_relation(qprog, maps, lattice, bilinear._RELATION_BOX)
+        if lam is None:
+            return RegularityResult(tuple(cells), False, steps, lattice)
+        dual = maps[0].codomain
+        zs = qprog.enumerate().indices()
+        acc = sum(coef * dual.coords_matrix[m.at(zs)] for coef, m in zip(lam, maps))
+        vanish = np.all(acc % np.asarray(dual.moduli) == 0, axis=1)
+        fset = GroupSubset.from_indices(c.group, zs[vanish])
+        ext = extract_subprogression(fset, qprog, Fraction(fset.size, qprog.size))
+        strides = [s * ell for s, ell in zip(strides, ext.ells)]
+        qprog = ext.progression
+        lattice = lattice.with_row(lam)
+        steps += 1
 
 
 def planted_zero_set(moduli: Sequence[int], forms: int, seed: int) -> BiSet:

@@ -31,11 +31,18 @@ from bogolib.bilinear import (
     variety_membership_bruteforce,
 )
 from bogolib.cli import DEFAULT_BUDGET, run_experiment
-from bogolib.errors import PreconditionError
+from bogolib.errors import GroupMismatchError, PreconditionError
 from bogolib.groups import GroupSubset
 from bogolib.progressions import Arm, CosetProgression, FreimanMap
 from bogolib.rng import derive_rng
-from oracles import cover_varieties_loop, is_freiman_linear, planted_zero_set, row_differences
+from oracles import (
+    cover_varieties_loop,
+    is_freiman_linear,
+    planted_zero_set,
+    regularity_partition_loop,
+    rho_grid,
+    row_differences,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import run as perfbench_run  # noqa: E402
@@ -307,12 +314,11 @@ def test_qr_check_against_direct_sizes():
     assert res.delta == float(np.median(sizes)) / base
 
 
-def _qr_check_oracle(cell, gamma, maps, rho_i, eta, group_x):
-    """``qr_property_check`` from its own numerator loop, one per character
-    of Gamma and one per map, with the radius compared in Python integers
-    and each property decided in ``Fraction``s: a row or pair fails when its
-    deviation exceeds eta |G|, and a property holds when the failing
-    fraction is at most eta."""
+def _qr_oracle_fractions(cell, gamma, maps, rho_i, eta, group_x):
+    """delta and the failing fractions of properties (i) and (ii), from a
+    numerator loop, one per character of Gamma and one per map, with the
+    radius compared in Python integers and each fraction a ``Fraction``: a
+    row or pair fails when its deviation exceeds eta |G|."""
     rho_i, eta = Fraction(rho_i), Fraction(eta)
     ys = cell.enumerate().indices()
     e = group_x.exponent
@@ -338,11 +344,14 @@ def _qr_check_oracle(cell, gamma, maps, rho_i, eta, group_x):
         far = [abs(v - centre) > eta * group_x.order for v in vals.tolist()]
         return Fraction(int(counts[far].sum()), values.size)
 
-    fail_i = fail_fraction(sizes, median)
-    fail_ii = fail_fraction(inter, median * median / b0)
-    return bilinear.QRCheck(
-        float(median) / b0, fail_i <= eta, fail_ii <= eta, float(fail_ii)
-    )
+    return float(median) / b0, fail_fraction(sizes, median), fail_fraction(inter, median * median / b0)
+
+
+def _qr_check_oracle(cell, gamma, maps, rho_i, eta, group_x):
+    """``qr_property_check`` from ``_qr_oracle_fractions``: a property holds
+    when its failing fraction is at most eta."""
+    delta, fail_i, fail_ii = _qr_oracle_fractions(cell, gamma, maps, rho_i, eta, group_x)
+    return bilinear.QRCheck(delta, fail_i <= eta, fail_ii <= eta)
 
 
 def test_qr_check_matches_numerator_loop_oracle():
@@ -390,9 +399,20 @@ def test_qr_check_matches_numerator_loop_oracle():
     gx, gy = bg.make_group([8]), bg.make_group([8])
     cell = CosetProgression.symmetric(gy, [(gy.element([1]), 2)])
     lmap = linear_map_on_progression(cell, gx.dual, [gx.dual.element([2])])
-    res = qr_property_check(cell, [], [lmap], Fraction(1, 8), Fraction(1, 4), gx)
-    assert res == _qr_check_oracle(cell, [], [lmap], Fraction(1, 8), Fraction(1, 4), gx)
-    assert res.pass_ii and res.fail_fraction_ii == 1 / 25
+    args = (cell, [], [lmap], Fraction(1, 8), Fraction(1, 4), gx)
+    res = qr_property_check(*args)
+    assert res == _qr_check_oracle(*args)
+    assert res.pass_ii and _qr_oracle_fractions(*args)[2] == Fraction(1, 25)
+    # one past property (i)'s bound: on Z10 x Z10 with L(y) = y on [-1, 1],
+    # rho = 3/10 and eta = 1/4, the rows hold 7, 7 and 10 points, so m2 = 14
+    # and row 0 deviates by 6 > floor(2 eta |G|) = 5; with floor(eta n) = 0
+    # failures allowed, property (i) fails
+    gx, gy = bg.make_group([10]), bg.make_group([10])
+    cell = CosetProgression.symmetric(gy, [(gy.element([1]), 1)])
+    lmap = linear_map_on_progression(cell, gx.dual, [gx.dual.element([1])])
+    args = (cell, [], [lmap], Fraction(3, 10), Fraction(1, 4), gx)
+    res = qr_property_check(*args)
+    assert res == _qr_check_oracle(*args) and not res.pass_i
 
 
 def test_qr_check_counts_every_pair():
@@ -406,7 +426,7 @@ def test_qr_check_counts_every_pair():
     res = qr_property_check(cell, [], [lmap], rho, eta, gx)
     assert res.pass_i and res.pass_ii is False
     assert res == _qr_check_oracle(cell, [], [lmap], rho, eta, gx)
-    assert res.fail_fraction_ii > eta
+    assert _qr_oracle_fractions(cell, [], [lmap], rho, eta, gx)[2] > eta
 
 
 def test_qr_check_memory_is_one_block():
@@ -762,26 +782,33 @@ def test_cover_results_on_large_duals_match_recorded_digests(monkeypatch):
 _REGULARITY_DIGEST = "f993deefae9d6c01fce16f17794289cc4a1c051367fb4f8d949b0e14113977bd"
 
 
+def _regularity_record(res) -> list:
+    """A RegularityResult as JSON-ready values: steps, certified, the
+    relation rows, and each cell's enumerated indices, rho, delta and
+    certified."""
+    return [
+        res.steps,
+        res.certified,
+        [list(row) for row in res.relation_lattice.rows],
+        [
+            [
+                cell.progression.enumerate().indices().tolist(),
+                str(cell.rho),
+                cell.delta.hex(),
+                cell.certified,
+            ]
+            for cell in res.cells
+        ],
+    ]
+
+
 def test_regularity_results_match_recorded_digest(monkeypatch):
     records = []
     real = bilinear.regularity_partition
 
     def recording(*args, **kwargs):
         res = real(*args, **kwargs)
-        records.append([
-            res.steps,
-            res.certified,
-            [list(row) for row in res.relation_lattice.rows],
-            [
-                [
-                    cell.progression.enumerate().indices().tolist(),
-                    str(cell.rho),
-                    cell.delta.hex(),
-                    cell.certified,
-                ]
-                for cell in res.cells
-            ],
-        ])
+        records.append(_regularity_record(res))
         return res
 
     monkeypatch.setattr(suites, "regularity_partition", recording)
@@ -806,6 +833,114 @@ def test_regularity_results_match_recorded_digest(monkeypatch):
     assert max(r[0] for r in records[5:]) == 2  # criterion 10 at seed 2 steps
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == _REGULARITY_DIGEST
+
+
+def _random_hom(h, dual, rng) -> FreimanMap:
+    """A seeded homomorphism H -> dual, as a map on all of H: each unit
+    vector of modulus m goes to a character w with m w = 0."""
+    w = [
+        int(rng.choice(np.flatnonzero(dual.index_of_coords(m * dual.coords_matrix) == 0)))
+        for m in h.moduli
+    ]
+    table = dual.index_of_coords(h.coords_matrix @ dual.coords_matrix[w])
+    return FreimanMap(CosetProgression.whole_group(h), dual, table)
+
+
+def test_regularity_matches_per_radius_loop_oracle():
+    # regularity_partition reads every radius of a cell off one distance
+    # table; the oracle tries each grid radius with its own from-scratch
+    # qr_property_check.  Instances: the Z64 gcd instance (L(y) = 16y) at
+    # eta = 1/8 and 1/4, alone, with Gamma = {chi} and with a second map;
+    # then G in {Z4xZ8, Z2xZ2xZ8} and H in {Z4xZ6 (C = [-1, 1] x [-2, 2]),
+    # Z2^5 (C = H)}, with one or two characters in Gamma, one or two
+    # homomorphisms and eta = 1/4 and 1/8
+    rng = derive_rng(139)
+    quarter = Fraction(1, 4)
+    etas = (Fraction(1, 8), quarter)
+    gx, gy = bg.make_group([64]), bg.make_group([64])
+    c = CosetProgression.symmetric(gy, [(gy.element([1]), 25)])
+    gcd_map = linear_map_on_progression(c, gx.dual, [gx.dual.element([16])])
+    generic = linear_map_on_progression(c, gx.dual, [gx.dual.element([7])])
+    instances = [
+        (c, gamma, maps, quarter, eta, 20, gx)
+        for gamma, maps in (([], [gcd_map]), ([gx.dual.element([8])], [gcd_map]), ([], [gcd_map, generic]))
+        for eta in etas
+    ]
+    for g_moduli in ([4, 8], [2, 2, 8]):
+        gx = bg.make_group(g_moduli)
+        for h_moduli in ([4, 6], [2] * 5):
+            gy = bg.make_group(h_moduli)
+            if h_moduli == [4, 6]:
+                c = CosetProgression.symmetric(gy, [(gy.element([1, 0]), 1), (gy.element([0, 1]), 2)])
+            else:
+                c = CosetProgression.whole_group(gy)
+            for k, r, eta in itertools.product((1, 2), (1, 2), etas):
+                gamma = [gx.dual.element_from_index(int(i)) for i in rng.integers(1, gx.order, size=k)]
+                maps = [_random_hom(gy, gx.dual, rng) for _ in range(r)]
+                instances.append((c, gamma, maps, quarter, eta, 12, gx))
+    for eta in etas:
+        assert list(bilinear._rho_candidates(quarter, eta)) == rho_grid(quarter, eta)
+    stepped = flagged = shrunk = 0
+    for args in instances:
+        res = regularity_partition(*args)
+        assert _regularity_record(res) == _regularity_record(regularity_partition_loop(*args))
+        stepped += res.steps > 0
+        flagged += sum(not cell.certified for cell in res.cells)
+        shrunk += sum(cell.certified and cell.rho < quarter for cell in res.cells)
+    # instances that take a step, flagged cells, cells certified below rho
+    assert (len(instances), stepped, flagged, shrunk) == (38, 4, 32, 52)
+
+
+def test_regularity_reads_each_cell_once(monkeypatch):
+    # demo 05's eta = 1/8 call visits 24 cells over its four partitions (one
+    # of them C itself): each builds one distance table for its own rows,
+    # and no variety is enumerated over all of H
+    tables, partitions = [], []
+    real_table, real_grid = bilinear._distance_table, bilinear._grid_cells
+
+    def counting_table(gx, gamma, maps, ys):
+        tables.append(ys.size)
+        return real_table(gx, gamma, maps, ys)
+
+    def counting_grid(*args):
+        partitions.append(real_grid(*args))
+        return partitions[-1]
+
+    def no_biset(variety):
+        pytest.fail("a variety was enumerated over all of H")
+
+    monkeypatch.setattr(bilinear, "_distance_table", counting_table)
+    monkeypatch.setattr(bilinear, "_grid_cells", counting_grid)
+    monkeypatch.setattr(BilinearVariety, "_biset", property(no_biset))
+    gx, gy = bg.make_group([64]), bg.make_group([64])
+    c = CosetProgression.symmetric(gy, [(gy.element([1]), 25)])
+    lmap = linear_map_on_progression(c, gx.dual, [gx.dual.element([16])])
+    res = regularity_partition(c, [], [lmap], Fraction(1, 4), Fraction(1, 8), 20, gx)
+    assert res.steps == 3 and len(res.cells) == 11
+    cells = [c] + [cell for partition in partitions for cell in partition]
+    assert len(tables) == len(cells) == 24
+    assert tables == [cell.size for cell in cells]
+
+
+def test_variety_maps_must_run_from_h():
+    # on Z16 a map built on a twin of H (a second make_group([16])) was
+    # accepted: the variety over C = [-5, 5] with L(y) = y at rho = 1/4 had
+    # 114 cells, and qr_property_check gave delta 0.5625, as on H itself
+    gx, gy, twin = bg.make_group([16]), bg.make_group([16]), bg.make_group([16])
+    c = CosetProgression.symmetric(gy, [(gy.element([1]), 5)])
+    c_twin = CosetProgression.symmetric(twin, [(twin.element([1]), 5)])
+    rho = Fraction(1, 4)
+    lmap = linear_map_on_progression(c, gx.dual, [gx.dual.element([1])])
+    assert BilinearVariety(gx, (), rho, c, (lmap,)).size == 114
+    assert qr_property_check(c, [], [lmap], rho, rho, gx).delta == 0.5625
+    into_twin = linear_map_on_progression(c, twin.dual, [twin.dual.element([1])])
+    for bad in (linear_map_on_progression(c_twin, gx.dual, [gx.dual.element([1])]), into_twin):
+        with pytest.raises(GroupMismatchError):
+            BilinearVariety(gx, (), rho, c, (bad,))
+        with pytest.raises(GroupMismatchError):
+            qr_property_check(c, [], [bad], rho, rho, gx)
+        with pytest.raises(GroupMismatchError):
+            regularity_partition(c, [], [bad], rho, rho, 8, gx)
 
 
 def test_covering_stage_wins_a_pinned_experiment():

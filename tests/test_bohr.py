@@ -11,7 +11,6 @@ from bogolib.bohr import (
     BohrSet,
     bohr_mask,
     char_distances,
-    level_masks,
     max_distance,
     pinned_bohr_set,
     subgroup_bohr_set,
@@ -117,7 +116,7 @@ def test_bohr_mask_matches_per_character_and():
 
 
 def test_distance_kernel_matches_scalar_oracle():
-    """``char_distances``, ``max_distance``, ``level_masks`` and ``bohr_mask``
+    """``char_distances``, ``max_distance``, ``within_radius`` and ``bohr_mask``
     against ``char_eval``/``torus_dist`` on every element of seeded groups,
     with no characters, exact levels, levels just off them and radii whose
     denominators times e pass 2^62."""
@@ -147,7 +146,7 @@ def test_distance_kernel_matches_scalar_oracle():
             Fraction(3, 4),
         ):
             wide += radius.denominator * e >= 1 << 62
-            levels = level_masks(g, idx, radius)
+            levels = within_radius(g, char_distances(g, idx), radius)
             assert levels.dtype == bool and levels.shape == (k, g.order)
             assert np.array_equal(levels, dists <= radius)
             mask = bohr_mask(g, chars, radius)

@@ -1,5 +1,6 @@
 """Record a benchmark point: run perfbench several times per workload and
-write the medians and quartiles of each end-to-end metric.
+write the medians and quartiles of each end-to-end metric and of each
+battery check's time.
 
     python3 tools/bench_record.py --pr <n> [--runs 5]
 
@@ -8,10 +9,13 @@ Run from the repository root.  Each run is one ``perfbench/run.py
 this checkout, one at a time; the workloads take turns, so that a slow
 stretch of the machine spreads over all of them.  The workloads, the
 end-to-end metrics and ``run_seconds`` are the ones ``BENCHMARK.json``
-lists.  The result goes to ``BENCH_<n>.json`` at the root, with the
-machine's CPU count and the Python, numpy and bogolib versions.  A run
-that is not correct, fails an operation or exits nonzero stops the
-recording with exit code 1.
+lists.  After each round of workloads, one ``python -m bogolib.cli
+--suite all`` process runs the battery at the seed the ``suite-all``
+workload uses, and each check's ``elapsed_ms`` is taken from its report.
+The result goes to ``BENCH_<n>.json`` at the root, with the machine's CPU
+count and the Python, numpy and bogolib versions.  A run that is not
+correct, fails an operation or exits nonzero, and a battery that does not
+pass, stops the recording with exit code 1.
 """
 
 from __future__ import annotations
@@ -27,6 +31,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import batch_inputs  # noqa: E402
+
+BATTERY_SEED = batch_inputs("suite-all", SEED)
 
 
 def run_once(workload: str, seconds: float) -> dict:
@@ -45,6 +54,20 @@ def run_once(workload: str, seconds: float) -> dict:
     if not result["correct"] or result["failed"]:
         raise RuntimeError(f"{workload}: incorrect run\n{out.stderr}")
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def check_times() -> dict:
+    """Each check's elapsed_ms in one battery report, as {name: ms}."""
+    argv = [sys.executable, "-m", "bogolib.cli", "--suite", "all", "--seed", str(BATTERY_SEED)]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, env=env)
+    if out.returncode != 0:
+        raise RuntimeError(f"battery: exit {out.returncode}\n{out.stderr}")
+    report = json.loads(out.stdout)
+    if not report["all_passed"]:
+        raise RuntimeError("battery: a check failed")
+    return {check["name"]: check["elapsed_ms"] for check in report["checks"]}
 
 
 def summarize(values: list[float]) -> dict:
@@ -76,10 +99,13 @@ def main(argv: list[str] | None = None) -> int:
     seconds = spec["run_seconds"]
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     samples: dict[str, list[dict]] = {w: [] for w in workloads}
+    checks: list[dict] = []
     for i in range(args.runs):
         for w in workloads:
             samples[w].append(run_once(w, seconds))
             print(f"run {i + 1}/{args.runs} {w}", file=sys.stderr)
+        checks.append(check_times())
+        print(f"run {i + 1}/{args.runs} battery", file=sys.stderr)
     record = {
         "command": f"perfbench/run.py --seed {SEED} --seconds {seconds:g} --trace 0",
         "cpus": os.cpu_count(),
@@ -90,6 +116,11 @@ def main(argv: list[str] | None = None) -> int:
                 for name, unit in units.items()
             }
             for w in workloads
+        },
+        "checks_command": f"python -m bogolib.cli --suite all --seed {BATTERY_SEED}",
+        "checks": {
+            name: {"unit": "ms", **summarize([run[name] for run in checks])}
+            for name in checks[0]
         },
     }
     path = ROOT / f"BENCH_{args.pr}.json"
