@@ -106,10 +106,6 @@ class BiSet:
 
     __hash__ = None
 
-    def column(self, x) -> GroupSubset:
-        idx = x.index if isinstance(x, GroupElement) else int(x)
-        return GroupSubset(self.group_y, self.matrix[:, idx].copy())
-
     def is_subset_of(self, other: "BiSet") -> bool:
         return not bool(np.any(self.matrix & ~other.matrix))
 
@@ -618,7 +614,7 @@ def sample_biset(
 
 
 def _bohr_inside(gx: FiniteAbelianGroup, allowed: GroupSubset) -> Optional[BohrSet]:
-    """Verified Bohr subset of a symmetric set containing 0, size >= 2.
+    """Verified Bohr subset of a set containing 0, size >= 2.
 
     Tries cyclic subgroups as Bohr sets (``subgroup_bohr_set``), then level
     sets of the single characters of index below 4096 (``char_distances``);
@@ -786,13 +782,19 @@ def main_theorem_experiment(
     and search for a verified bilinear Bohr variety inside it.  ``seed``
     must lie in [0, 2^64) (``rng.check_seed``).
 
-    The search ladder: the full product, progressions over full or dense
-    rows with a Bohr witness on the common row-set, varieties from the cover
-    of the per-row Bogolyubov spectra, then a column progression through 0 and
-    the pinned single point (0, y0) as floor, y0 the first point of D's
-    zero column; when that column is empty no variety fits, since every
-    Bohr row contains x = 0.  Every candidate is gated by the
-    exact containment verifier, and the largest verified variety wins.
+    The search runs in two stages, and every candidate is gated by the
+    exact containment verifier; the largest verified variety wins, the
+    first of equal sizes.  Stage one: each progression C through 0 in D's
+    zero column (the y with (0, y) in D), under the largest Bohr set that
+    fits the rows C has in common (``_bohr_inside``), or under
+    ``pinned_bohr_set`` = {0} when none does.  The progressions, in order:
+    all of H when every row of D is all of G, and then nothing else runs;
+    otherwise the progression grown in the full rows (when 0 is in them),
+    the longest arm 0, g, ..., m g in the column (``_column_arm``), and the
+    progression grown in the column.  When 0 is not in the column, the one
+    candidate is its first point y0 alone, and when the column is empty no
+    variety fits, since every Bohr row contains x = 0.  Stage two covers
+    the per-row Bogolyubov spectra by homomorphisms of H.
 
     The dense rows come from one pass over the row sums, and their
     Bogolyubov spectra from one batched call (``fourier._bogolyubov_spectra``);
@@ -805,77 +807,54 @@ def main_theorem_experiment(
     (``_cover_varieties``): every source is scored in one pass per radius,
     a source whose fitting rows hold no more points than the best variety
     so far is skipped (it could not win, since the first of equal sizes
-    does), and C is grown once per distinct set of fitting rows.  The
-    column arm scores every element of the zero column at once
-    (``_column_arm``).
+    does), and C is grown once per distinct set of fitting rows.
     """
     check_seed(seed)
     start = time.monotonic()
     a = sample_biset(gx, gy, delta, seed)
     d = iterated_difference(a, word)
+    column = d.matrix[:, 0]  # D's zero column: the y with (0, y) in D
+    full_rows = d.matrix.all(axis=1)
+    saturated = bool(full_rows.all())
+    progressions: list[CosetProgression] = []
+    if saturated:
+        progressions.append(CosetProgression.whole_group(gy))
+    elif column[0]:
+        if full_rows[0]:
+            progressions.append(grow_progression_inside(GroupSubset(gy, full_rows), rank_cap=2))
+        arm = _column_arm(gy, column)
+        if arm is not None:
+            arms = (Arm(gy.element_from_index(arm[0]), 0, arm[1]),)
+            trivial = GroupSubset.from_indices(gy, [0])
+            progressions.append(CosetProgression(gy, gy.zero, arms, trivial))
+        progressions.append(grow_progression_inside(GroupSubset(gy, column), rank_cap=2))
+    elif column.any():
+        y0 = gy.element_from_index(int(column.argmax()))
+        progressions.append(CosetProgression.singleton(y0))
     pin = pinned_bohr_set(gx)
-    trivial_sub = GroupSubset.from_indices(gy, [0])
     candidates: list[BilinearVariety] = []
-
-    def consider(v: BilinearVariety) -> bool:
+    for prog in progressions:
+        common = d.matrix[prog.enumerate().indices()].all(axis=0)
+        witness = _bohr_inside(gx, GroupSubset(gx, common)) or pin
+        v = BilinearVariety(gx, witness.frequencies, witness.radius, prog, ())
         if variety_contained_in(v, d):
             candidates.append(v)
-            return True
-        return False
-
-    # full product
-    full_ok = consider(
-        BilinearVariety(
-            gx, (), Fraction(1, 2), CosetProgression.whole_group(gy), ()
-        )
-    )
-    if not full_ok:
-        # rows of D that are all of G
-        full_rows = GroupSubset(gy, np.all(d.matrix, axis=1))
-        if 0 in full_rows:
-            prog = grow_progression_inside(full_rows, rank_cap=2)
-            consider(BilinearVariety(gx, (), Fraction(1, 2), prog, ()))
-        # dense-row progression with a Bohr witness on the common rows
-        col0 = d.column(gx.zero)
-        if 0 in col0:
-            prog = grow_progression_inside(col0, rank_cap=2)
-            common = d.matrix[prog.enumerate().indices()].all(axis=0)
-            witness = _bohr_inside(gx, GroupSubset(gx, common))
-            if witness is not None:
-                consider(
-                    BilinearVariety(
-                        gx, witness.frequencies, witness.radius, prog, ()
-                    )
-                )
-        # varieties from the cover of the per-row Bogolyubov spectra
-        if search_budget > 0:
-            row_sizes = a.matrix.sum(axis=1)
-            dense_rows = np.flatnonzero((row_sizes * 2 >= delta * gx.order) & (row_sizes > 0))
-            dual = gx.dual
-            u = np.zeros((gy.order, dual.order), dtype=bool)
-            u[dense_rows, 0] = True
-            for yi, hits in zip(dense_rows, _bogolyubov_spectra(gx, a.matrix[dense_rows])):
-                # the zero character, then at most seven nonzero frequencies
-                u[yi, hits[hits != 0][:7]] = True
-            if dense_rows.size:
-                yset = GroupSubset.from_indices(gy, dense_rows)
-                cover = linear_cover(yset, dual, u, rounds_cap=search_budget)
-                held = np.flatnonzero(u[dense_rows].any(axis=0))[1:]  # nonzero
-                top = max((v.size for v in candidates), default=0)
-                candidates += _cover_varieties(gx, d, cover.maps[1:], held, top)
-        # column progression through 0 with pinned x = 0
-        best_arm = _column_arm(gy, d.matrix[:, 0])
-        if best_arm is not None:
-            g, m = gy.element_from_index(best_arm[0]), best_arm[1]
-            prog = CosetProgression(gy, gy.zero, (Arm(g, 0, m),), trivial_sub)
-            consider(BilinearVariety(gx, pin.frequencies, pin.radius, prog, ()))
-    # floor: the single pinned point (0, y0)
-    zero_column = d.column(gx.zero).indices()
-    if zero_column.size:
-        y0 = gy.element_from_index(zero_column[0])
-        consider(
-            BilinearVariety(gx, pin.frequencies, pin.radius, CosetProgression.singleton(y0), ())
-        )
+    # varieties from the cover of the per-row Bogolyubov spectra
+    if search_budget > 0 and not saturated:
+        row_sizes = a.matrix.sum(axis=1)
+        dense_rows = np.flatnonzero((row_sizes * 2 >= delta * gx.order) & (row_sizes > 0))
+        dual = gx.dual
+        u = np.zeros((gy.order, dual.order), dtype=bool)
+        u[dense_rows, 0] = True
+        for yi, hits in zip(dense_rows, _bogolyubov_spectra(gx, a.matrix[dense_rows])):
+            # the zero character, then at most seven nonzero frequencies
+            u[yi, hits[hits != 0][:7]] = True
+        if dense_rows.size:
+            yset = GroupSubset.from_indices(gy, dense_rows)
+            cover = linear_cover(yset, dual, u, rounds_cap=search_budget)
+            held = np.flatnonzero(u[dense_rows].any(axis=0))[1:]  # nonzero
+            top = max((v.size for v in candidates), default=0)
+            candidates += _cover_varieties(gx, d, cover.maps[1:], held, top)
     best = max(candidates, key=lambda v: v.size) if candidates else None
     elapsed_ms = int((time.monotonic() - start) * 1000)
     report = {

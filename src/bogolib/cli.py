@@ -201,7 +201,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             )
             passed = report["verified"]
             if not passed:
-                # the pinned floor (0, y0) fits whenever D meets x = 0
+                # (0, y0) fits under {0} whenever D meets x = 0
                 print(
                     "not verified: D has no point with x = 0, and every "
                     "bilinear Bohr variety contains (0, y) for each of its rows",

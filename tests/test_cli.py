@@ -240,6 +240,20 @@ def test_cli_determinism_byte_identical(tmp_path):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_package_runs_as_a_module():
+    args = ["--group-g", "Z8", "--group-h", "Z8", "--delta", "0.5", "--seed", "3"]
+    reports = []
+    for module in ("bogolib", "bogolib.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *args], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        report.pop("elapsed_ms")
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_run_experiment_function():
     report = cli.run_experiment("Z16", "Z16", 0.3, 7)
     assert report["verified"]
