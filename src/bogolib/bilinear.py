@@ -48,7 +48,6 @@ from .groups import (
     GroupSubset,
     _combination_indices,
     _convolution_counts,
-    subgroup_generated,
 )
 from .lattices import IntegerLattice, annihilator_points, chain_monitor
 from .progressions import (
@@ -613,49 +612,50 @@ def sample_biset(
     return BiSet.from_flat_indices(gx, gy, flat)
 
 
-def _bohr_inside(gx: FiniteAbelianGroup, allowed: GroupSubset) -> Optional[BohrSet]:
-    """Verified Bohr subset of a set containing 0, size >= 2.
+_ARM_BLOCK = 1 << 18  # entries per block: ``_multiples``' coordinates, the witness's distances
 
-    Tries cyclic subgroups as Bohr sets (``subgroup_bohr_set``), then level
-    sets of the single characters of index below 4096 (``char_distances``);
-    returns the largest hit.
+
+def _multiples(group: FiniteAbelianGroup, gens: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """(g, indices of k g for k = 1..exponent) per block of the nonzero ``gens``
+    (indices), one row per g, about ``_ARM_BLOCK`` coordinates a block."""
+    gens = gens[gens != 0]
+    ks = np.arange(1, group.exponent + 1)[None, :, None]
+    block = max(1, _ARM_BLOCK // (ks.size * group.rank))
+    for start in range(0, gens.size, block):
+        g = gens[start : start + block]
+        yield g, group.index_of_coords(ks * group.coords_matrix[g][:, None, :])
+
+
+def _bohr_inside(gx: FiniteAbelianGroup, allowed: np.ndarray) -> BohrSet:
+    """The largest Bohr set inside ``allowed`` (a mask over ``gx`` holding 0),
+    the first of equal sizes: all of G when the mask is; else each <g> whose
+    multiples (``_multiples``) all lie in the mask, of size ord(g); else each
+    character chi of index below 4096 at its largest level set
+    {x : e ||chi(x)|| < m}, radius (m - 1)/e, m the least distance outside
+    the mask (one ``char_distances`` table per block of characters); else
+    {0} (``pinned_bohr_set``), as the others need two points.  No candidate is enumerated.
     """
-    if allowed.size == gx.order:
+    if allowed.all():
         return BohrSet(gx, (), Fraction(1, 2))
-    best: Optional[BohrSet] = None
-
-    def consider(cand: BohrSet):
-        nonlocal best
-        enum = cand.enumerate()
-        if enum.size >= 2 and enum.is_subset_of(allowed):
-            if best is None or enum.size > best.enumerate().size:
-                best = cand
-
-    e = gx.exponent
-    for xi in allowed.indices()[:16]:
-        xi = int(xi)
-        if xi == 0:
-            continue
-        cyc = subgroup_generated(gx, [gx.element_from_index(xi)])
-        if cyc.is_subset_of(allowed):
-            consider(subgroup_bohr_set(cyc))
-    dual = gx.dual
-    nonzero = np.asarray([i for i in allowed.indices() if i != 0][:4], dtype=np.int64)
-    chars = np.arange(1, min(dual.order, 4096), dtype=np.int64)
-    block = max(1, (1 << 16) // (gx.order * max(1, nonzero.size)))
+    best, size = pinned_bohr_set(gx), 1
+    for _, multiples in _multiples(gx, np.flatnonzero(allowed)):
+        order = (multiples == 0).argmax(axis=1) + 1
+        fit = np.where(allowed[multiples].all(axis=1), order, 0)
+        i = int(fit.argmax())
+        if fit[i] > size:
+            size = int(fit[i])
+            best = subgroup_bohr_set(GroupSubset.from_indices(gx, multiples[i]))  # <g>
+    chars = np.arange(1, min(gx.dual.order, 4096), dtype=np.int64)
+    block = max(1, _ARM_BLOCK // gx.order)
     for start in range(0, chars.size, block):
-        # level sets {dist <= dist[xi]} of a block of characters at once
         dist = char_distances(gx, chars[start : start + block])
-        radii = dist[:, nonzero]
-        levels = dist[:, None, :] <= radii[:, :, None]
-        fits = (levels.sum(axis=2) >= 2) & ~np.any(levels & ~allowed.mask, axis=2)
-        for row, col in np.argwhere(fits):
-            chi = dual.element_from_index(int(chars[start + row]))
-            consider(BohrSet(gx, (chi,), Fraction(int(radii[row, col]), e)))
+        m = dist[:, ~allowed].min(axis=1)
+        count = np.count_nonzero(dist < m[:, None], axis=1)
+        i = int(count.argmax())
+        if count[i] > size:
+            chi = gx.dual.element_from_index(int(chars[start + i]))
+            best, size = BohrSet(gx, (chi,), Fraction(int(m[i]) - 1, gx.exponent)), int(count[i])
     return best
-
-
-_ARM_BLOCK = 1 << 18  # coordinate entries of the column arm's multiples per block
 
 
 def _column_arm(group: FiniteAbelianGroup, column: np.ndarray) -> Optional[tuple[int, int]]:
@@ -663,19 +663,11 @@ def _column_arm(group: FiniteAbelianGroup, column: np.ndarray) -> Optional[tuple
     ``group``), as (index of g, m) with m >= 1, or None.
 
     For each nonzero g in the column, m is the first k >= 1 with k g outside
-    the column or k g = 0, less one; the first g (by index) with the largest
-    m wins.  All multiples k g, k = 1..exponent, are one index array per
-    block of generators (about ``_ARM_BLOCK`` coordinates); k = ord(g)
-    always stops, so m < ord(g) and the arm 0, g, ..., m g is proper.
+    the column or k g = 0 (``_multiples``), less one; the first g by index
+    with the largest m wins.  m < ord(g), so the arm 0, g, ..., m g is proper.
     """
-    gens = np.flatnonzero(column)
-    gens = gens[gens != 0]
-    ks = np.arange(1, group.exponent + 1)[None, :, None]
     best = None
-    block = max(1, _ARM_BLOCK // (ks.size * group.rank))
-    for start in range(0, gens.size, block):
-        g = gens[start : start + block]
-        multiples = group.index_of_coords(ks * group.coords_matrix[g][:, None, :])
+    for g, multiples in _multiples(group, np.flatnonzero(column)):
         runs = (~column[multiples] | (multiples == 0)).argmax(axis=1)
         i = int(runs.argmax())
         if runs[i] >= 1 and (best is None or runs[i] > best[1]):
@@ -750,6 +742,7 @@ def _cover_varieties(
         _score_sources(within_radius(gx, char_distances(gx, chars), rho), at, pairs, outside)
         for rho in _COVER_RADII
     ]
+    # sources share fitting rows; growing C per source made contain-sparse ~13% slower
     grown: dict[bytes, CosetProgression] = {}
     out: list[BilinearVariety] = []
     passing = np.stack([fits[:, 0] & (count > top) for fits, count in scores], axis=1)
@@ -785,16 +778,18 @@ def main_theorem_experiment(
     The search runs in two stages, and every candidate is gated by the
     exact containment verifier; the largest verified variety wins, the
     first of equal sizes.  Stage one: each progression C through 0 in D's
-    zero column (the y with (0, y) in D), under the largest Bohr set that
-    fits the rows C has in common (``_bohr_inside``), or under
-    ``pinned_bohr_set`` = {0} when none does.  The progressions, in order:
-    all of H when every row of D is all of G, and then nothing else runs;
-    otherwise the progression grown in the full rows (when 0 is in them),
-    the longest arm 0, g, ..., m g in the column (``_column_arm``), and the
-    progression grown in the column.  When 0 is not in the column, the one
-    candidate is its first point y0 alone, and when the column is empty no
-    variety fits, since every Bohr row contains x = 0.  Stage two covers
-    the per-row Bogolyubov spectra by homomorphisms of H.
+    zero column (the y with (0, y) in D), under its witness
+    ``_bohr_inside``: the exact largest Bohr set inside the rows C has in
+    common among all of G, the cyclic subgroups and the level sets of single
+    characters, or ``pinned_bohr_set`` = {0} when none has two points.  The
+    progressions, in order: all of H when every row of D is all of G, and
+    then nothing else runs; otherwise the progression grown in the full rows
+    (when 0 is in them), the longest arm 0, g, ..., m g in the column
+    (``_column_arm``), and the progression grown in the column.  When 0 is
+    not in the column, the one candidate is its first point y0 alone, and
+    when the column is empty no variety fits, since every Bohr row contains
+    x = 0.  Stage two covers the per-row Bogolyubov spectra by homomorphisms
+    of H.
 
     The dense rows come from one pass over the row sums, and their
     Bogolyubov spectra from one batched call (``fourier._bogolyubov_spectra``);
@@ -831,11 +826,9 @@ def main_theorem_experiment(
     elif column.any():
         y0 = gy.element_from_index(int(column.argmax()))
         progressions.append(CosetProgression.singleton(y0))
-    pin = pinned_bohr_set(gx)
     candidates: list[BilinearVariety] = []
     for prog in progressions:
-        common = d.matrix[prog.enumerate().indices()].all(axis=0)
-        witness = _bohr_inside(gx, GroupSubset(gx, common)) or pin
+        witness = _bohr_inside(gx, d.matrix[prog.enumerate().indices()].all(axis=0))
         v = BilinearVariety(gx, witness.frequencies, witness.radius, prog, ())
         if variety_contained_in(v, d):
             candidates.append(v)

@@ -627,6 +627,8 @@ def check_quasirandom_appendix(seed: int) -> CheckResult:
             "triples": triples,
             "correlation_failures": failures,
             "exhaustive_graphs": 1 << 16,
+            # eps > 0 is at least 3/32, so 3 eps^(1/8) > 2.2 bounds no box norm
+            "vacuous_graphs": int(np.count_nonzero(eps > 0)),
             "one_sided_violations": violations,
             "single_edge_box_norm_ok": box_ok,
         },
@@ -638,12 +640,14 @@ def check_quasirandom_appendix(seed: int) -> CheckResult:
 
 def check_main_theorem(seed: int) -> CheckResult:
     # every run takes the experiment's default word and budget; the first
-    # `crosschecks` small enough are re-checked by brute-force membership
+    # `crosschecks` small enough are re-checked by brute-force membership;
+    # a saturated run (D = G x H) is not counted as nontrivial
     orders, deltas = (16, 64, 256), (0.05, 0.1, 0.3)
     seeds_per_config, crosschecks = 10, 4
     failures = 0
     runs = 0
     nontrivial = 0
+    saturated = 0
     crosschecked = 0
     for order in orders:
         gx = bg.make_group([order])
@@ -656,6 +660,7 @@ def check_main_theorem(seed: int) -> CheckResult:
                 out = main_theorem_experiment(gx, gy, delta, int(run_seed))
                 runs += 1
                 rep = out.report
+                saturated += rep["d_size"] == gx.order * gy.order
                 if not rep["verified"]:
                     failures += 1
                     continue
@@ -663,7 +668,7 @@ def check_main_theorem(seed: int) -> CheckResult:
                     failures += 1
                 if rep["d_size"] > 1:
                     if rep["variety_size"] > 1:
-                        nontrivial += 1
+                        nontrivial += rep["d_size"] < gx.order * gy.order
                     else:
                         failures += 1
                 if crosschecked < crosschecks and gx.order * gy.order <= 4096:
@@ -680,6 +685,7 @@ def check_main_theorem(seed: int) -> CheckResult:
             "runs": runs,
             "failures": failures,
             "nontrivial": nontrivial,
+            "saturated": saturated,
             "crosschecked": crosschecked,
         },
     )

@@ -20,7 +20,13 @@ from bogolib.bilinear import (
     variety_contained_in,
 )
 from bogolib.bohr import bohr_mask, char_distances, within_radius
-from bogolib.groups import Character, FiniteAbelianGroup, GroupSubset, make_group
+from bogolib.groups import (
+    Character,
+    FiniteAbelianGroup,
+    GroupSubset,
+    make_group,
+    subgroup_generated,
+)
 from bogolib.lattices import IntegerLattice, chain_monitor
 from bogolib.progressions import (
     CosetProgression,
@@ -175,6 +181,32 @@ def planted_zero_set(moduli: Sequence[int], forms: int, seed: int) -> BiSet:
     c = g.coords_matrix
     values = np.einsum("xa,iab,yb->iyx", c, m, c) % q
     return BiSet(g, g, ~np.any(values, axis=0))
+
+
+def bohr_witness_bruteforce(gx: FiniteAbelianGroup, allowed: np.ndarray) -> np.ndarray:
+    """The mask of the largest Bohr set inside ``allowed`` that the
+    experiment's witness may take, by trying every candidate whole: all of G
+    when the mask is; else each <g>, g nonzero in the mask, by index
+    (``subgroup_generated``), then each character of index below
+    min(|dual|, 4096) at every radius r/e, r = 0..e//2 (``bohr_mask``).  The
+    first strictly larger set inside the mask with at least 2 points wins,
+    and {0} when none fits."""
+    if allowed.all():
+        return allowed.copy()
+    best = np.arange(gx.order) == 0
+    candidates = [
+        subgroup_generated(gx, [gx.element_from_index(int(g))]).mask
+        for g in np.flatnonzero(allowed)
+        if g != 0
+    ]
+    e = gx.exponent
+    for chi in range(1, min(gx.dual.order, 4096)):
+        chars = np.asarray([chi], dtype=np.int64)
+        candidates += [bohr_mask(gx, chars, Fraction(r, e)) for r in range(e // 2 + 1)]
+    for cand in candidates:
+        if cand.sum() > best.sum() and not (cand & ~allowed).any():
+            best = cand
+    return best
 
 
 def annulus_size(

@@ -208,11 +208,15 @@ def test_criterion_10_regularity(battery):
 def test_criterion_11_quasirandom(battery):
     measured = _criterion(battery, 11, "quasirandomness appendix (2^16 graphs exhaustive)")
     assert measured["exhaustive_graphs"] == 1 << 16
+    # every graph but the two with eps = 0 meets the bound vacuously
+    assert measured["vacuous_graphs"] == (1 << 16) - 2
 
 
 def test_criterion_12_main_theorem(battery):
     measured = _criterion(battery, 12, "main containment experiment batch", budget_s=600)
     assert measured["runs"] >= 30
+    # saturated runs (D = G x H) are not counted as nontrivial
+    assert (measured["saturated"], measured["nontrivial"]) == (80, 10)
 
 
 def _strip_timing(obj):
@@ -225,7 +229,7 @@ def _strip_timing(obj):
 
 # SHA-256 of the stripped run_suite("all", SEED) report: pins its bytes, not
 # only their repeatability
-BATTERY_DIGEST = "abdb479c65e00a453a60cf1a783e14761bc2cd641bca372ab299fcce1f6cb7f6"
+BATTERY_DIGEST = "8fcb79feddee5bc7c1346f191529e7a76eca3476d0df659b27439b0a8238c14e"
 
 
 def test_criterion_13_determinism(battery):

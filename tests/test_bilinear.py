@@ -36,6 +36,7 @@ from bogolib.groups import GroupSubset
 from bogolib.progressions import Arm, CosetProgression, FreimanMap
 from bogolib.rng import derive_rng
 from oracles import (
+    bohr_witness_bruteforce,
     cover_varieties_loop,
     is_freiman_linear,
     planted_zero_set,
@@ -1153,6 +1154,22 @@ def test_column_arm_matches_loop_oracle(monkeypatch):
     assert bilinear._column_arm(z12, np.isin(np.arange(12), [0, 1, 4, 8])) == (4, 2)
     assert bilinear._column_arm(z12, np.isin(np.arange(12), [0, 6])) == (6, 1)
     assert bilinear._column_arm(z12, np.isin(np.arange(12), [0])) is None
+
+
+def test_bohr_witness_is_the_bruteforce_optimum(monkeypatch):
+    # the witness against every cyclic subgroup and every single-character
+    # level set tried whole, on seeded masks that hold 0
+    rng = derive_rng(110)
+    for moduli in ([12], [16], [30], [2, 4], [3, 6], [2, 2, 4], [4, 8]):
+        g = bg.make_group(moduli)
+        for case in range(40):
+            mask = rng.random(g.order) < rng.random()
+            mask[0] = True
+            want = bohr_witness_bruteforce(g, mask)
+            for block in (1 << 18, g.exponent * g.rank * (case % 2 + 1)):
+                monkeypatch.setattr(bilinear, "_ARM_BLOCK", block)
+                got = bilinear._bohr_inside(g, mask).enumerate().mask
+                assert np.array_equal(got, want), (moduli, case)
 
 
 # variety_size of the short-word experiments, recorded while the column arm

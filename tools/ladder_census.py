@@ -18,7 +18,12 @@ winner shrank.  The batches:
 - ``non-cyclic``: Z2^5, Z2xZ4xZ4 and Z4xZ8, G = H, words hv, vh and hvh,
   delta 0.1, seeds 0-2 (27);
 - ``short-words``: Z16 with h, hh, v and vv at delta 0.05, seeds 0-39, and
-  Z24 to Z32 with h and v at delta 0.02, seeds 0-9 (340).
+  Z24 to Z32 with h and v at delta 0.02, seeds 0-9 (340);
+- ``non-cyclic-gh``: G from the ten shapes of ``SHAPES`` and H from the
+  first five, words h, v, hv, vh and hvh, delta 0.05 and 0.1, seeds 0-1
+  (1,000).
+
+A batch that BEFORE.json lacks is printed as having no baseline.
 """
 
 from __future__ import annotations
@@ -47,6 +52,24 @@ PLANTED = [  # (moduli, forms), each at seeds 0-2
     ([4, 4], 2),
 ]
 
+# non-cyclic shapes of order 16-64; H is drawn from the first five
+SHAPES = (
+    [2, 2, 2, 2],
+    [2, 2, 2, 2, 2],
+    [4, 4],
+    [2, 8],
+    [4, 8],
+    [2, 4, 4],
+    [3, 3, 3],
+    [2, 2, 16],
+    [4, 4, 4],
+    [2, 2, 2, 2, 2, 2],
+)
+
+
+def spec(moduli) -> str:
+    return "x".join(f"Z{q}" for q in moduli)
+
 
 def entry(report: dict) -> dict:
     report = {k: v for k, v in report.items() if k != "elapsed_ms"}
@@ -58,12 +81,13 @@ def entry(report: dict) -> dict:
 
 
 def experiments(instances) -> dict:
-    """{key: entry} of main_theorem_experiment on (moduli, word, delta, seed)."""
+    """{key: entry} of main_theorem_experiment on (moduli, word, delta, seed)
+    with G = H, or on (moduli of G, moduli of H, word, delta, seed)."""
     out = {}
-    for moduli, word, delta, seed in instances:
-        g = bg.make_group(moduli)
-        key = f"{'x'.join(f'Z{q}' for q in moduli)} {word} {delta!r} {seed}"
-        out[key] = entry(main_theorem_experiment(g, g, delta, seed, word=word).report)
+    for *shapes, word, delta, seed in instances:
+        gx, gy = bg.make_group(shapes[0]), bg.make_group(shapes[-1])
+        key = f"{' '.join(spec(m) for m in shapes)} {word} {delta!r} {seed}"
+        out[key] = entry(main_theorem_experiment(gx, gy, delta, seed, word=word).report)
     return out
 
 
@@ -77,7 +101,7 @@ def planted() -> dict:
                 bilinear.sample_biset = lambda *args, a=a: a
                 g = a.group_x
                 report = main_theorem_experiment(g, g, a.size / g.order**2, seed, word="hv").report
-                out[f"{'x'.join(f'Z{q}' for q in moduli)} forms={forms} {seed}"] = entry(report)
+                out[f"{spec(moduli)} forms={forms} {seed}"] = entry(report)
     finally:
         bilinear.sample_biset = real
     return out
@@ -114,6 +138,14 @@ def census() -> dict:
         for w in ("hv", "vh", "hvh")
         for s in range(3)
     ]
+    non_cyclic_gh = [
+        (g, h, w, d, s)
+        for g in SHAPES
+        for h in SHAPES[:5]
+        for w in ("h", "v", "hv", "vh", "hvh")
+        for d in (0.05, 0.1)
+        for s in range(2)
+    ]
     return {
         "planted": planted(),
         "contain-sparse": experiments(benchmark("contain-sparse", (1, 2, 3))),
@@ -121,6 +153,7 @@ def census() -> dict:
         "criterion-12": criterion_12(),
         "non-cyclic": experiments(non_cyclic),
         "short-words": experiments(short),
+        "non-cyclic-gh": experiments(non_cyclic_gh),
     }
 
 
@@ -128,6 +161,9 @@ def compare(now: dict, before: dict) -> int:
     """Print each batch's counts and changed instances; the number of shrinks."""
     shrinks = 0
     for batch, entries in now.items():
+        if batch not in before:
+            print(f"{batch} ({len(entries)}): no baseline")
+            continue
         counts = {"shrunk": 0, "grown": 0, "re-described": 0, "unchanged": 0}
         lines = []
         for key, e in entries.items():
