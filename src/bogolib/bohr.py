@@ -350,7 +350,9 @@ def large_spectrum_certify(
     if chi.group is not dual:
         raise GroupMismatchError("chi must live in the dual group")
     cutoff = spectrum_cutoff(k, eta, epsilon)
-    which, vecs = box_preimages(dual, freqs, cutoff, np.asarray([chi.index]), first=True)
+    which, vecs = box_preimages(
+        dual, freqs, [(-cutoff, cutoff)] * k, np.asarray([chi.index]), first=True
+    )
     if which.size == 0:
         return None
     # canonicalize each coefficient to the balanced residue mod the

@@ -69,25 +69,15 @@ def row_hermite(rows: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
     return [work[i] for i in keep], [trans[i] for i in keep]
 
 
-def solve_row_lattice(
-    vec: Sequence[int], rows: Sequence[Sequence[int]]
-) -> Optional[list[int]]:
-    """Integer coefficients expressing ``vec`` over ``rows``, or None.
-
-    Returns ``c`` with ``vec == sum_i c[i] * rows[i]`` when ``vec`` lies in
-    the integer row span; membership is decided exactly.
-    """
-    if not rows:
-        return [] if not any(vec) else None
-    H, T = row_hermite(rows)
-    return solve_over_hermite(vec, H, T, len(rows))
-
-
 def solve_over_hermite(
     vec: Sequence[int], hermite: Matrix, trans: Matrix, m: int
 ) -> Optional[list[int]]:
-    """:func:`solve_row_lattice` given ``(H, T) = row_hermite(rows)`` of
-    ``m`` rows, so one Hermite form serves many right-hand sides."""
+    """Integer coefficients expressing ``vec`` over ``m`` rows, or None.
+
+    Takes ``(H, T) = row_hermite(rows)``, so one Hermite form serves many
+    right-hand sides: returns ``c`` with ``vec == sum_i c[i] * rows[i]``
+    when ``vec`` lies in the integer row span, decided exactly.
+    """
     coeffs_h = hermite_coefficients(vec, hermite)
     if coeffs_h is None:
         return None
@@ -169,47 +159,31 @@ def adjugate_int(mat: Sequence[Sequence[int]]) -> Matrix:
     return adj
 
 
-def unimodular_inverse(mat: Sequence[Sequence[int]]) -> Matrix:
-    d = det_int(mat)
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    adj = adjugate_int(mat)
-    return [[x * d for x in row] for row in adj]
+def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
+    """Smith form with its column transform inverted: returns (D, W) with
+    ``U @ mat == D @ W`` for some unimodular U.
 
-
-def smith_normal_form(
-    mat: Sequence[Sequence[int]],
-) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith form with transforms: returns (D, U, V) with U @ mat @ V == D.
-
-    D is diagonal with nonnegative entries d_1 | d_2 | ... ; U and V are
-    unimodular.
+    D is diagonal with nonnegative entries d_1 | d_2 | ... ; W is
+    unimodular, the inverse of the V with ``U @ mat @ V == D``, kept by
+    applying each column move's inverse to W's rows.
     """
     a = _as_matrix(mat)
     m = len(a)
     n = len(a[0]) if m else 0
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
+    W = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
+        W[i], W[j] = W[j], W[i]
 
     def addmul_row(dst, src, q):
         a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        U[dst] = [x - q * y for x, y in zip(U[dst], U[src])]
 
     def addmul_col(dst, src, q):
         for row in a:
             row[dst] -= q * row[src]
-        for row in V:
-            row[dst] -= q * row[src]
+        W[src] = [x + q * y for x, y in zip(W[src], W[dst])]
 
     t = 0
     while t < min(m, n):
@@ -222,7 +196,7 @@ def smith_normal_form(
                         pivot = (i, j)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
+        a[t], a[pivot[0]] = a[pivot[0]], a[t]
         swap_cols(t, pivot[1])
         while True:
             changed = False
@@ -231,7 +205,7 @@ def smith_normal_form(
                     q = a[i][t] // a[t][t]
                     addmul_row(i, t, q)
                     if a[i][t]:
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
                     changed = True
             for j in range(t + 1, n):
                 if a[t][j]:
@@ -256,6 +230,5 @@ def smith_normal_form(
             continue
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            U[t] = [-x for x in U[t]]
         t += 1
-    return a, U, V
+    return a, W

@@ -1,8 +1,8 @@
 """Integer-lattice machinery: coefficient boxes, spans, bounded coefficients.
 
-Every question about the coefficient box ``[-R, R]^k`` -- which vectors
-``a`` give ``sum a_i s_i = t`` -- goes through :func:`box_preimages`, which
-reads the answer off suffix-reachability masks in the group instead of
+Every question about a coefficient box ``prod_i [lo_i, hi_i]`` -- which
+vectors ``a`` give ``sum a_i s_i = t`` -- goes through :func:`box_preimages`,
+which reads the answer off suffix-reachability masks in the group instead of
 enumerating the box.  On the lattice side all arithmetic is over
 arbitrary-precision integers; coefficient bounds grow like ``k! K^k`` so no
 modular shortcuts are taken there.
@@ -48,18 +48,21 @@ class IntegerLattice:
         return in_z_span(vec, self.rows)
 
     def with_row(self, vec: Sequence[int]) -> "IntegerLattice":
+        if len(vec) != self.dimension:
+            raise ValueError("row dimension mismatch")
         return IntegerLattice(self.dimension, self.rows + (tuple(int(v) for v in vec),))
 
 
 def box_preimages(
     group: FiniteAbelianGroup,
     elements: Sequence[GroupElement],
-    radius: int,
+    bounds: Sequence[tuple[int, int]],
     targets: np.ndarray,
     *,
     first: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors ``a in [-radius, radius]^k`` with ``sum a_i s_i = t``, per target.
+    """Vectors ``a`` with ``lo_i <= a_i <= hi_i`` and ``sum a_i s_i = t``,
+    per target, where ``bounds[i] = (lo_i, hi_i)``.
 
     ``reach[i]`` is the mask of the suffix sums ``sum_{j >= i} a_j s_j`` over
     the box, ``reach[k] = {0}``, each one ``fold_multiples`` of the next.
@@ -70,9 +73,9 @@ def box_preimages(
     rows are grouped by target in the given order and lexicographic within
     a target.  With ``first`` only the lexicographically smallest vector of
     each target is kept; its coefficient at each step is the first valid one
-    of ``-radius, -radius + 1, ...``, searched over one period
-    ``min(2 radius + 1, ord s_i)`` since ``c`` and ``c + ord s_i`` leave the
-    same remainder.  Targets with no vector have no row.
+    of ``lo_i, lo_i + 1, ...``, searched over one period
+    ``min(hi_i - lo_i + 1, ord s_i)`` since ``c`` and ``c + ord s_i`` leave
+    the same remainder.  Targets with no vector have no row.
 
     Raises FeasibilityError when a step would test more than
     ``MAX_BOX_CANDIDATES`` (partial vector, coefficient) pairs; every output
@@ -80,19 +83,19 @@ def box_preimages(
     """
     acc = GroupSubset.from_indices(group, [0])
     reach = [acc.mask]
-    for s in reversed(elements):
-        acc = fold_multiples(acc, s, -radius, radius)
+    for s, (lo, hi) in zip(reversed(elements), reversed(bounds)):
+        acc = fold_multiples(acc, s, lo, hi)
         reach.append(acc.mask)
     reach.reverse()
     targets = np.asarray(targets, dtype=np.int64)
     which = np.flatnonzero(reach[0][targets])
     rem = targets[which]
     vecs = np.zeros((which.size, len(elements)), dtype=np.int64)
-    for i, s in enumerate(elements):
-        width = min(2 * radius + 1, s.order) if first else 2 * radius + 1
+    for i, (s, (lo, hi)) in enumerate(zip(elements, bounds)):
+        width = min(hi - lo + 1, s.order) if first else hi - lo + 1
         if rem.size * width > MAX_BOX_CANDIDATES:
             raise FeasibilityError("coefficient-box search exceeds feasibility ceiling")
-        coeffs = np.arange(-radius, width - radius, dtype=np.int64)
+        coeffs = np.arange(lo, lo + width, dtype=np.int64)
         steps = group.index_of_coords(-coeffs[:, None] * np.asarray(s.coords, dtype=np.int64))
         nxt = group.add_indices(rem[:, None], steps[None, :])
         ok = reach[i + 1][nxt]
@@ -109,7 +112,7 @@ def annihilator_points(elements: Sequence[GroupElement], radius: int) -> np.ndar
 
     Returns an ``(n, k)`` int64 array of all ``lambda in [-radius, radius]^k``
     with ``sum lambda_i s_i = 0``, in lexicographic order: the solutions of
-    :func:`box_preimages` for the target 0.
+    :func:`box_preimages` for the target 0 under the bounds ``(-radius, radius)``.
     """
     k = len(elements)
     if k == 0:
@@ -118,22 +121,18 @@ def annihilator_points(elements: Sequence[GroupElement], radius: int) -> np.ndar
     for s in elements:
         if s.group is not group:
             raise PreconditionError("annihilator elements from different groups")
-    return box_preimages(group, elements, radius, np.zeros(1), first=False)[1]
+    bounds = [(-radius, radius)] * k
+    return box_preimages(group, elements, bounds, np.zeros(1), first=False)[1]
 
 
 def in_z_span(vec: Sequence[int], generators: Sequence[Sequence[int]]) -> bool:
     """Exact membership of an integer vector in the Z-span of generators,
     read off their Hermite form."""
+    if any(len(g) != len(vec) for g in generators):
+        raise ValueError("all vectors must share the ambient dimension")
     return not any(vec) or intmat.hermite_coefficients(
         vec, intmat.row_hermite(generators)[0]
     ) is not None
-
-
-def _rank(rows: list[list[int]]) -> int:
-    if not rows:
-        return 0
-    h, _ = intmat.row_hermite(rows)
-    return len(h)
 
 
 def bounded_representation(
@@ -166,29 +165,29 @@ class _HermiteFrame:
     rows: list[list[int]]
     hermite: intmat.Matrix  # (H, T) = row_hermite(rows)
     trans: intmat.Matrix
-    independent: list[int]  # rows of a maximal Q-independent subset
-    det: int  # det Z of their minor on the first independent columns
+    independent: list[int]  # the first maximal Q-independent set of rows
+    columns: list[int]  # the first columns independent on those rows
+    det: int  # det Z of the minor on those rows and columns
     mu: dict[int, list[int]]  # dependent row j: det z_j = sum mu_a z_{independent_a}
 
 
 def _hermite_frame(rows: list[list[int]]) -> _HermiteFrame:
+    """The frame of ``rows``, read off two Hermite forms.
+
+    Row operations keep every linear relation among the columns, so the
+    pivot columns of a Hermite form are the first columns of its matrix
+    that are Q-independent of the columns before them.  On the transpose
+    they are the first Q-independent rows; on the rows themselves, whose Q
+    row space is that of the independent rows, the minor's columns.
+    """
     hermite, trans = intmat.row_hermite(rows)
-    independent: list[int] = []
-    for i in range(len(rows)):
-        if _rank([rows[j] for j in independent] + [rows[i]]) > len(independent):
-            independent.append(i)
+    transposed = intmat.row_hermite([list(c) for c in zip(*rows)])[0]
+    independent = [_pivot(h) for h in transposed]
+    cols = [_pivot(h) for h in hermite]
     m = len(independent)
     det = 1
     mu: dict[int, list[int]] = {}
     if m:
-        cols: list[int] = []
-        for c in range(len(rows[0])):
-            trial = cols + [c]
-            sub = [[rows[i][j] for j in trial] for i in independent]
-            if _rank(sub) > len(cols):
-                cols.append(c)
-            if len(cols) == m:
-                break
         z_mat = [[rows[i][j] for j in cols] for i in independent]
         det = intmat.det_int(z_mat)
         adj = intmat.adjugate_int(z_mat)
@@ -198,7 +197,11 @@ def _hermite_frame(rows: list[list[int]]) -> _HermiteFrame:
             t = [rows[j][c] for c in cols]
             # row convention: t = rho Z, so det * rho = t adj
             mu[j] = [sum(t[b] * adj[b][a] for b in range(m)) for a in range(m)]
-    return _HermiteFrame(rows, hermite, trans, independent, det, mu)
+    return _HermiteFrame(rows, hermite, trans, independent, cols, det, mu)
+
+
+def _pivot(row: Sequence[int]) -> int:
+    return next(j for j, x in enumerate(row) if x)
 
 
 def _represent(frame: _HermiteFrame, w: list[int], k1: int, k2: int) -> list[int]:
@@ -268,7 +271,7 @@ def span_cover(
     k = len(ambient)
     ordered = sorted(members, key=lambda e: e.index)
     targets = np.asarray([b.index for b in ordered], dtype=np.int64)
-    which, vecs = box_preimages(group, ambient, radius, targets, first=True)
+    which, vecs = box_preimages(group, ambient, [(-radius, radius)] * k, targets, first=True)
     if which.size < targets.size:
         raise PreconditionError(
             "member outside the bounded span of the ambient tuple"

@@ -38,6 +38,7 @@ from .groups import (
     subgroup_generated,
     subgroup_generators,
 )
+from .lattices import box_preimages
 
 _GROW_BLOCK = 1 << 18  # index-row entries per block of growth candidates
 _PAIR_BLOCK = 1 << 22  # pair entries per block of the Freiman-subgroup check
@@ -312,8 +313,8 @@ def subgroup_basis(
     """Invariant-factor basis of a subgroup given as a subset.
 
     Lifts the subgroup to a full-rank lattice in Z^d, expresses the
-    relation lattice in a lattice basis and reads the decomposition off
-    the Smith form.
+    relation lattice over that lattice's Hermite basis and reads the
+    decomposition off the Smith form and its inverse column transform.
     """
     if not is_subgroup(subgroup):
         raise PreconditionError("input is not a verified subgroup")
@@ -325,30 +326,25 @@ def subgroup_basis(
     basis_rows, _ = intmat.row_hermite(rows)
     if len(basis_rows) != d:
         raise TheoremViolationError("lifted subgroup lattice is not full rank")
-    # relation lattice Q = moduli * Z^d expressed over the lattice basis:
-    # with U A V = D, the rows of V^-1 @ basis_rows are a basis of the
-    # lifted lattice adapted to Q, and the quotient is the sum of Z/D[i][i]
+    # relation lattice Q = moduli * Z^d expressed over the lattice basis,
+    # whose Hermite rows give the coordinates directly: with U A = D W, the
+    # rows of W @ basis_rows are a basis of the lifted lattice adapted to Q,
+    # and the quotient is the sum of Z/D[i][i]
     rel = []
     for i in range(d):
         target = [g.moduli[i] if j == i else 0 for j in range(d)]
-        coeffs = intmat.solve_row_lattice(target, basis_rows)
+        coeffs = intmat.hermite_coefficients(target, basis_rows)
         if coeffs is None:
             raise TheoremViolationError("relation lattice escaped the lifted lattice")
         rel.append(coeffs)
-    dmat, _, vmat = intmat.smith_normal_form(rel)
-    v_inv = intmat.unimodular_inverse(vmat)
+    dmat, w = intmat.smith_normal_form(rel)
     factors: list[int] = []
     basis: list[GroupElement] = []
     for i in range(d):
         order = dmat[i][i]
         if order == 1:
             continue
-        vec = [0] * d
-        for j in range(d):
-            coef = v_inv[i][j]
-            if coef:
-                for t in range(d):
-                    vec[t] += coef * basis_rows[j][t]
+        vec = [sum(c * row[t] for c, row in zip(w[i], basis_rows)) for t in range(d)]
         factors.append(order)
         basis.append(g.element(vec))
     pairs = sorted(zip(factors, basis), key=lambda p: p[0])
@@ -451,7 +447,9 @@ def partial_projectivity(
     + kernel`` must be a homomorphism.  The sweep rewrites the basis
     downward, replacing ``h_i`` by ``k_i`` with ``n_i k_i = 0`` whenever
     ``n_i h_i`` already lies in the subgroup generated by the heavier
-    torsion witnesses; each survivor doubles that subgroup, so at most
+    torsion witnesses, with the lexicographically smallest coefficients in
+    ``0 .. ord - 1`` from ``lattices.box_preimages``, the witnesses taken
+    from the last one down; each survivor doubles that subgroup, so at most
     ``log2 |kernel|`` arms remain, each of length ``ceil(n_i / 2)``, so the
     progression has at least ``|domain| / |kernel|`` points (checked
     exactly).  The lift table is one coefficient grid.
@@ -480,25 +478,22 @@ def partial_projectivity(
     for i in range(r - 1, -1, -1):
         n_i = orders[i]
         target = n_i * hs[i]
-        heavier = [
-            (j, orders[j] * ks[j])
-            for j in range(i + 1, r)
-            if not (orders[j] * ks[j]).is_zero
-        ]
-        coeffs = _subgroup_combination(codomain, [t for _, t in heavier], target)
-        if coeffs is None:
-            ys[i] = basis[i]
-            ks[i] = hs[i]
-        else:
-            y = basis[i]
-            k = hs[i]
-            for (j, _), lam in zip(heavier, coeffs):
+        heavier = [j for j in range(r - 1, i, -1) if not (orders[j] * ks[j]).is_zero]
+        witnesses = [orders[j] * ks[j] for j in heavier]
+        _, found = box_preimages(
+            codomain,
+            witnesses,
+            [(0, t.order - 1) for t in witnesses],
+            np.asarray([target.index]),
+            first=True,
+        )
+        ys[i], ks[i] = basis[i], hs[i]
+        for lams in found.tolist():  # the one smallest vector, if any
+            for j, lam in zip(heavier, lams):
                 ratio = orders[j] // n_i
-                y = y - lam * ratio * ys[j]
-                k = k - lam * ratio * ks[j]
-            ys[i] = y
-            ks[i] = k
-            if not (n_i * k).is_zero:
+                ys[i] = ys[i] - lam * ratio * ys[j]
+                ks[i] = ks[i] - lam * ratio * ks[j]
+            if not (n_i * ks[i]).is_zero:
                 raise TheoremViolationError("rewritten torsion failed to vanish")
     heavy = tuple(i for i in range(r) if not (orders[i] * ks[i]).is_zero)
     light = [i for i in range(r) if i not in heavy]
@@ -538,33 +533,6 @@ def partial_projectivity(
         tuple(ys[i] for i in heavy),
         tuple(ks[i] for i in light),
     )
-
-
-def _subgroup_combination(
-    group: FiniteAbelianGroup,
-    generators: Sequence[GroupElement],
-    target: GroupElement,
-) -> Optional[list[int]]:
-    """Coefficients with sum lam_j g_j = target, or None.
-
-    One array pass per generator over the elements reached so far: every
-    ``lam g + state`` in lam-major order, each element kept with the
-    coefficients of its first reach, i.e. its smallest lam (for one lam,
-    distinct states reach distinct elements, so the order of the states
-    does not matter).
-    """
-    states = np.zeros(1, dtype=np.int64)  # indices of the elements reached
-    coeffs = np.zeros((1, 0), dtype=np.int64)
-    for g in generators:
-        lams = np.arange(g.order, dtype=np.int64)
-        shifts = group.index_of_coords(lams[:, None] * group.coords_matrix[g.index])
-        n = states.size
-        reach = group.add_indices(np.repeat(shifts, n), np.tile(states, lams.size))
-        _, first = np.unique(reach, return_index=True)
-        states = reach[first]
-        coeffs = np.column_stack([coeffs[first % n], first // n])
-    hit = np.flatnonzero(states == target.index)
-    return coeffs[hit[0]].tolist() if hit.size else None
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from bogolib import bilinear
+from bogolib import bilinear, intmat
 from bogolib.bilinear import (
     BilinearVariety,
     BiSet,
@@ -207,6 +207,27 @@ def bohr_witness_bruteforce(gx: FiniteAbelianGroup, allowed: np.ndarray) -> np.n
         if cand.sum() > best.sum() and not (cand & ~allowed).any():
             best = cand
     return best
+
+
+def greedy_frame_pivots(rows: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The first Q-independent rows, then the first columns independent on
+    them, by greedy rank loops: an index is kept when it raises the rank of
+    those kept before it, each rank the length of a fresh Hermite form."""
+
+    def rank(mat: list[list[int]]) -> int:
+        return len(intmat.row_hermite(mat)[0]) if mat else 0
+
+    independent: list[int] = []
+    for i in range(len(rows)):
+        if rank([rows[j] for j in independent] + [rows[i]]) > len(independent):
+            independent.append(i)
+    cols: list[int] = []
+    for c in range(len(rows[0]) if independent else 0):
+        if len(cols) == len(independent):
+            break
+        if rank([[rows[i][j] for j in cols + [c]] for i in independent]) > len(cols):
+            cols.append(c)
+    return independent, cols
 
 
 def annulus_size(

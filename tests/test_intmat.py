@@ -1,7 +1,6 @@
 """Exact integer matrix routines."""
 
 import numpy as np
-import pytest
 
 from bogolib import intmat
 
@@ -16,13 +15,17 @@ def test_row_hermite_transform_identity():
         assert rebuilt == hrow
 
 
-def test_solve_row_lattice():
+def _solve(vec, rows):
+    return intmat.solve_over_hermite(vec, *intmat.row_hermite(rows), len(rows))
+
+
+def test_solve_over_hermite():
     rows = [[2, 0], [0, 3]]
-    assert intmat.solve_row_lattice([4, 3], rows) == [2, 1]
-    assert intmat.solve_row_lattice([3, 0], rows) is None
-    assert intmat.solve_row_lattice([0, 0], rows) == [0, 0]
-    assert intmat.solve_row_lattice([0, 0], []) == []
-    assert intmat.solve_row_lattice([1], []) is None
+    assert _solve([4, 3], rows) == [2, 1]
+    assert _solve([3, 0], rows) is None
+    assert _solve([0, 0], rows) == [0, 0]
+    assert _solve([0, 0], []) == []
+    assert _solve([1], []) is None
 
 
 def test_solve_random_roundtrip():
@@ -32,7 +35,7 @@ def test_solve_random_roundtrip():
         rows = rng.integers(-5, 6, size=(m, n)).tolist()
         coeffs = rng.integers(-4, 5, size=m)
         vec = [int(sum(c * row[k] for c, row in zip(coeffs, rows))) for k in range(n)]
-        got = intmat.solve_row_lattice(vec, rows)
+        got = _solve(vec, rows)
         assert got is not None
         rebuilt = [sum(c * row[k] for c, row in zip(got, rows)) for k in range(n)]
         assert rebuilt == vec
@@ -59,14 +62,14 @@ def test_smith_normal_form():
     ]
     rng = np.random.default_rng(2)
     mats += [rng.integers(-9, 10, size=(3, 3)).tolist() for _ in range(20)]
+    mats += [rng.integers(-9, 10, size=shape).tolist() for shape in [(2, 3), (3, 2)] * 5]
     for m in mats:
-        d, u, v = intmat.smith_normal_form(m)
-        # U m V == D
-        um = np.array(u) @ np.array(m)
-        umv = um @ np.array(v)
-        assert np.array_equal(umv, np.array(d))
-        assert abs(intmat.det_int(u)) == 1
-        assert abs(intmat.det_int(v)) == 1
+        d, w = intmat.smith_normal_form(m)
+        # U m == D W for a unimodular U: both span one row lattice
+        dw = (np.array(d) @ np.array(w)).tolist()
+        assert intmat.row_hermite(dw)[0] == intmat.row_hermite(m)[0]
+        assert abs(intmat.det_int(w)) == 1
+        assert all(x == 0 for i, row in enumerate(d) for j, x in enumerate(row) if i != j)
         diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
         for a, b in zip(diag, diag[1:]):
             if a != 0:
@@ -75,14 +78,5 @@ def test_smith_normal_form():
 
 
 def test_smith_known_form():
-    d, _, _ = intmat.smith_normal_form([[12, 6, 4], [3, 9, 6], [2, 16, 14]])
+    d, _ = intmat.smith_normal_form([[12, 6, 4], [3, 9, 6], [2, 16, 14]])
     assert [d[i][i] for i in range(3)] == [1, 10, 30]
-
-
-def test_unimodular_inverse():
-    u = [[1, 2], [1, 3]]
-    inv = intmat.unimodular_inverse(u)
-    prod = np.array(u) @ np.array(inv)
-    assert np.array_equal(prod, np.eye(2, dtype=int))
-    with pytest.raises(ValueError):
-        intmat.unimodular_inverse([[2, 0], [0, 1]])

@@ -13,6 +13,7 @@ from bogolib.bohr import large_spectrum_certify, spectrum_cutoff
 from bogolib.errors import PreconditionError
 from bogolib.lattices import (
     IntegerLattice,
+    _hermite_frame,
     annihilator_points,
     box_preimages,
     bounded_representation,
@@ -21,6 +22,7 @@ from bogolib.lattices import (
     span_cover,
 )
 from bogolib.rng import derive_rng
+from oracles import greedy_frame_pivots
 
 
 def test_annihilator_points_examples():
@@ -67,13 +69,14 @@ def test_annihilator_matches_bruteforce():
     assert pts == expect
 
 
-def _box_oracle(g, elems, radius):
-    """Every box vector in lex order (``itertools.product``) and the group
-    index of its combination."""
+def _box_oracle(g, elems, bounds):
+    """Every vector of the box ``bounds[i] = (lo, hi)`` in lex order
+    (``itertools.product``) and the group index of its combination."""
     k = len(elems)
-    vecs = np.asarray(
-        list(itertools.product(range(-radius, radius + 1), repeat=k)), dtype=np.int64
-    ).reshape((2 * radius + 1) ** k, k)
+    ranges = [range(lo, hi + 1) for lo, hi in bounds]
+    vecs = np.asarray(list(itertools.product(*ranges)), dtype=np.int64).reshape(
+        math.prod(map(len, ranges)), k
+    )
     coords = np.asarray([e.coords for e in elems], dtype=np.int64).reshape(k, g.rank)
     return vecs, g.index_of_coords(vecs @ coords)
 
@@ -82,35 +85,46 @@ _ORACLE_MODULI = [[1], [2], [3], [5], [7], [12], [29], [2, 2], [2, 6], [3, 3], [
 
 
 def _oracle_cases(seed, count):
-    """Seeded (group, elements, radius) with k = 0..4, radius 0 and radius at
-    least the element orders, and zero elements; boxes of at most 13^3."""
+    """Seeded (group, elements, bounds) with k = 0..4 and zero elements, in
+    three kinds taking turns: a shared radius ``(-R, R)`` (0, or at least
+    the element orders), the one-sided ``(0, ord - 1)`` of partial
+    projectivity (k <= 3), and asymmetric ranges; boxes of at most 29^3."""
     rng = derive_rng(seed)
     for case in range(count):
         g = bg.make_group(_ORACLE_MODULI[case % len(_ORACLE_MODULI)])
-        k = case % 5
-        radius = [0, 1, 2, 3, 6][int(rng.integers(0, 5 if k <= 3 else 3))]
+        kind = case % 3
+        k = min(case % 5, 3) if kind == 1 else case % 5
         elems = [g.element_from_index(int(rng.integers(0, g.order))) for _ in range(k)]
-        if k and case % 3 == 0:
+        if k and case % 4 == 0:
             elems[int(rng.integers(0, k))] = g.zero
-        yield g, elems, radius
+        if kind == 0:
+            radius = [0, 1, 2, 3, 6][int(rng.integers(0, 5 if k <= 3 else 3))]
+            bounds = [(-radius, radius)] * k
+        elif kind == 1:
+            bounds = [(0, e.order - 1) for e in elems]
+        else:
+            los = rng.integers(-4, 2, size=k)
+            bounds = [(int(lo), int(lo + w)) for lo, w in zip(los, rng.integers(0, 7, size=k))]
+        yield g, elems, bounds
 
 
 def test_box_search_matches_product_oracle():
-    big_radius = 0
-    for g, elems, radius in _oracle_cases(71, 220):
-        vecs, sums = _box_oracle(g, elems, radius)
-        big_radius += any(1 < e.order <= radius for e in elems)
-        if elems:
+    wide = 0  # cases with a range longer than its element's period
+    for case, (g, elems, bounds) in enumerate(_oracle_cases(71, 330)):
+        vecs, sums = _box_oracle(g, elems, bounds)
+        wide += any(1 < e.order < hi - lo + 1 for e, (lo, hi) in zip(elems, bounds))
+        if elems and case % 3 == 0:
+            radius = bounds[0][1]
             assert annihilator_points(elems, radius).tolist() == vecs[sums == 0].tolist()
         # every target at once: grouped by target, lex order within one
-        which, got = box_preimages(g, elems, radius, np.arange(g.order), first=False)
+        which, got = box_preimages(g, elems, bounds, np.arange(g.order), first=False)
         order = np.argsort(sums, kind="stable")
         assert which.tolist() == sums[order].tolist()
         assert got.tolist() == vecs[order].tolist()
         # lex-smallest preimage of every group element, or none on both sides
-        which, got = box_preimages(g, elems, radius, np.arange(g.order), first=True)
-        assert dict(zip(which.tolist(), got.tolist())) == _lex_preimages(g, elems, radius)
-    assert big_radius >= 25, big_radius
+        which, got = box_preimages(g, elems, bounds, np.arange(g.order), first=True)
+        assert dict(zip(which.tolist(), got.tolist())) == _lex_preimages(g, elems, bounds)
+    assert wide >= 40, wide
 
 
 def test_large_spectrum_certify_matches_product_oracle():
@@ -131,7 +145,7 @@ def test_large_spectrum_certify_matches_product_oracle():
         eps = Fraction(22 * len(distinct), want_cutoff) if distinct else Fraction(1)
         cutoff = spectrum_cutoff(len(distinct), eta, eps)
         assert cutoff == (want_cutoff if distinct else 0)
-        vecs, sums = _box_oracle(g.dual, distinct, cutoff)
+        vecs, sums = _box_oracle(g.dual, distinct, [(-cutoff, cutoff)] * len(distinct))
         for chi in g.dual.elements():
             rep = large_spectrum_certify(g, freqs, rho, eta, eps, chi)
             if not np.any(sums == chi.index):
@@ -152,6 +166,12 @@ def test_in_z_span_examples():
     assert in_z_span([0], [[2]])
     assert not in_z_span([3], [[2]])
     assert in_z_span([4, 3], [[2, 0], [0, 3]])
+
+
+def test_in_z_span_rejects_dimension_mismatch():
+    for vec, gens in [([1, 5], [[1]]), ([0, 5], [[1]]), ([1], [[1, 0]])]:
+        with pytest.raises(ValueError):
+            in_z_span(vec, gens)
 
 
 def test_in_z_span_matches_bruteforce():
@@ -210,6 +230,26 @@ def test_bounded_representation_random():
         assert max(map(abs, lam)) <= bound
 
 
+def test_hermite_frame_matches_greedy_rank_oracle():
+    rng = derive_rng(83)
+    dependent = gapped = 0  # gapped: a row or column skipped before the last kept
+    for _ in range(1200):
+        n_rows, n_cols = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        base = rng.integers(-4, 5, size=(int(rng.integers(1, n_cols + 1)), n_cols))
+        # every row a combination of the base rows, so rows repeat their
+        # relations; some columns are zero or copies of an earlier column
+        rows = rng.integers(-2, 3, size=(n_rows, base.shape[0])) @ base
+        for c in range(1, n_cols):
+            if rng.integers(0, 4) == 0:
+                rows[:, c] = rows[:, int(rng.integers(0, c))] * int(rng.integers(-2, 3))
+        rows = rows.tolist()
+        frame = _hermite_frame(rows)
+        assert (frame.independent, frame.columns) == greedy_frame_pivots(rows)
+        dependent += len(frame.independent) < n_rows
+        gapped += frame.independent + frame.columns != [*range(len(frame.independent))] * 2
+    assert dependent >= 600 and gapped >= 200, (dependent, gapped)
+
+
 def test_chain_monitor():
     assert chain_monitor(1, 1) >= 2
     assert chain_monitor(2, 2) >= 3
@@ -225,6 +265,12 @@ def test_integer_lattice_member():
     assert lat.with_row((1, 0)).member([1, 0])
     assert IntegerLattice(2).member([0, 0])
     assert not IntegerLattice(2).member([1, 0])
+
+
+def test_integer_lattice_rejects_row_of_other_dimension():
+    for row in [(1,), (1, 0, 0)]:
+        with pytest.raises(ValueError):
+            IntegerLattice(2).with_row(row)
 
 
 def test_span_cover_examples():
@@ -255,9 +301,9 @@ def test_span_cover_full_span():
         assert max((abs(c) for c in lam), default=0) <= cover.coefficient_bound
 
 
-def _lex_preimages(g, ambient, radius):
+def _lex_preimages(g, ambient, bounds):
     """Element index -> lexicographically smallest box vector onto it."""
-    vecs, sums = _box_oracle(g, ambient, radius)
+    vecs, sums = _box_oracle(g, ambient, bounds)
     first = {}
     for t, v in zip(sums.tolist(), vecs.tolist()):
         first.setdefault(t, v)
@@ -273,7 +319,7 @@ def test_span_cover_matches_per_member_representation():
         k = int(rng.integers(1, 4))
         radius = int(rng.integers(1, 4))
         ambient = [g.element_from_index(int(rng.integers(0, g.order))) for _ in range(k)]
-        pre = _lex_preimages(g, ambient, radius)
+        pre = _lex_preimages(g, ambient, [(-radius, radius)] * k)
         idx = sorted(pre)
         size = int(rng.integers(1, min(25, len(idx)) + 1))
         members = [

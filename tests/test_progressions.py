@@ -12,6 +12,7 @@ from bogolib import progressions
 from bogolib.bilinear import _grid_cells
 from bogolib.errors import GroupMismatchError, PreconditionError
 from bogolib.groups import GroupSubset, is_subgroup, subgroup_generated
+from bogolib.lattices import box_preimages
 from bogolib.progressions import (
     Arm,
     CosetProgression,
@@ -233,6 +234,23 @@ def test_partial_projectivity_random():
         done += 1
 
 
+def test_partial_projectivity_rewrites_by_the_last_witness_first():
+    # the two heavier witnesses share multiples, so the rewrite depends on
+    # the search order: the smallest coefficient on the last witness first
+    g, h = bg.make_group([2, 2, 4]), bg.make_group([2, 4, 8])
+    k = subgroup_generated(h, [h.element([0, 2, 3]), h.element([1, 2, 2])])
+    orders, basis = bg.invariant_factors(g)
+    assert orders == [2, 2, 4] and [b.coords for b in basis] == [(0, 1, 0), (1, 0, 0), (0, 0, 1)]
+    reps = np.asarray([(0, 0, 6), (1, 0, 3), (1, 1, 5)])
+    grid = np.asarray(list(itertools.product(*[range(n) for n in orders])))
+    x = g.index_of_coords(grid @ np.asarray([b.coords for b in basis]))
+    lookup = np.full(g.order, -1, dtype=np.int64)
+    lookup[x] = h.index_of_coords(grid @ reps)
+    res = partial_projectivity(g, h, k, lookup)
+    assert res.heavy_indices == (1, 2)
+    assert [e.coords for e in res.subgroup_values] == [(0, 0, 0)]
+
+
 def _subgroup_combination_oracle(group, generators, target):
     """The dict DP over the generated subgroup: one state per element,
     keyed by index, with the coefficients of its first reach."""
@@ -264,7 +282,16 @@ def test_subgroup_combination_matches_dict_oracle():
             target = g.zero
             for x in gens:
                 target = target + int(rng.integers(0, x.order)) * x
-        got = progressions._subgroup_combination(g, gens, target)
+        # partial projectivity's search: the generators from the last one
+        # down, each coefficient in 0..ord - 1, the smallest vector kept
+        found, vecs = box_preimages(
+            g,
+            gens[::-1],
+            [(0, x.order - 1) for x in gens[::-1]],
+            np.asarray([target.index]),
+            first=True,
+        )
+        got = vecs[0, ::-1].tolist() if found.size else None
         assert got == _subgroup_combination_oracle(g, gens, target)
         if got is None:
             missed += 1
