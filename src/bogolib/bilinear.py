@@ -681,26 +681,25 @@ _COVER_RADII = (Fraction(1, 4), Fraction(1, 8))
 
 def _score_sources(
     level: np.ndarray, at: np.ndarray, pairs: np.ndarray, outside: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fitting rows and their point count for every cover source at one radius.
+) -> np.ndarray:
+    """Each cover source's point count per fitting row at one radius.
 
     Source s takes at each y the level set ``level[at[a, y]] & level[at[b,
     y]]``, (a, b) = pairs[s]; a single map or character repeats its row.
     Row y fits when its set misses ``outside`` (the complement of D, one
-    row per y).  Returns fits, (sources, |H|), and count, (sources,), the
-    points of the fitting rows, from a block of sources at a time (about
-    ``_SOURCE_BLOCK`` entries).
+    row per y).  Returns the int32 counts, (sources, |H|): the points of
+    row y's set when it fits, else 0.  A level set holds x = 0, so a row
+    fits exactly when its count is positive.  A block of sources is taken
+    at a time (about ``_SOURCE_BLOCK`` entries).
     """
-    fits = np.empty((len(pairs), outside.shape[0]), dtype=bool)
-    count = np.empty(len(pairs), dtype=np.int64)
+    counts = np.empty((len(pairs), outside.shape[0]), dtype=np.int32)
     block = max(1, _SOURCE_BLOCK // outside.size)
     for start in range(0, len(pairs), block):
         a, b = pairs[start : start + block].T
         rows = level[at[a]] & level[at[b]]
         ok = ~(rows & outside).any(axis=2)
-        fits[start : start + block] = ok
-        count[start : start + block] = np.where(ok, np.count_nonzero(rows, axis=2), 0).sum(axis=1)
-    return fits, count
+        counts[start : start + block] = np.where(ok, np.count_nonzero(rows, axis=2), 0)
+    return counts
 
 
 def _cover_varieties(
@@ -717,10 +716,12 @@ def _cover_varieties(
     1/8.  C is ``grow_progression_inside`` of the rows y whose level set
     B(Gamma cup L(y); rho) fits D, row 0 among them.  Every source is scored
     in one ``_score_sources`` pass per radius before any candidate is built.
-    C holds only fitting rows, so their point count bounds |V|; a source
-    whose count is at most ``top``, the best size so far, is skipped, since
-    the first of equal sizes wins.  C is grown once per distinct set of
-    fitting rows, and every candidate is gated by ``variety_contained_in``.
+    A candidate's size is exact before it is built: the sum of its source's
+    row counts over C.  It is built, and gated by ``variety_contained_in``,
+    only when that size beats ``top``, the best verified size so far, since
+    the first of equal sizes wins; a source whose fitting rows together
+    hold at most ``top`` points is not grown at all.  C is grown once per
+    distinct set of fitting rows.
     """
     gy, dual = d.group_y, gx.dual
     k = len(found)
@@ -738,28 +739,33 @@ def _cover_varieties(
     )
     pairs = np.asarray([(src[0], src[-1]) for src in sources], dtype=np.int64).reshape(-1, 2)
     outside = ~d.matrix
-    scores = [  # a fresh distance table per radius, so that none is held across both
+    counts = [  # a fresh distance table per radius, so that none is held across both
         _score_sources(within_radius(gx, char_distances(gx, chars), rho), at, pairs, outside)
         for rho in _COVER_RADII
     ]
     # sources share fitting rows; growing C per source made contain-sparse ~13% slower
     grown: dict[bytes, CosetProgression] = {}
     out: list[BilinearVariety] = []
-    passing = np.stack([fits[:, 0] & (count > top) for fits, count in scores], axis=1)
+    passing = np.stack([(c[:, 0] > 0) & (c.sum(axis=1) > top) for c in counts], axis=1)
     for s, r in np.argwhere(passing):
-        fits, count = scores[r][0][s], scores[r][1][s]
-        if count <= top:
+        row = counts[r][s]
+        if row.sum() <= top:
             continue
+        fits = row > 0
         key = fits.tobytes()
         if key not in grown:
             grown[key] = grow_progression_inside(GroupSubset(gy, fits), rank_cap=2)
+        prog = grown[key]
+        size = int(row[prog.enumerate().indices()].sum())
+        if size <= top:
+            continue
         src = sources[s]
         maps = tuple(found[j] for j in src if j < k)
         gamma = tuple(dual.element_from_index(int(held[j - k])) for j in src if j >= k)
-        v = BilinearVariety(gx, gamma, _COVER_RADII[r], grown[key], maps)
+        v = BilinearVariety(gx, gamma, _COVER_RADII[r], prog, maps)
         if variety_contained_in(v, d):
             out.append(v)
-            top = max(top, v.size)
+            top = v.size
     return out
 
 
@@ -775,21 +781,24 @@ def main_theorem_experiment(
     and search for a verified bilinear Bohr variety inside it.  ``seed``
     must lie in [0, 2^64) (``rng.check_seed``).
 
-    The search runs in two stages, and every candidate is gated by the
-    exact containment verifier; the largest verified variety wins, the
-    first of equal sizes.  Stage one: each progression C through 0 in D's
-    zero column (the y with (0, y) in D), under its witness
-    ``_bohr_inside``: the exact largest Bohr set inside the rows C has in
-    common among all of G, the cyclic subgroups and the level sets of single
-    characters, or ``pinned_bohr_set`` = {0} when none has two points.  The
-    progressions, in order: all of H when every row of D is all of G, and
-    then nothing else runs; otherwise the progression grown in the full rows
-    (when 0 is in them), the longest arm 0, g, ..., m g in the column
-    (``_column_arm``), and the progression grown in the column.  When 0 is
-    not in the column, the one candidate is its first point y0 alone, and
-    when the column is empty no variety fits, since every Bohr row contains
-    x = 0.  Stage two covers the per-row Bogolyubov spectra by homomorphisms
-    of H.
+    The search runs in two stages, and every candidate that is built is
+    gated by the exact containment verifier; the largest verified variety
+    wins, the first of equal sizes.  So a candidate that an exact size
+    bound shows cannot beat ``top``, the best verified size so far, is not
+    built.  Stage one: each progression C through 0 in D's zero column (the
+    y with (0, y) in D), under its witness ``_bohr_inside``: the exact
+    largest Bohr set inside ``allowed``, the rows C has in common, among all
+    of G, the cyclic subgroups and the level sets of single characters, or
+    ``pinned_bohr_set`` = {0} when none has two points.  The witness lies in
+    ``allowed``, so C is skipped, with no witness sought, when |C| |allowed|
+    <= top.  The progressions, in order: all of H when every row of D is all
+    of G, and then nothing else runs; otherwise the progression grown in the
+    full rows (when 0 is in them), the longest arm 0, g, ..., m g in the
+    column (``_column_arm``), and the progression grown in the column.  When
+    0 is not in the column, the one candidate is its first point y0 alone,
+    and when the column is empty no variety fits, since every Bohr row
+    contains x = 0.  Stage two covers the per-row Bogolyubov spectra by
+    homomorphisms of H.
 
     The dense rows come from one pass over the row sums, and their
     Bogolyubov spectra from one batched call (``fourier._bogolyubov_spectra``);
@@ -799,10 +808,11 @@ def main_theorem_experiment(
     round's best map covers no new point of U.  Each homomorphism the cover
     finds, each pair of them, and Gamma = {chi} for each nonzero chi that U
     holds is a source of candidates at rho = 1/4 and 1/8
-    (``_cover_varieties``): every source is scored in one pass per radius,
-    a source whose fitting rows hold no more points than the best variety
-    so far is skipped (it could not win, since the first of equal sizes
-    does), and C is grown once per distinct set of fitting rows.
+    (``_cover_varieties``), which starts from stage one's ``top``: every
+    source is scored in one pass per radius, per row, a source whose
+    fitting rows hold at most ``top`` points is not grown, C is grown once
+    per distinct set of fitting rows, and a candidate whose exact size, its
+    row counts summed over C, is at most ``top`` is not built.
     """
     check_seed(seed)
     start = time.monotonic()
@@ -827,11 +837,17 @@ def main_theorem_experiment(
         y0 = gy.element_from_index(int(column.argmax()))
         progressions.append(CosetProgression.singleton(y0))
     candidates: list[BilinearVariety] = []
+    top = 0  # the best verified size so far
     for prog in progressions:
-        witness = _bohr_inside(gx, d.matrix[prog.enumerate().indices()].all(axis=0))
+        ys = prog.enumerate().indices()
+        allowed = d.matrix[ys].all(axis=0)
+        if ys.size * int(np.count_nonzero(allowed)) <= top:
+            continue  # the witness lies inside allowed, so |V| cannot beat top
+        witness = _bohr_inside(gx, allowed)
         v = BilinearVariety(gx, witness.frequencies, witness.radius, prog, ())
         if variety_contained_in(v, d):
             candidates.append(v)
+            top = max(top, v.size)
     # varieties from the cover of the per-row Bogolyubov spectra
     if search_budget > 0 and not saturated:
         row_sizes = a.matrix.sum(axis=1)
@@ -846,7 +862,6 @@ def main_theorem_experiment(
             yset = GroupSubset.from_indices(gy, dense_rows)
             cover = linear_cover(yset, dual, u, rounds_cap=search_budget)
             held = np.flatnonzero(u[dense_rows].any(axis=0))[1:]  # nonzero
-            top = max((v.size for v in candidates), default=0)
             candidates += _cover_varieties(gx, d, cover.maps[1:], held, top)
     best = max(candidates, key=lambda v: v.size) if candidates else None
     elapsed_ms = int((time.monotonic() - start) * 1000)

@@ -11,7 +11,9 @@ two real-FFT kernels, ``groups._convolution_counts`` and
 ``quadruple_count_all``, which return them exact (see
 ``groups._exact_counts``).  Like ``dft``, ``quadruple_count_all`` takes
 masks batched over leading axes, so many sets on one group share one
-real-FFT pair.
+real-FFT pair.  The Bogolyubov check reads 2A - 2A as the support of that
+one count, and every row's Bohr set B(Gamma; 1/4) from one exact 0/1
+product per block of characters: x is in it when no kept character is far.
 """
 
 from __future__ import annotations
@@ -20,13 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, TheoremViolationError
-from .groups import (
-    Character,
-    FiniteAbelianGroup,
-    GroupSubset,
-    _convolution_counts,
-    _exact_counts,
-)
+from .groups import Character, FiniteAbelianGroup, GroupSubset, _exact_counts
 
 TOLERANCE = 1e-9
 _SPECTRA_BLOCK = 1 << 18  # entries per block of _bogolyubov_spectra's rows
@@ -82,34 +78,38 @@ def _bogolyubov_spectra(group: FiniteAbelianGroup, rows: np.ndarray) -> list[np.
     trivial character alone gives alpha^4, each kept character adds a term of
     nonnegative real part on B(Gamma; 1/4), and the excluded ones add at most
     t^2 alpha in absolute value.  Every row is still checked exactly, its
-    ``bohr_mask`` against 2A - 2A, and a failure raises
-    ``TheoremViolationError``.  A block of rows (about 2^18 entries) takes
-    two batched exact real-FFT counts for A - A and 2A - 2A and one batched
-    ``dft`` for the coefficients; rows of the block with the same Gamma
-    share one ``bohr_mask`` call.
+    Bohr set against 2A - 2A, and a failure raises ``TheoremViolationError``.
+    A block of rows (about 2^18 entries) takes one batched ``dft`` for the
+    coefficients and one ``quadruple_count_all`` pass, whose support is
+    2A - 2A.  x lies in B(Gamma_r; 1/4) exactly when no character of Gamma_r
+    is far at x (``e ||chi(x)|| > e/4``): the far counts of every row come
+    from one product of the kept characters against their far table, a
+    block of characters (about 2^18 entries) at a time, so rows that share
+    characters share their distances.
     """
-    from .bohr import bohr_mask  # local import to avoid a cycle
+    from .bohr import char_distances, within_radius  # local import to avoid a cycle
 
     quarter = Fraction(1, 4)
     out: list[np.ndarray] = []
     block = max(1, _SPECTRA_BLOCK // group.order)
     for start in range(0, rows.shape[0], block):
         blk = rows[start : start + block]
-        diff = _convolution_counts(group, blk) > 0
-        target = _convolution_counts(group, diff, diff) > 0
+        target = quadruple_count_all(group, blk) > 0
         coeffs = np.abs(dft(group, blk))
         # alpha^2/2 = |A|^2 / (2 |G|^2): both integers are exact in float64,
         # so the one division is the correctly rounded threshold
         threshold = blk.sum(axis=1) ** 2 / (2 * group.order**2)
         hit = coeffs >= threshold[:, None] - TOLERANCE
-        inside: dict[bytes, np.ndarray] = {}  # one Bohr set per distinct Gamma
-        for r, h in enumerate(hit):
-            key = h.tobytes()
-            if key not in inside:
-                inside[key] = bohr_mask(group, np.flatnonzero(h), quarter)
-            if np.any(inside[key] & ~target[r]):
-                raise TheoremViolationError("Bogolyubov Bohr set escaped 2A - 2A")
-            out.append(np.flatnonzero(h))
+        kept = np.flatnonzero(hit.any(axis=0))
+        far = np.zeros(blk.shape, dtype=np.float64)  # far characters of each row at x
+        for c0 in range(0, kept.size, block):
+            cs = kept[c0 : c0 + block]
+            table = ~within_radius(group, char_distances(group, cs), quarter)
+            # a float64 product of 0/1 entries is an exact integer count
+            far += hit[:, cs].astype(np.float64) @ table.astype(np.float64)
+        if np.any((far == 0) & ~target):
+            raise TheoremViolationError("Bogolyubov Bohr set escaped 2A - 2A")
+        out.extend(np.flatnonzero(h) for h in hit)
     return out
 
 

@@ -29,6 +29,7 @@ from bogolib.groups import (
 )
 from bogolib.lattices import IntegerLattice, chain_monitor
 from bogolib.progressions import (
+    Arm,
     CosetProgression,
     FreimanMap,
     extract_subprogression,
@@ -73,12 +74,14 @@ def cover_varieties_loop(
     held: np.ndarray,
     top: int,
 ) -> tuple[np.ndarray, np.ndarray, list[BilinearVariety]]:
-    """``bilinear._cover_varieties`` one source and radius at a time: each
-    source's level sets straight from its map's values or its character,
-    its fitting rows and their point count, and, when row 0 fits and the
-    count beats the best size so far, C grown afresh and the candidate
-    verified.  Returns fits, (radii, sources, |H|), counts, (radii,
-    sources), and the verified candidates in the order they are tried."""
+    """``bilinear._cover_varieties`` one source and radius at a time, with
+    no size bound on C: each source's level sets straight from its map's
+    values or its character, its fitting rows and their point counts, and,
+    when row 0 fits and the fitting rows together hold more points than the
+    best size so far, C grown afresh and the candidate verified.  Returns
+    fits, (radii, sources, |H|), the point count of each fitting row (0
+    elsewhere), of the same shape, and the verified candidates in the order
+    they are tried."""
     gy, dual = d.group_y, gx.dual
     k = len(found)
     tables = [m.values for m in found] + [np.full(gy.order, c) for c in held]
@@ -89,7 +92,7 @@ def cover_varieties_loop(
     )
     radii = (Fraction(1, 4), Fraction(1, 8))
     fits = np.zeros((len(radii), len(sources), gy.order), dtype=bool)
-    counts = np.zeros((len(radii), len(sources)), dtype=np.int64)
+    counts = np.zeros((len(radii), len(sources), gy.order), dtype=np.int64)
     accepted: list[BilinearVariety] = []
     for s, src in enumerate(sources):
         maps = tuple(found[j] for j in src if j < k)
@@ -99,14 +102,50 @@ def cover_varieties_loop(
                 [within_radius(gx, char_distances(gx, tables[j]), rho) for j in src]
             )
             fits[r, s] = ~np.any(rows & ~d.matrix, axis=1)
-            counts[r, s] = np.count_nonzero(rows[fits[r, s]])
+            counts[r, s, fits[r, s]] = np.count_nonzero(rows[fits[r, s]], axis=1)
             best = max([top] + [v.size for v in accepted])
-            if fits[r, s, 0] and counts[r, s] > best:
+            if fits[r, s, 0] and counts[r, s].sum() > best:
                 prog = grow_progression_inside(GroupSubset(gy, fits[r, s]), rank_cap=2)
                 v = BilinearVariety(gx, gamma, rho, prog, maps)
                 if variety_contained_in(v, d):
                     accepted.append(v)
     return fits, counts, accepted
+
+
+def containment_winner_loop(
+    gx: FiniteAbelianGroup, d: BiSet, cover_inputs
+) -> "BilinearVariety | None":
+    """``bilinear.main_theorem_experiment``'s winner with no size bound:
+    every stage-one progression is witnessed (``_bohr_inside``) and gated,
+    and the covering stage is ``cover_varieties_loop`` on ``cover_inputs``,
+    the (found maps, held characters) the experiment passed it, or None when
+    the stage did not run.  The first of the largest verified wins."""
+    gy = d.group_y
+    column, full_rows = d.matrix[:, 0], d.matrix.all(axis=1)
+    progs = []
+    if full_rows.all():
+        progs.append(CosetProgression.whole_group(gy))
+    elif column[0]:
+        if full_rows[0]:
+            progs.append(grow_progression_inside(GroupSubset(gy, full_rows), rank_cap=2))
+        arm = bilinear._column_arm(gy, column)
+        if arm is not None:
+            arms = (Arm(gy.element_from_index(arm[0]), 0, arm[1]),)
+            trivial = GroupSubset.from_indices(gy, [0])
+            progs.append(CosetProgression(gy, gy.zero, arms, trivial))
+        progs.append(grow_progression_inside(GroupSubset(gy, column), rank_cap=2))
+    elif column.any():
+        progs.append(CosetProgression.singleton(gy.element_from_index(int(column.argmax()))))
+    found = []
+    for prog in progs:
+        witness = bilinear._bohr_inside(gx, d.matrix[prog.enumerate().indices()].all(axis=0))
+        v = BilinearVariety(gx, witness.frequencies, witness.radius, prog, ())
+        if variety_contained_in(v, d):
+            found.append(v)
+    if cover_inputs is not None:
+        top = max((v.size for v in found), default=0)
+        found += cover_varieties_loop(gx, d, *cover_inputs, top)[2]
+    return max(found, key=lambda v: v.size) if found else None
 
 
 def rho_grid(rho: Fraction, eta: Fraction) -> list[Fraction]:

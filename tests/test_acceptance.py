@@ -1,10 +1,10 @@
 """Acceptance suite: one test per criterion, printing one pass/fail line each.
 
 The sizes and tolerances each criterion pins live in ``bogolib.suites``,
-whose checks take only a seed.  One module-scoped ``run_suite("all", SEED)``
-feeds criteria 1-12; runtime-budgeted criteria read their wall-clock limits
-from that check's ``elapsed_ms``.  Criterion 13 makes one more run and
-compares the two.
+whose checks take only a seed.  One ``run_suite("all", SEED)``, the
+session's ``battery`` fixture (``conftest.py``), feeds criteria 1-12;
+runtime-budgeted criteria read their wall-clock limits from that check's
+``elapsed_ms``.  Criterion 13 makes one more run and compares the two.
 """
 
 import hashlib
@@ -40,11 +40,6 @@ CRITERIA = {
 }
 
 
-@pytest.fixture(scope="module")
-def battery():
-    return suites.run_suite("all", SEED)
-
-
 def _criterion(battery, number: int, label: str, budget_s=None) -> dict:
     """The criterion's check from the battery, printed and asserted passed;
     with ``budget_s``, its wall-clock limit is asserted too."""
@@ -63,6 +58,7 @@ def test_checks_take_only_a_seed_and_run_once(battery):
     assert len(registered) == len(CRITERIA)
     for fn in registered:
         assert list(inspect.signature(fn).parameters) == ["seed"], fn.__name__
+    assert battery["seed"] == SEED
     names = [c["name"] for c in battery["checks"]]
     assert sorted(names) == sorted(CRITERIA.values())
 

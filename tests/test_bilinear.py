@@ -37,6 +37,7 @@ from bogolib.progressions import Arm, CosetProgression, FreimanMap
 from bogolib.rng import derive_rng
 from oracles import (
     bohr_witness_bruteforce,
+    containment_winner_loop,
     cover_varieties_loop,
     is_freiman_linear,
     planted_zero_set,
@@ -680,16 +681,19 @@ def test_convolution_rounding_margin_is_checked(monkeypatch):
         for run in runs:
             with pytest.raises(ArithmeticError):
                 run()
-    # the ladder's Bogolyubov spectra are checked too, not only D's passes
-    monkeypatch.setattr(groups, "_exact_counts", exact)
-    kernel = groups._convolution_counts
+    # the ladder's Bogolyubov spectra are checked too, not only D's passes:
+    # with both roundings restored, only the spectra's count pass is shifted
+    for module in (groups, fourier):
+        monkeypatch.setattr(module, "_exact_counts", exact)
+    assert experiment() == expected[3]
+    quadruple = fourier.quadruple_count_all
 
     def spectra_kernel(*args):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(groups, "_exact_counts", shifted(0.3))
-            return kernel(*args)
+            patch.setattr(fourier, "_exact_counts", shifted(0.3))
+            return quadruple(*args)
 
-    monkeypatch.setattr(fourier, "_convolution_counts", spectra_kernel)
+    monkeypatch.setattr(fourier, "quadruple_count_all", spectra_kernel)
     with pytest.raises(ArithmeticError):
         experiment()
 
@@ -959,28 +963,47 @@ def test_covering_stage_wins_a_pinned_experiment():
 
 
 def test_pinned_experiment_candidate_maps_are_freiman_linear(monkeypatch):
-    # every candidate variety of the pinned Z32 vh instance, accepted or not:
-    # a cover map is a homomorphism of H, so it is Freiman-linear on every C
-    tried = []
+    # every cover map of the pinned Z32 vh instance on every C that the
+    # covering stage grows, whether or not a candidate on C is gated: a
+    # cover map is a homomorphism of H, so it is Freiman-linear on each C
+    real_cover, real_grow = bilinear._cover_varieties, bilinear.grow_progression_inside
+    found, grown, gated = [], [], []
+
+    def grow(*args, **kwargs):
+        grown.append(real_grow(*args, **kwargs))
+        return grown[-1]
+
+    def cover(gx, d, maps, held, top):
+        found.extend(maps)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(bilinear, "grow_progression_inside", grow)
+            return real_cover(gx, d, maps, held, top)
 
     def record(variety, d):
-        tried.append(variety)
+        gated.append(variety)
         return variety_contained_in(variety, d)
 
+    monkeypatch.setattr(bilinear, "_cover_varieties", cover)
     monkeypatch.setattr(bilinear, "variety_contained_in", record)
     g = bg.make_group([32])
     main_theorem_experiment(g, g, 0.1, 1, search_budget=DEFAULT_BUDGET, word="vh")
-    maps = [m for v in tried for m in v.maps]
-    assert len(maps) == 50
-    assert all(is_freiman_linear(m) for m in maps)
+    assert all(m in found for v in gated for m in v.maps)
+    pairs = [(m, c) for m in found for c in grown]
+    assert len(pairs) >= 50
+    for m, c in pairs:
+        on_c = FreimanMap(c, m.codomain, np.where(c.enumerate().mask, m.values, -1))
+        assert is_freiman_linear(on_c)
 
 
 def test_cover_scoring_matches_per_source_oracle(monkeypatch):
-    # the batched scores of every source and radius, the verified candidates
-    # and the experiment's winner equal the one-source-at-a-time loop's, on
-    # the contain-sparse batch at seed 1, Z2xZ4xZ4 and Z4xZ8 instances that
-    # the covering stage wins, and the Z256 instance of the large cover
-    # digests; then again with one source per scoring block
+    # the batched per-row counts of every source and radius, and the
+    # winning candidate, equal the one-source-at-a-time loop's, on the
+    # contain-sparse batch at seed 1, Z2xZ4xZ4 and Z4xZ8 instances that the
+    # covering stage wins, and the Z256 instance of the large cover digests;
+    # then again with one source per scoring block.  The loop builds every
+    # source past its row-count filter, so only the winners are compared:
+    # the stage builds and gates only candidates whose exact size beats the
+    # best so far, so its verified sizes rise strictly
     sparse = perfbench_run.batch_inputs("contain-sparse", 1)
     instances = [([n], w, delta, seed) for n, w, delta, seed in sparse] + [
         ([2, 4, 4], "vh", 0.1, 1),
@@ -1018,10 +1041,17 @@ def test_cover_scoring_matches_per_source_oracle(monkeypatch):
         winners = 0
         for args, got, accepted in calls:
             fits, counts, want = cover_varieties_loop(*args)
-            assert np.array_equal(np.stack([f for f, _ in got]), fits)
-            assert np.array_equal(np.stack([c for _, c in got]), counts)
-            assert [v.describe() for v in accepted] == [v.describe() for v in want]
-            winners += bool(want) and max(v.size for v in want) > args[4]
+            assert np.array_equal(np.stack(got), counts)
+            assert np.array_equal(np.stack(got) > 0, fits)
+            sizes = [args[4]] + [v.size for v in accepted]
+            assert all(a < b for a, b in zip(sizes, sizes[1:]))
+            winner = max(want, key=lambda v: v.size) if want else None
+            if winner is None or winner.size <= args[4]:
+                assert accepted == []
+            else:
+                assert accepted[-1].describe() == winner.describe()
+                assert accepted[-1].size == winner.size
+                winners += 1
         # of 48 stages, these find a variety above the zero column's candidates,
         # the column arm among them
         assert winners == 23
@@ -1042,13 +1072,54 @@ _PLANTED = [
 ]
 
 
+def _record_cover_inputs(monkeypatch) -> list:
+    """Patch the covering stage to record the (found maps, held characters)
+    it is passed, one entry per call."""
+    inputs = []
+    real = bilinear._cover_varieties
+
+    def cover(gx, d, found, held, top):
+        inputs.append((found, held))
+        return real(gx, d, found, held, top)
+
+    monkeypatch.setattr(bilinear, "_cover_varieties", cover)
+    return inputs
+
+
+def _assert_winner_unpruned(out, inputs):
+    """The experiment's stripped report names the winner that the loop with
+    no size bound finds, on the same D and cover inputs."""
+    d = out.difference_set
+    want = containment_winner_loop(d.group_x, d, inputs.pop() if inputs else None)
+    assert not inputs
+    expected = {
+        "variety": want.describe() if want else None,
+        "variety_size": want.size if want else 0,
+        "verified": want is not None,
+    }
+    assert {key: out.report[key] for key in expected} == expected
+
+
+def test_size_bounds_prune_no_winner(monkeypatch):
+    # on the contain-sparse batches at seeds 1-3, the winner is the one that
+    # witnessing and gating every stage-one progression and every cover
+    # source past its row-count filter gives
+    inputs = _record_cover_inputs(monkeypatch)
+    for batch_seed in (1, 2, 3):
+        for n, word, delta, seed in perfbench_run.batch_inputs("contain-sparse", batch_seed):
+            g = bg.make_group([n])
+            _assert_winner_unpruned(main_theorem_experiment(g, g, delta, seed, word=word), inputs)
+
+
 def test_planted_zero_sets_are_recovered(monkeypatch):
     # A is the zero set of one or two bilinear forms on Z_q^n, fed to the
     # experiment in place of its sample at delta = |A| / |G|^2; D = A, and
     # the cover's homomorphisms rebuild all of A on every instance.  On Z3^3
     # (two forms, seeds 0 and 2) the cover's second map is a multiple of its
     # first, and on Z4 x Z4 (two forms, seed 1) its first map alone spans
-    # one form; the loop goes on while a map gains, and reaches the other
+    # one form; the loop goes on while a map gains, and reaches the other.
+    # The winner is the one the loop with no size bound finds
+    inputs = _record_cover_inputs(monkeypatch)
     for moduli, forms in _PLANTED:
         for seed in (0, 1, 2):
             a = planted_zero_set(moduli, forms, seed)
@@ -1057,6 +1128,7 @@ def test_planted_zero_sets_are_recovered(monkeypatch):
             out = main_theorem_experiment(g, g, a.size / g.order**2, seed, word="hv")
             assert out.difference_set == a, (moduli, forms, seed)
             assert out.report["variety_size"] == a.size, (moduli, forms, seed)
+            _assert_winner_unpruned(out, inputs)
 
 
 # variety_size of the 45 contain-sparse benchmark experiments at seed 1,

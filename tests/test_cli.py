@@ -1,12 +1,14 @@
 """CLI harness: flags, reports, schema, exit codes, determinism."""
 
 import contextlib
+import copy
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -18,6 +20,9 @@ from bogolib.bilinear import main_theorem_experiment
 from bogolib.errors import PreconditionError
 from bogolib.groups import make_group
 from bogolib.suites import run_suite
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import run as perfbench_run  # noqa: E402
 
 
 def run_cli(args):
@@ -205,6 +210,69 @@ def test_suite_report_schema(tmp_path):
     cli.validate_report(report)
     assert report["suite"] == "lattice"
     assert report["all_passed"] is True
+
+
+def _schema_corpus(battery) -> list[tuple[dict, bool]]:
+    """(document, accepted) pairs: every contain-sparse and contain-saturated
+    report at seed 1 and the --suite all report at seed 1, as written, then
+    mutations of one experiment report with a variety and of the suite report."""
+    reports = [
+        cli.run_experiment(f"Z{n}", f"Z{n}", delta, seed, word=word)
+        for workload in ("contain-sparse", "contain-saturated")
+        for n, word, delta, seed in perfbench_run.batch_inputs(workload, 1)
+    ]
+    suite = json.loads(json.dumps(battery))
+    corpus = [(json.loads(json.dumps(r)), True) for r in reports] + [(suite, True)]
+    exp = next(r for r in reports if r["variety"]["maps"] and r["variety"]["progression"]["arms"])
+
+    def mutant(base, edit):
+        doc = copy.deepcopy(base)
+        edit(doc)
+        return doc
+
+    exp_edits = [
+        (lambda r: r.update(extra=1), False),
+        (lambda r: r.pop("d_size"), False),
+        (lambda r: r.update(kind="suite"), False),
+        (lambda r: r.update(variety=None), True),
+        (lambda r: r.update(variety=[]), False),
+        (lambda r: r.update(variety={}), False),
+        (lambda r: r["variety"].pop("maps"), False),
+        (lambda r: r["variety"].update(rho="1/x"), False),
+        (lambda r: r["variety"]["progression"].update(extra=0), False),
+        (lambda r: r["variety"]["progression"]["arms"][0].pop("lo"), False),
+        (lambda r: r.update(word="hx"), False),
+        (lambda r: r.update(schema_version=2), False),
+        (lambda r: r.update(variety_size="1"), False),
+    ]
+    suite_edits = [
+        (lambda r: r.update(extra=1), False),
+        (lambda r: r.pop("kind"), False),
+        (lambda r: r.pop("checks"), False),
+        (lambda r: r.update(kind="experiment"), False),
+        (lambda r: r["checks"][0].update(extra=1), False),
+        (lambda r: r.update(checks=[]), True),
+    ]
+    corpus += [(mutant(exp, edit), ok) for edit, ok in exp_edits]
+    corpus += [(mutant(suite, edit), ok) for edit, ok in suite_edits]
+    corpus += [([], False), ("report", False), (None, False)]
+    return corpus
+
+
+def test_report_schema_accepts_what_the_two_branch_schema_did(battery):
+    # the shipped if/then/else schema and the earlier oneOf of two $refs
+    # accept and reject the same documents
+    shipped = cli.load_report_schema()
+    old = json.loads((Path(__file__).parent / "data" / "report_oneof.schema.json").read_text())
+    validators = []
+    for schema in (shipped, old):
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        validators.append(cls(schema))
+    corpus = _schema_corpus(battery)
+    assert len(corpus) >= 86 + 12
+    for doc, accepted in corpus:
+        assert [v.is_valid(doc) for v in validators] == [accepted, accepted], doc
 
 
 def test_suite_determinism_in_process():

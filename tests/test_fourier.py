@@ -1,13 +1,16 @@
 """Fourier analysis: the transform of masks, counts, spectra, Bogolyubov."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bogolib as bg
 from bogolib import bohr, fourier
-from bogolib.bohr import bohr_mask
+from bogolib.bohr import bohr_mask, char_distances
 from bogolib.errors import TheoremViolationError
 from bogolib.fourier import (
     bogolyubov_bohr_in_2A2A,
@@ -172,6 +175,11 @@ def _bogolyubov_oracle(subset):
     return hits
 
 
+def _never_far(group, dist, radius):
+    """``bohr.within_radius`` with every distance inside: no character is far."""
+    return np.ones(dist.shape, dtype=bool)
+
+
 def test_bogolyubov_spectra_match_per_row_oracle(monkeypatch):
     rng = np.random.default_rng(11)
     for moduli in ([24], [4, 6], [2, 8]):
@@ -195,11 +203,12 @@ def test_bogolyubov_spectra_match_per_row_oracle(monkeypatch):
         one = bogolyubov_bohr_in_2A2A(GroupSubset(g, rows[2]))
         assert [chi.index for chi in one.frequencies] == oracle[2].tolist()
         # a Bohr set that escapes 2A - 2A is caught by the exact check: with
-        # every Bohr set all of G, row 1 is G and passes, row 0 escapes
+        # no character ever far, every Bohr set is all of G, row 1 is G and
+        # passes, row 0 escapes
         diff = GroupSubset(g, rows[0]).diffset(GroupSubset(g, rows[0]))
         assert diff.sumset(diff).size < g.order
         with monkeypatch.context() as m:
-            m.setattr(bohr, "bohr_mask", lambda grp, *_: np.ones(grp.order, dtype=bool))
+            m.setattr(bohr, "within_radius", _never_far)
             with pytest.raises(TheoremViolationError):
                 fourier._bogolyubov_spectra(g, rows[:1])
             with pytest.raises(TheoremViolationError):
@@ -209,19 +218,51 @@ def test_bogolyubov_spectra_match_per_row_oracle(monkeypatch):
                 fourier._bogolyubov_spectra(g, rows[1::-1])
             with pytest.raises(TheoremViolationError):
                 bogolyubov_bohr_in_2A2A(GroupSubset(g, rows[0]))
-    # rows that share Gamma share one Bohr set, and each is still checked:
-    # in Z24, {0, 1, 2, 6} and {0} both hit every character, the first has
-    # 2A - 2A = G and passes, the second escapes
+    # rows that share characters share one distance table per block of
+    # characters, and each row is still checked: in Z24, {0, 1, 2, 6} and
+    # {0} both hit every character, the first has 2A - 2A = G and passes,
+    # the second escapes
     g = bg.make_group([24])
     shared = np.zeros((2, 24), dtype=bool)
     shared[0, [0, 1, 2, 6]] = shared[1, 0] = True
-    calls = []
+    for block, step in ((fourier._SPECTRA_BLOCK, 24), (8 * 24, 8)):  # one or three blocks
+        calls = []
+
+        def recording(grp, cs):
+            calls.append(cs.tolist())
+            return char_distances(grp, cs)
+
+        with monkeypatch.context() as m:
+            m.setattr(fourier, "_SPECTRA_BLOCK", block)
+            m.setattr(bohr, "char_distances", recording)
+            got = fourier._bogolyubov_spectra(g, shared)
+        assert [h.tolist() for h in got] == [list(range(24))] * 2
+        assert calls == [list(range(c, c + step)) for c in range(0, 24, step)]
     with monkeypatch.context() as m:
-        m.setattr(bohr, "bohr_mask", lambda *a: calls.append(a[1:]) or bohr_mask(*a))
-        got = fourier._bogolyubov_spectra(g, shared)
-    assert [h.tolist() for h in got] == [list(range(24))] * 2
-    assert [(c.tolist(), rho) for c, rho in calls] == [(list(range(24)), Fraction(1, 4))]
-    with monkeypatch.context() as m:
-        m.setattr(bohr, "bohr_mask", lambda grp, *_: np.ones(grp.order, dtype=bool))
+        m.setattr(bohr, "within_radius", _never_far)
         with pytest.raises(TheoremViolationError):
             fourier._bogolyubov_spectra(g, shared)
+
+
+_MODULI = st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12, 16]), min_size=1, max_size=3).filter(
+    lambda ms: math.prod(ms) <= 256
+)
+
+
+@given(
+    moduli=_MODULI, n=st.integers(1, 6), per_block=st.integers(1, 3), seed=st.integers(0, 2**32 - 1)
+)
+@settings(max_examples=40)
+def test_bogolyubov_spectra_match_oracle_on_drawn_groups(moduli, n, per_block, seed):
+    # rank <= 3, order <= 256; per_block rows and per_block characters to a
+    # block, so that both kinds of block split
+    g = bg.make_group(moduli)
+    rng = np.random.default_rng(seed)
+    rows = rng.random((n, g.order)) < rng.random((n, 1))
+    rows[np.arange(n), rng.integers(0, g.order, size=n)] = True  # nonempty
+    oracle = [_bogolyubov_oracle(GroupSubset(g, row)) for row in rows]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fourier, "_SPECTRA_BLOCK", per_block * g.order)
+        got = fourier._bogolyubov_spectra(g, rows)
+    assert len(got) == n
+    assert all(np.array_equal(h, want) for h, want in zip(got, oracle))
