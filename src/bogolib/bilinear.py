@@ -9,8 +9,9 @@ computes d_hor(d_ver(A)) -- the 'v' (rightmost letter) acts first.
 
 Each letter first decides rows (or columns) by counting: an empty row gives
 the empty set, and a row S with 2|S| > |G| gives all of G.  The rows left
-open take one batched real-FFT convolution (``groups._convolution_counts``)
-with their negations, from one forward transform times its conjugate; the
+open take one call of the batched real-FFT convolution
+(``groups._convolution_counts``) with their negations, which transforms them
+a row block at a time, one forward transform times its conjugate each; the
 kernel returns exact integer counts, so the float transform never decides
 membership unchecked.  Both operators map G x H to itself, so
 ``iterated_difference`` stops as soon as the set is all of G x H.

@@ -10,10 +10,12 @@ the global 1e-9 absolute tolerance.  Integer-valued counts come from the
 two real-FFT kernels, ``groups._convolution_counts`` and
 ``quadruple_count_all``, which return them exact (see
 ``groups._exact_counts``).  Like ``dft``, ``quadruple_count_all`` takes
-masks batched over leading axes, so many sets on one group share one
-real-FFT pair.  The Bogolyubov check reads 2A - 2A as the support of that
-one count, and every row's Bohr set B(Gamma; 1/4) from one exact 0/1
-product per block of characters: x is in it when no kept character is far.
+masks batched over leading axes, so many sets on one group share one call;
+it transforms them in row blocks of about ``groups._COUNT_BLOCK`` entries,
+one real-FFT pair per block.  The Bogolyubov check reads 2A - 2A as the
+support of that one count, and every row's Bohr set B(Gamma; 1/4) from one
+exact 0/1 product per block of characters: x is in it when no kept
+character is far.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, TheoremViolationError
-from .groups import Character, FiniteAbelianGroup, GroupSubset, _exact_counts
+from .groups import Character, FiniteAbelianGroup, GroupSubset, _exact_counts, _row_blocks
 
 TOLERANCE = 1e-9
 _SPECTRA_BLOCK = 1 << 18  # entries per block of _bogolyubov_spectra's rows
@@ -46,18 +48,23 @@ def quadruple_count_all(group: FiniteAbelianGroup, masks: np.ndarray) -> np.ndar
     """count(x) = #{(a1,a2,a3,a4) in A^4 : a1 + a2 - a3 - a4 = x} for all x,
     A each mask; batched over leading axes like ``dft``.
 
-    One real-FFT pair: the counts are |G|^3 (1_A * 1_A * 1_{-A} * 1_{-A}),
-    whose transform side is ``|1hat_A|^4``, nonnegative real; they leave as
-    int64, rounded and checked by ``groups._exact_counts``.
+    One real-FFT pair per row block (``groups._row_blocks``): the counts are
+    |G|^3 (1_A * 1_A * 1_{-A} * 1_{-A}), whose transform side is
+    ``|1hat_A|^4``, nonnegative real; each block leaves as int64, rounded
+    and checked by ``groups._exact_counts``, into one preallocated result.
     """
     masks = np.asarray(masks)
     shape = group.tensor_shape
-    batch = masks.shape[:-1]
-    axes = tuple(range(len(batch), len(batch) + len(shape)))
-    spec = np.fft.rfftn(masks.reshape(batch + shape).astype(np.float64), axes=axes)
-    counts = np.fft.irfftn(np.abs(spec) ** 4, s=shape, axes=axes)
-    del spec  # the spectrum is not held while the counts are rounded
-    return _exact_counts(counts.reshape(masks.shape))
+    axes = tuple(range(1, len(shape) + 1))
+    rows = masks.reshape((-1,) + shape)
+    out = np.empty(masks.shape, dtype=np.int64)
+    flat = out.reshape(-1, group.order)
+    for blk in _row_blocks(group, flat.shape[0]):
+        power = np.abs(np.fft.rfftn(rows[blk].astype(np.float64), axes=axes))
+        power **= 4
+        counts = np.fft.irfftn(power, s=shape, axes=axes)
+        flat[blk] = _exact_counts(counts.reshape(-1, group.order))
+    return out
 
 
 def spectrum(subset: GroupSubset, threshold: float) -> list[Character]:

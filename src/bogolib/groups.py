@@ -33,6 +33,7 @@ from .intmat import row_hermite
 
 DEFAULT_CEILING = 1 << 24
 SPAN_MAX_STEPS = 1 << 22
+_COUNT_BLOCK = 1 << 13  # entries per row block of the count kernels
 
 
 def group_order_ceiling() -> int:
@@ -386,19 +387,36 @@ def _convolution_counts(
     Without ``m2``, row i of ``m1`` is convolved with its own negation, so
     counts(x) = #{(a, b): a - b = x}; the transform of the negation is the
     conjugate of the row's own, so that takes one forward transform.
-    The real-FFT counts are rounded and checked by ``_exact_counts``.
+    The batch is transformed in row blocks (``_row_blocks``), each rounded
+    and checked by ``_exact_counts`` into one preallocated result.
     """
     shape = group.tensor_shape
-    batch = m1.shape[:-1]
-    axes = tuple(range(len(batch), len(batch) + len(shape)))
-    f1 = np.fft.rfftn(m1.reshape(batch + shape).astype(np.float64), s=shape, axes=axes)
-    if m2 is None:
-        f2 = np.conj(f1)
-    else:
-        f2 = np.fft.rfftn(m2.reshape(batch + shape).astype(np.float64), s=shape, axes=axes)
-    out = np.fft.irfftn(f1 * f2, s=shape, axes=axes)
-    del f1, f2  # the spectra are not held while the counts are rounded
-    return _exact_counts(out.reshape(m1.shape))
+    axes = tuple(range(1, len(shape) + 1))
+    rows1 = m1.reshape((-1,) + shape)
+    rows2 = None if m2 is None else m2.reshape((-1,) + shape)
+    out = np.empty(m1.shape, dtype=np.int64)
+    flat = out.reshape(-1, group.order)
+    for blk in _row_blocks(group, flat.shape[0]):
+        f = np.fft.rfftn(rows1[blk].astype(np.float64), s=shape, axes=axes)
+        if rows2 is None:
+            f *= np.conj(f)
+        else:
+            f *= np.fft.rfftn(rows2[blk].astype(np.float64), s=shape, axes=axes)
+        counts = np.fft.irfftn(f, s=shape, axes=axes)
+        flat[blk] = _exact_counts(counts.reshape(-1, group.order))
+    return out
+
+
+def _row_blocks(group: FiniteAbelianGroup, n: int) -> list[slice]:
+    """Slices covering ``n`` rows of |G| entries, about ``_COUNT_BLOCK``
+    entries (at least one row) each.
+
+    A count kernel transforms one block at a time, so every temporary of a
+    large batch stays under the allocator's fresh-mapping threshold and in
+    cache, instead of faulting in new pages on every call.
+    """
+    step = max(1, _COUNT_BLOCK // group.order)
+    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def _exact_counts(counts: np.ndarray) -> np.ndarray:
